@@ -18,7 +18,7 @@
 use alrescha::convert::{ConfigEntry, ConfigTable, DataPath, KernelType};
 use alrescha::program::{EntryLayout, ProgramBinary};
 use alrescha_sparse::alf::{config_entry_bits, AlfLayout};
-use alrescha_sparse::{Alf, AlfBlock};
+use alrescha_sparse::{Alf, AlfBuilder};
 
 use crate::parser::{parse, Listing};
 use crate::{AsmDiagnostic, AsmError, Span};
@@ -116,7 +116,7 @@ pub fn assemble(listing: &Listing) -> Result<AssembledProgram, AsmError> {
     let block_cols = listing.cols.div_ceil(omega);
 
     let mut entries: Vec<ConfigEntry> = Vec::with_capacity(listing.blocks.len());
-    let mut blocks: Vec<AlfBlock> = Vec::with_capacity(listing.blocks.len());
+    let mut blocks = AlfBuilder::new(listing.rows, listing.cols, omega, listing.layout);
     for stmt in &listing.blocks {
         if stmt.block_row >= block_rows || stmt.block_col >= block_cols {
             diags.push(AsmDiagnostic::of(
@@ -247,20 +247,19 @@ pub fn assemble(listing: &Listing) -> Result<AssembledProgram, AsmError> {
             op: e.port,
         });
         let payload: Vec<f64> = stmt.payload_rows.iter().flatten().copied().collect();
-        match AlfBlock::from_streamed_payload(
+        let pushed = blocks.push_block(
             stmt.block_row,
             stmt.block_col,
             stmt.kind,
-            payload,
-            omega,
+            &payload,
             stmt.reversed,
-        ) {
-            Ok(b) => blocks.push(b),
-            Err(e) => diags.push(AsmDiagnostic::of(
+        );
+        if let Err(e) = pushed {
+            diags.push(AsmDiagnostic::of(
                 "AL503",
                 stmt.span,
                 format!("block payload rejected: {e}"),
-            )),
+            ));
         }
     }
 
@@ -269,15 +268,7 @@ pub fn assemble(listing: &Listing) -> Result<AssembledProgram, AsmError> {
         return Err(AsmError { diagnostics: diags });
     }
 
-    let alf = Alf::from_raw_parts(
-        listing.rows,
-        listing.cols,
-        omega,
-        listing.layout,
-        blocks,
-        listing.diag.clone(),
-    )
-    .map_err(|e| {
+    let alf = blocks.finish(listing.diag.clone()).map_err(|e| {
         AsmError::single(AsmDiagnostic::of(
             "AL505",
             header,

@@ -18,7 +18,7 @@
 use alrescha::convert::KernelType;
 use alrescha::program::{EntryLayout, ProgramBinary};
 use alrescha_sparse::alf::AlfLayout;
-use alrescha_sparse::{Alf, AlfBlock, BlockKind};
+use alrescha_sparse::{AlfBuilder, BlockKind};
 
 use crate::assemble::AssembledProgram;
 
@@ -212,7 +212,8 @@ pub fn read_container(bytes: &[u8]) -> Result<AssembledProgram, ContainerError> 
         diagonal.push(r.f64("diagonal value")?);
     }
     let block_count = r.dim("block_count")?;
-    let mut blocks = Vec::with_capacity(block_count);
+    let mut blocks = AlfBuilder::new(rows, cols, omega, layout);
+    let mut values = Vec::with_capacity(omega * omega);
     for _ in 0..block_count {
         let br = r.dim("block row")?;
         let bc = r.dim("block col")?;
@@ -227,14 +228,13 @@ pub fn read_container(bytes: &[u8]) -> Result<AssembledProgram, ContainerError> 
             }
         };
         let reversed = r.u8("block order")? != 0;
-        let mut payload = Vec::with_capacity(omega * omega);
+        values.clear();
         for _ in 0..omega * omega {
-            payload.push(r.f64("block payload")?);
+            values.push(r.f64("block payload")?);
         }
-        blocks.push(
-            AlfBlock::from_streamed_payload(br, bc, kind, payload, omega, reversed)
-                .map_err(|e| ContainerError::BadGeometry(e.to_string()))?,
-        );
+        blocks
+            .push_block(br, bc, kind, &values, reversed)
+            .map_err(|e| ContainerError::BadGeometry(e.to_string()))?;
     }
     if r.at != payload.len() {
         return Err(ContainerError::BadField {
@@ -243,7 +243,8 @@ pub fn read_container(bytes: &[u8]) -> Result<AssembledProgram, ContainerError> 
         });
     }
 
-    let alf = Alf::from_raw_parts(rows, cols, omega, layout, blocks, diagonal)
+    let alf = blocks
+        .finish(diagonal)
         .map_err(|e| ContainerError::BadGeometry(e.to_string()))?;
     let table = binary
         .decode()

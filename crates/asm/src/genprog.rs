@@ -18,7 +18,7 @@ use alrescha::convert::{
     AccessOrder, ConfigEntry, ConfigTable, DataPath, KernelType, OperandPort,
 };
 use alrescha_sparse::alf::{config_entry_bits, AlfLayout};
-use alrescha_sparse::{Alf, AlfBlock, BlockKind};
+use alrescha_sparse::{AlfBuilder, BlockKind};
 
 use crate::disasm::disassemble;
 
@@ -109,13 +109,14 @@ pub fn generate(seed: u64) -> GeneratedProgram {
     let chop = rng.below(omega);
     let n = block_rows * omega - chop;
 
-    let (blocks, entries) = match kernel {
-        KernelType::SymGs => symgs_schedule(&mut rng, block_rows, omega),
-        _ => streaming_schedule(&mut rng, kernel, block_rows, omega),
-    };
     let layout = match kernel {
         KernelType::SymGs => AlfLayout::SymGs,
         _ => AlfLayout::Streaming,
+    };
+    let mut blocks = AlfBuilder::new(n, n, omega, layout);
+    let entries = match kernel {
+        KernelType::SymGs => symgs_schedule(&mut rng, &mut blocks, block_rows, omega),
+        _ => streaming_schedule(&mut rng, &mut blocks, kernel, block_rows, omega),
     };
     let diagonal = if layout == AlfLayout::SymGs {
         (0..n).map(|_| rng.diag_value()).collect()
@@ -123,7 +124,8 @@ pub fn generate(seed: u64) -> GeneratedProgram {
         Vec::new()
     };
     #[allow(clippy::expect_used)]
-    let alf = Alf::from_raw_parts(n, n, omega, layout, blocks, diagonal)
+    let alf = blocks
+        .finish(diagonal)
         .expect("generated geometry is valid by construction");
     let table = ConfigTable::from_entries(entries, config_entry_bits(n, omega));
     let text = disassemble(kernel, &table, &alf);
@@ -164,27 +166,28 @@ fn reverse_rows(payload: &mut [f64], omega: usize) {
     }
 }
 
-fn build_block(
+fn push_block(
+    blocks: &mut AlfBuilder,
     br: usize,
     bc: usize,
     kind: BlockKind,
-    payload: Vec<f64>,
-    omega: usize,
+    payload: &[f64],
     reversed: bool,
-) -> AlfBlock {
+) {
     #[allow(clippy::expect_used)]
-    AlfBlock::from_streamed_payload(br, bc, kind, payload, omega, reversed)
-        .expect("generated payload is ω² by construction")
+    blocks
+        .push_block(br, bc, kind, payload, reversed)
+        .expect("generated payload is ω² by construction");
 }
 
 /// SymGS: per block row, shuffled off-diagonal GEMVs then the diagonal
 /// D-SymGS block — the full AL001/AL201-legal non-canonical space.
 fn symgs_schedule(
     rng: &mut SplitMix64,
+    blocks: &mut AlfBuilder,
     block_rows: usize,
     omega: usize,
-) -> (Vec<AlfBlock>, Vec<ConfigEntry>) {
-    let mut blocks = Vec::new();
+) -> Vec<ConfigEntry> {
     let mut entries = Vec::new();
     for br in 0..block_rows {
         let mut cols: Vec<usize> = (0..block_rows).filter(|&bc| bc != br).collect();
@@ -204,14 +207,7 @@ fn symgs_schedule(
             if reversed {
                 reverse_rows(&mut payload, omega);
             }
-            blocks.push(build_block(
-                br,
-                bc,
-                BlockKind::OffDiagonal,
-                payload,
-                omega,
-                reversed,
-            ));
+            push_block(blocks, br, bc, BlockKind::OffDiagonal, &payload, reversed);
             entries.push(ConfigEntry {
                 data_path: DataPath::Gemv,
                 inx_in: bc * omega,
@@ -238,7 +234,7 @@ fn symgs_schedule(
             }
         }
         reverse_rows(&mut payload, omega);
-        blocks.push(build_block(br, br, BlockKind::Diagonal, payload, omega, true));
+        push_block(blocks, br, br, BlockKind::Diagonal, &payload, true);
         entries.push(ConfigEntry {
             data_path: DataPath::DSymGs,
             inx_in: br * omega,
@@ -247,18 +243,18 @@ fn symgs_schedule(
             op: OperandPort::Port2,
         });
     }
-    (blocks, entries)
+    entries
 }
 
 /// Streaming kernels: ascending block rows, shuffled columns within each
 /// row, every block an l2r off-diagonal-kind GEMV.
 fn streaming_schedule(
     rng: &mut SplitMix64,
+    blocks: &mut AlfBuilder,
     kernel: KernelType,
     block_rows: usize,
     omega: usize,
-) -> (Vec<AlfBlock>, Vec<ConfigEntry>) {
-    let mut blocks = Vec::new();
+) -> Vec<ConfigEntry> {
     let mut entries = Vec::new();
     for br in 0..block_rows {
         let mut cols: Vec<usize> = (0..block_rows).collect();
@@ -271,14 +267,7 @@ fn streaming_schedule(
                 1 + rng.below(omega * omega)
             };
             let payload = sparse_payload(rng, omega, fill);
-            blocks.push(build_block(
-                br,
-                bc,
-                BlockKind::OffDiagonal,
-                payload,
-                omega,
-                false,
-            ));
+            push_block(blocks, br, bc, BlockKind::OffDiagonal, &payload, false);
             entries.push(ConfigEntry {
                 data_path: kernel.data_path(),
                 inx_in: br * omega,
@@ -288,7 +277,7 @@ fn streaming_schedule(
             });
         }
     }
-    (blocks, entries)
+    entries
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ fn mac_row(row: &[f64], operand: &[f64]) -> f64 {
 }
 
 /// The ω GEMV dots of one block against an operand chunk, logical order.
-fn gemv_block(block: &AlfBlock, operand: &[f64], omega: usize) -> Vec<f64> {
+fn gemv_block(block: AlfBlock<'_>, operand: &[f64], omega: usize) -> Vec<f64> {
     (0..omega)
         .map(|i| {
             let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
@@ -142,7 +142,7 @@ fn sweep_reference(a: &Alf, b: &[f64], x: &mut [f64], backward: bool) -> Result<
     }
     let omega = a.omega();
     let block_rows = a.block_rows();
-    let mut per_row: Vec<Vec<&AlfBlock>> = vec![Vec::new(); block_rows];
+    let mut per_row: Vec<Vec<AlfBlock>> = vec![Vec::new(); block_rows];
     for block in a.blocks() {
         per_row[block.block_row()].push(block);
     }
@@ -153,9 +153,9 @@ fn sweep_reference(a: &Alf, b: &[f64], x: &mut [f64], backward: bool) -> Result<
     }
     for &br in &order {
         let row_base = br * omega;
-        let mut diag_block: Option<&AlfBlock> = None;
+        let mut diag_block: Option<AlfBlock> = None;
         let mut dots_per_block: Vec<Vec<f64>> = Vec::new();
-        for block in &per_row[br] {
+        for &block in &per_row[br] {
             if block.kind() == BlockKind::Diagonal {
                 diag_block = Some(block);
                 continue;

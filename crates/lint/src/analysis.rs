@@ -42,7 +42,7 @@ use alrescha::accelerator::ProgrammedKernel;
 use alrescha::convert::{ConfigTable, DataPath, KernelType, OperandPort};
 use alrescha::program::{EntryLayout, ProgramBinary};
 use alrescha_sim::SimConfig;
-use alrescha_sparse::{Alf, AlfBlock, BlockKind};
+use alrescha_sparse::{alf::Blocks, Alf, BlockKind};
 
 use crate::{render_json, Diagnostic, Location};
 
@@ -255,7 +255,7 @@ fn cycle_bound(kernel: KernelType, alf: &Alf, config: &SimConfig) -> CycleBound 
 /// single-data-path kernels have no intra-schedule dependencies).
 fn walk_symgs_schedule(
     table: &ConfigTable,
-    blocks: &[AlfBlock],
+    blocks: Blocks<'_>,
     omega: usize,
     dead: &mut Vec<usize>,
     diags: &mut Vec<Diagnostic>,

@@ -366,7 +366,6 @@ pub fn verify_table(
     // schedule — entering a block row's diagonal, or leaving it for a
     // later block row's GEMVs.
     if kernel == KernelType::SymGs {
-        let blocks = alf.blocks();
         for i in 1..table.entries().len() {
             let prev = &table.entries()[i - 1];
             let cur = &table.entries()[i];
@@ -374,11 +373,11 @@ pub fn verify_table(
                 continue;
             }
             let legal = if cur.data_path == DataPath::DSymGs {
-                blocks[i].kind() == BlockKind::Diagonal
-                    && blocks[i].block_row() == blocks[i - 1].block_row()
+                alf.block(i).kind() == BlockKind::Diagonal
+                    && alf.block(i).block_row() == alf.block(i - 1).block_row()
             } else {
-                blocks[i - 1].kind() == BlockKind::Diagonal
-                    && blocks[i].block_row() > blocks[i - 1].block_row()
+                alf.block(i - 1).kind() == BlockKind::Diagonal
+                    && alf.block(i).block_row() > alf.block(i - 1).block_row()
             };
             if !legal {
                 diags.push(Diagnostic::of(
@@ -705,17 +704,17 @@ mod tests {
         let (mut alf, _) = symgs_fixture();
         // Find a row with an off-diagonal block and swap it behind its
         // diagonal block.
-        let blocks = alf.blocks_mut_unchecked();
+        let blocks = alf.blocks();
         let off = blocks
             .iter()
             .position(|b| b.kind() == BlockKind::OffDiagonal)
             .expect("stencil has off-diagonal blocks");
-        let row = blocks[off].block_row();
+        let row = alf.block(off).block_row();
         let diag = blocks
             .iter()
             .position(|b| b.kind() == BlockKind::Diagonal && b.block_row() == row)
             .expect("row has a diagonal block");
-        blocks.swap(off, diag);
+        alf.swap_blocks_unchecked(off, diag);
         let diags = verify_alf(&alf, &SimConfig::paper());
         assert!(diags.iter().any(|d| d.code == "AL001"));
     }
@@ -723,12 +722,12 @@ mod tests {
     #[test]
     fn al002_flags_wrong_reversal() {
         let (mut alf, _) = symgs_fixture();
-        let blocks = alf.blocks_mut_unchecked();
-        let upper = blocks
-            .iter_mut()
-            .find(|b| b.block_col() > b.block_row())
+        let upper = alf
+            .blocks()
+            .iter()
+            .position(|b| b.block_col() > b.block_row())
             .expect("stencil has upper blocks");
-        upper.set_reversed_unchecked(false);
+        alf.set_reversed_unchecked(upper, false);
         let diags = verify_alf(&alf, &SimConfig::paper());
         assert!(diags.iter().any(|d| d.code == "AL002"));
     }

@@ -32,6 +32,15 @@ impl<T> Fifo<T> {
         self.max_depth = self.max_depth.max(self.items.len());
     }
 
+    /// Empties the FIFO and zeroes its statistics, keeping its storage:
+    /// afterwards it is indistinguishable from [`Fifo::new`].
+    pub fn reset(&mut self) {
+        self.items.clear();
+        self.pushes = 0;
+        self.pops = 0;
+        self.max_depth = 0;
+    }
+
     /// Dequeues the oldest value.
     pub fn pop(&mut self) -> Option<T> {
         let v = self.items.pop_front();
@@ -103,6 +112,15 @@ impl<T> LinkStack<T> {
         self.items.push(value);
         self.pushes += 1;
         self.max_depth = self.max_depth.max(self.items.len());
+    }
+
+    /// Empties the stack and zeroes its statistics, keeping its storage:
+    /// afterwards it is indistinguishable from [`LinkStack::new`].
+    pub fn reset(&mut self) {
+        self.items.clear();
+        self.pushes = 0;
+        self.pops = 0;
+        self.max_depth = 0;
     }
 
     /// Pops the most recent value.
@@ -183,6 +201,23 @@ mod tests {
         s.push(3);
         assert_eq!(s.max_depth(), 2);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn reset_returns_buffers_to_new() {
+        let mut s = LinkStack::new();
+        s.push(1);
+        s.push(2);
+        s.reset();
+        assert!(s.is_empty());
+        assert_eq!((s.pushes(), s.pops(), s.max_depth()), (0, 0, 0));
+        let mut f = Fifo::new();
+        f.push(1);
+        let _ = f.pop();
+        f.push(2);
+        f.reset();
+        assert!(f.is_empty());
+        assert_eq!((f.pushes(), f.pops(), f.max_depth()), (0, 0, 0));
     }
 
     #[test]

@@ -113,6 +113,57 @@ impl LocalCache {
         }
     }
 
+    /// Reads the `len` consecutive words from `word_addr` on; returns
+    /// whether any of them missed.
+    ///
+    /// Counts exactly what `len` calls to [`LocalCache::read`] would. With
+    /// no injector attached each line is probed once: the first word
+    /// decides hit or miss, and the line's remaining words are hits on the
+    /// now-resident, most-recently-used line (re-touching it changes no
+    /// LRU state). With an injector attached the words are read one by
+    /// one, because every hit draws a parity-error decision from the fault
+    /// stream.
+    pub fn read_run(&mut self, word_addr: usize, len: usize) -> bool {
+        let mut missed = false;
+        if self.faults.is_some() {
+            for w in word_addr..word_addr + len {
+                missed |= !self.read(w).hit;
+            }
+            return missed;
+        }
+        let end = word_addr + len;
+        let mut w = word_addr;
+        while w < end {
+            let line = w / self.values_per_line;
+            let next = ((line + 1) * self.values_per_line).min(end);
+            let words = (next - w) as u64;
+            if self.touch(line) {
+                self.hits += words;
+            } else {
+                self.misses += 1;
+                self.hits += words - 1;
+                missed = true;
+            }
+            w = next;
+        }
+        missed
+    }
+
+    /// Writes the `len` consecutive words from `word_addr` on, counting
+    /// exactly what `len` calls to [`LocalCache::write`] would. Writes draw
+    /// nothing from the fault stream, so each line is probed once.
+    pub fn write_run(&mut self, word_addr: usize, len: usize) {
+        let end = word_addr + len;
+        let mut w = word_addr;
+        while w < end {
+            let line = w / self.values_per_line;
+            let next = ((line + 1) * self.values_per_line).min(end);
+            self.touch(line);
+            self.writes += (next - w) as u64;
+            w = next;
+        }
+    }
+
     /// Writes one word (write-allocate: the line becomes resident).
     pub fn write(&mut self, word_addr: usize) -> CacheAccess {
         let hit = self.touch(word_addr / self.values_per_line);
@@ -192,6 +243,43 @@ mod tests {
         }
         assert_eq!(c.hits(), 7);
         assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    fn runs_count_exactly_like_single_word_accesses() {
+        // Unaligned, line-crossing, conflicting and repeated runs on a
+        // direct-mapped and a 2-way cache: per-line accounting must match
+        // the per-word model counter for counter and line for line.
+        let runs = [
+            (3, 8),
+            (0, 16),
+            (1021, 9),
+            (5, 3),
+            (128, 1),
+            (1024, 8),
+            (3, 8),
+        ];
+        for ways in [1, 2] {
+            let config = SimConfig::paper().with_cache_ways(ways);
+            let mut per_line = LocalCache::new(&config);
+            let mut per_word = LocalCache::new(&config);
+            for (start, len) in runs {
+                let mut missed = false;
+                for w in start..start + len {
+                    missed |= !per_word.read(w).hit;
+                }
+                assert_eq!(per_line.read_run(start, len), missed, "run {start}+{len}");
+                per_line.write_run(start + 40, len);
+                for w in start + 40..start + 40 + len {
+                    per_word.write(w);
+                }
+                assert_eq!(per_line.tags, per_word.tags);
+                assert_eq!(
+                    (per_line.hits(), per_line.misses(), per_line.writes()),
+                    (per_word.hits(), per_word.misses(), per_word.writes())
+                );
+            }
+        }
     }
 
     #[test]

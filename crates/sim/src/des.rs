@@ -214,7 +214,7 @@ pub fn simulate_symgs_forward(a: &Alf, config: &SimConfig) -> Result<DesReport> 
     let mut blocks = 0u64;
 
     let block_rows = a.block_rows();
-    let mut per_row: Vec<Vec<&alrescha_sparse::AlfBlock>> = vec![Vec::new(); block_rows];
+    let mut per_row: Vec<Vec<alrescha_sparse::AlfBlock>> = vec![Vec::new(); block_rows];
     for block in a.blocks() {
         per_row[block.block_row()].push(block);
     }

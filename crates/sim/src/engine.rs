@@ -23,7 +23,7 @@
 //! a chunk miss consumes memory bandwidth but no exposed latency; cache
 //! access time is tracked separately for the Figure 18 analysis.
 
-use alrescha_sparse::{alf::AlfLayout, Alf, BlockKind};
+use alrescha_sparse::{alf::AlfLayout, Alf, AlfBlock, BlockKind};
 
 use crate::buffers::{Fifo, LinkStack};
 use crate::cache::LocalCache;
@@ -38,6 +38,7 @@ use crate::memory::MemoryStream;
 use crate::rcu::{DataPathKind, Rcu};
 use crate::report::{CacheStats, DataPathCounts, ExecutionReport};
 use crate::runtime::ExecBudget;
+use crate::shift::ShiftRegister;
 
 /// Distance value marking an unreached vertex in graph kernels.
 pub const UNREACHED: f64 = f64::INFINITY;
@@ -91,6 +92,101 @@ pub struct Engine {
     recovery: RecoveryPolicy,
     budget: ExecBudget,
     telemetry: Option<EngineTelemetry>,
+    scratch: Scratch,
+}
+
+/// Engine-owned scratch buffers, reused by every run so that the
+/// fault-free hot path makes no heap allocation per block. Every run
+/// overwrites what it reads before reading it, so no state can leak from
+/// one run into the next; [`Engine::reset`] keeps their capacity but drops
+/// their contents.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The ω dot products of the GEMV block in flight.
+    dots: Vec<f64>,
+    /// The ω-chunk of the vector operand a block multiplies.
+    operand: Vec<f64>,
+    /// One payload row rearranged into lane order: rotated onto the
+    /// D-SymGS shift register, or reduced to D-PR edge indicators.
+    lanes: Vec<f64>,
+    /// SymGS block-row index: the blocks of block row `r` are
+    /// `row_blocks[row_start[r]..row_start[r + 1]]`, in stream order.
+    row_start: Vec<usize>,
+    row_blocks: Vec<usize>,
+    /// Per-lane sum of the link-stack pops feeding one D-SymGS block.
+    partial: Vec<f64>,
+    link_stack: LinkStack<(usize, f64)>,
+    b_fifo: Fifo<f64>,
+    diag_fifo: Fifo<f64>,
+    shift: ShiftRegister,
+    /// PageRank's per-iteration contribution and next-rank vectors.
+    contrib: Vec<f64>,
+    next: Vec<f64>,
+}
+
+impl Scratch {
+    /// Drops every buffer's contents, keeping the allocations.
+    fn clear(&mut self) {
+        for v in [
+            &mut self.dots,
+            &mut self.operand,
+            &mut self.lanes,
+            &mut self.partial,
+            &mut self.contrib,
+            &mut self.next,
+        ] {
+            v.clear();
+        }
+        self.row_start.clear();
+        self.row_blocks.clear();
+        self.link_stack.reset();
+        self.b_fifo.reset();
+        self.diag_fifo.reset();
+        self.shift.reload([]);
+    }
+
+    /// Indexes `a`'s blocks by block row (a stable counting sort, so each
+    /// row keeps its stream order).
+    fn index_block_rows(&mut self, a: &Alf) {
+        let rows = a.block_rows();
+        self.row_start.clear();
+        self.row_start.resize(rows + 1, 0);
+        for block in a.blocks() {
+            self.row_start[block.block_row() + 1] += 1;
+        }
+        for r in 0..rows {
+            self.row_start[r + 1] += self.row_start[r];
+        }
+        // Fill using row_start[r] as row r's cursor, which leaves it at the
+        // start of row r + 1; shifting right restores the starts.
+        self.row_blocks.clear();
+        self.row_blocks.resize(a.num_blocks(), 0);
+        for (k, block) in a.blocks().iter().enumerate() {
+            let cursor = &mut self.row_start[block.block_row()];
+            self.row_blocks[*cursor] = k;
+            *cursor += 1;
+        }
+        self.row_start.copy_within(0..rows, 1);
+        self.row_start[0] = 0;
+    }
+}
+
+/// The fixed inputs of one SymGS/SOR sweep.
+#[derive(Clone, Copy)]
+struct Sweep<'a> {
+    a: &'a Alf,
+    b: &'a [f64],
+    backward: bool,
+    omega_relax: f64,
+}
+
+/// Loads the ω-chunk of `x` starting at `start` into `buf`, padding lanes
+/// past the end of `x` with zeros.
+fn load_operand(buf: &mut Vec<f64>, x: &[f64], start: usize, omega: usize) {
+    let end = (start + omega).min(x.len());
+    buf.clear();
+    buf.extend_from_slice(&x[start.min(end)..end]);
+    buf.resize(omega, 0.0);
 }
 
 /// Cached alobs handles: registered once at [`Engine::set_telemetry`] so
@@ -236,6 +332,7 @@ impl Engine {
             recovery: RecoveryPolicy::default(),
             budget: ExecBudget::default(),
             telemetry: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -244,6 +341,7 @@ impl Engine {
     /// statistics, energy counters, cache contents and counters, the trace
     /// log, the fault plan, the recovery policy, and the budget — returns
     /// to its just-built value, while config-derived allocations are kept.
+    /// The hot-path scratch buffers keep their capacity but no contents.
     ///
     /// The contract (relied on by per-worker engine reuse in the batch
     /// runtime, and asserted by `recycled_engine_is_bit_identical` below)
@@ -257,6 +355,7 @@ impl Engine {
         self.faults = None;
         self.recovery = RecoveryPolicy::default();
         self.budget = ExecBudget::default();
+        self.scratch.clear();
         // Telemetry is an observer, not engine state: it never feeds results
         // or reports, so keeping it attached preserves the bit-identical
         // recycled-engine contract while letting long-lived workers keep
@@ -600,13 +699,7 @@ impl Engine {
         if valid == 0 {
             return;
         }
-        let mut missed = false;
-        for k in 0..valid {
-            let access = self.cache.read(region + chunk_start + k);
-            if !access.hit {
-                missed = true;
-            }
-        }
+        let missed = self.cache.read_run(region + chunk_start, valid);
         state.cache_busy += valid.div_ceil(self.config.values_per_line()) as u64;
         if missed {
             state.memory.stream_values(valid);
@@ -620,19 +713,20 @@ impl Engine {
         if valid == 0 {
             return;
         }
-        for k in 0..valid {
-            self.cache.write(region + chunk_start + k);
-        }
+        self.cache.write_run(region + chunk_start, valid);
         state.cache_busy += valid.div_ceil(self.config.values_per_line()) as u64;
     }
 
-    fn operand_slice(x: &[f64], start: usize, omega: usize) -> Vec<f64> {
-        (0..omega)
-            .map(|k| x.get(start + k).copied().unwrap_or(0.0))
-            .collect()
+    /// Runs `f` with the engine's scratch buffers lent out beside `self`.
+    fn with_scratch<T>(&mut self, f: impl FnOnce(&mut Self, &mut Scratch) -> T) -> T {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = f(self, &mut scratch);
+        self.scratch = scratch;
+        out
     }
 
-    /// Computes the ω dot products of one GEMV block through the FCU.
+    /// Computes the ω dot products of one GEMV block through the FCU into
+    /// `dots`.
     ///
     /// With a fault injector armed, the partial sums are verified against
     /// the block's ABFT column-sum checksum — Σᵢ dotᵢ must equal
@@ -644,23 +738,30 @@ impl Engine {
     /// re-applies on every retry, so it exhausts the retry budget and
     /// surfaces as [`SimError::FaultDetected`] at [`FaultSite::Memory`].
     ///
-    /// Without an injector this is a plain, checksum-free block execution,
-    /// bit- and cycle-identical to the historical code path.
+    /// Without an injector this is a plain, checksum-free block execution
+    /// that walks the streamed rows in place: a reversed row goes through
+    /// the reversed-order MAC, which sums in the same logical lane order,
+    /// so the result is bit-identical to multiplying the logical row.
     fn gemv_block_checked(
         &mut self,
         state: &mut RunState,
-        block: &alrescha_sparse::AlfBlock,
+        block: AlfBlock<'_>,
         operand: &[f64],
         stuck: Option<(usize, u32)>,
-    ) -> Result<Vec<f64>> {
+        dots: &mut Vec<f64>,
+    ) -> Result<()> {
         let omega = self.config.omega;
         let Some(inj) = self.faults.clone() else {
-            let mut dots = Vec::with_capacity(omega);
+            dots.clear();
             for i in 0..omega {
-                let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                dots.push(self.fcu.mac_row(&logical, operand));
+                let row = block.row(i);
+                dots.push(if block.reversed() {
+                    self.fcu.mac_row_reversed(row, operand)
+                } else {
+                    self.fcu.mac_row(row, operand)
+                });
             }
-            return Ok(dots);
+            return Ok(());
         };
 
         let mut chk = vec![0.0; omega];
@@ -759,7 +860,8 @@ impl Engine {
             redo_total += redo;
             self.publish_cycle(state);
         };
-        outcome
+        *dots = outcome?;
+        Ok(())
     }
 
     /// Runs SpMV (`y = A·x`) over a [`AlfLayout::Streaming`] matrix.
@@ -797,36 +899,7 @@ impl Engine {
             .rcu
             .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
         self.trace_reconfigure(DataPathKind::Gemv, exposed);
-
-        for block in a.blocks() {
-            self.check_budget(&state)?;
-            let row_base = block.block_row() * omega;
-            let col_base = block.block_col() * omega;
-            self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-            let (mem, stuck) = {
-                let (payload, stuck) =
-                    state
-                        .memory
-                        .stream_block(block.block_row(), block.block_col(), omega * omega);
-                self.read_chunk(&mut state, REGION_X, col_base, a.cols());
-                (payload, stuck)
-            };
-            let compute = omega as u64;
-            let block_cycles = mem.max(compute);
-            state.cycles += block_cycles;
-            state.breakdown.gemv_cycles += block_cycles;
-            state.counts.gemv_blocks += 1;
-            self.publish_cycle(&state);
-
-            let operand = Self::operand_slice(x, col_base, omega);
-            let dots = self.gemv_block_checked(&mut state, block, &operand, stuck)?;
-            self.note_block_end(block_cycles);
-            for (i, dot) in dots.into_iter().enumerate() {
-                if row_base + i < y.len() {
-                    y[row_base + i] += dot;
-                }
-            }
-        }
+        self.with_scratch(|eng, sc| eng.spmv_blocks(sc, &mut state, a, x, &mut y))?;
 
         // Result write-back: one pass over y through the cache and out.
         for chunk in (0..a.rows()).step_by(omega) {
@@ -836,6 +909,44 @@ impl Engine {
 
         let report = self.finish("spmv", state, Reduce::Sum);
         Ok((y, report))
+    }
+
+    /// SpMV's block loop: one GEMV per block, its dots added into `y`.
+    fn spmv_blocks(
+        &mut self,
+        sc: &mut Scratch,
+        state: &mut RunState,
+        a: &Alf,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<()> {
+        let omega = self.config.omega;
+        for block in a.blocks() {
+            self.check_budget(state)?;
+            let row_base = block.block_row() * omega;
+            let col_base = block.block_col() * omega;
+            self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
+            let (mem, stuck) =
+                state
+                    .memory
+                    .stream_block(block.block_row(), block.block_col(), omega * omega);
+            self.read_chunk(state, REGION_X, col_base, a.cols());
+            let block_cycles = mem.max(omega as u64);
+            state.cycles += block_cycles;
+            state.breakdown.gemv_cycles += block_cycles;
+            state.counts.gemv_blocks += 1;
+            self.publish_cycle(state);
+
+            load_operand(&mut sc.operand, x, col_base, omega);
+            self.gemv_block_checked(state, block, &sc.operand, stuck, &mut sc.dots)?;
+            self.note_block_end(block_cycles);
+            for (i, dot) in sc.dots.iter().enumerate() {
+                if let Some(yi) = y.get_mut(row_base + i) {
+                    *yi += dot;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// One forward Gauss-Seidel sweep over a [`AlfLayout::SymGs`] matrix,
@@ -940,347 +1051,13 @@ impl Engine {
         // sweep (programming-time traffic, §4.5).
         state.memory.record_bytes(a.diagonal().len() as u64 * 8);
 
-        let block_rows = a.block_rows();
-        let mut order: Vec<usize> = (0..block_rows).collect();
-        if backward {
-            order.reverse();
-        }
-
-        // Index blocks by block row once; within a row keep stream order.
-        let mut per_row: Vec<Vec<&alrescha_sparse::AlfBlock>> = vec![Vec::new(); block_rows];
-        for block in a.blocks() {
-            per_row[block.block_row()].push(block);
-        }
-
-        for &br in &order {
-            self.check_budget(&state)?;
-            let row_base = br * omega;
-            // Intermediate GEMV results ride the LIFO link stack to the
-            // D-SymGS data path (Figure 11): one (lane, value) per block
-            // row lane per GEMV block.
-            let mut link_stack: LinkStack<(usize, f64)> = LinkStack::new();
-            let mut diag_block: Option<&alrescha_sparse::AlfBlock> = None;
-
-            for block in &per_row[br] {
-                if block.kind() == BlockKind::Diagonal {
-                    diag_block = Some(block);
-                    continue;
-                }
-                // GEMV data path on an off-diagonal block.
-                let switched = self.rcu.current() != Some(DataPathKind::Gemv);
-                let exposed = self
-                    .rcu
-                    .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-                if switched {
-                    self.trace_reconfigure(DataPathKind::Gemv, exposed);
-                }
-                self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-                let col_base = block.block_col() * omega;
-                let (payload_cycles, stuck) =
-                    state
-                        .memory
-                        .stream_block(block.block_row(), block.block_col(), omega * omega);
-                self.read_chunk(&mut state, REGION_X, col_base, a.cols());
-                let block_cycles = payload_cycles.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.gemv_cycles += block_cycles;
-                state.counts.gemv_blocks += 1;
-                self.publish_cycle(&state);
-
-                let operand = Self::operand_slice(x, col_base, omega);
-                let dots = self.gemv_block_checked(&mut state, block, &operand, stuck)?;
-                // The verified dots ride the link stack; entries can still
-                // be dropped in flight, which the occupancy check below
-                // catches (the stack grew by fewer than ω entries).
-                let mut push_attempt = 0u32;
-                let mut drops_caught = 0u64;
-                let mut push_recovering = false;
-                let mut push_redo = 0u64;
-                loop {
-                    if let Some(inj) = &self.faults {
-                        inj.begin_scope();
-                    }
-                    let before = link_stack.len();
-                    for (i, dot) in dots.iter().enumerate() {
-                        if !self.rcu.link_push_event() {
-                            link_stack.push((i, *dot));
-                        }
-                    }
-                    if link_stack.len() - before == omega {
-                        if drops_caught > 0 {
-                            if let Some(inj) = &self.faults {
-                                inj.note_recovered(drops_caught);
-                            }
-                        }
-                        if push_recovering {
-                            self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                                recovered: true,
-                                cycles: push_redo,
-                            });
-                        }
-                        break;
-                    }
-                    let newly = self
-                        .faults
-                        .as_ref()
-                        .map_or(0, FaultInjector::confirm_detected);
-                    drops_caught += newly;
-                    if newly > 0 {
-                        self.trace.record(crate::trace::TraceEvent::FaultInjected {
-                            site: FaultSite::RcuLifo,
-                        });
-                    }
-                    // Roll back this attempt's (LIFO-ordered) pushes.
-                    while link_stack.len() > before {
-                        let _ = link_stack.pop();
-                    }
-                    if push_attempt >= self.recovery.max_retries() {
-                        if push_recovering {
-                            self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                                recovered: false,
-                                cycles: push_redo,
-                            });
-                        }
-                        return Err(SimError::FaultDetected {
-                            site: FaultSite::RcuLifo,
-                            cycle: state.cycles,
-                        });
-                    }
-                    if !push_recovering {
-                        push_recovering = true;
-                        self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
-                            site: FaultSite::RcuLifo,
-                        });
-                    }
-                    push_attempt += 1;
-                    if let Some(inj) = &self.faults {
-                        inj.note_retry();
-                    }
-                    state.cycles += self.recovery.backoff_cycles();
-                    state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
-                    push_redo += self.recovery.backoff_cycles();
-                }
-                self.note_block_end(block_cycles);
-            }
-
-            // The successive D-SymGS pops the GEMV results off the stack
-            // and reduces them per lane (the pops happen in LIFO order —
-            // the reverse of the push order, which the reduction is
-            // insensitive to because addition commutes).
-            let mut partial = vec![0.0; omega];
-            state.link_stack_peak = state.link_stack_peak.max(link_stack.max_depth());
-            while let Some((lane, value)) = link_stack.pop() {
-                partial[lane] += value;
-                self.rcu.buffer_event();
-            }
-
-            // D-SymGS on the diagonal block (always present for rows that
-            // hold any diagonal entry; absent only for all-zero block rows).
-            // A wedged scheduler never issues it: the run terminates through
-            // the watchdog or the cycle budget instead of idling forever.
-            if let Some(inj) = &self.faults {
-                if inj.scheduler_wedged(state.counts.dsymgs_blocks) {
-                    return Err(self.scheduler_stall(&state));
-                }
-            }
-            let drain = self.fcu.drain(Reduce::Sum);
-            let switched = self.rcu.current() != Some(DataPathKind::DSymGs);
-            let exposed = self.rcu.configure(DataPathKind::DSymGs, drain);
-            if switched {
-                self.trace_reconfigure(DataPathKind::DSymGs, exposed);
-            }
-            self.trace_block(br, br, DataPathKind::DSymGs);
-            // Switching data paths costs the drain of the in-flight GEMV —
-            // unless the overlap-drain ablation forwards through it.
-            if !self.config.overlap_drain {
-                state.cycles += drain;
-                state.breakdown.drain_cycles += drain;
-            }
-
-            self.read_chunk(&mut state, REGION_B, row_base, a.rows());
-            self.read_chunk(&mut state, REGION_DIAG, row_base, a.diagonal().len());
-            // The right-hand side and the extracted diagonal arrive through
-            // FIFOs (deterministic access order, §4.3).
-            let mut b_fifo: Fifo<f64> = Fifo::new();
-            let mut diag_fifo: Fifo<f64> = Fifo::new();
-            let mut fifo_attempt = 0u32;
-            let mut fifo_caught = 0u64;
-            let mut fifo_recovering = false;
-            let mut fifo_redo = 0u64;
-            loop {
-                if let Some(inj) = &self.faults {
-                    inj.begin_scope();
-                }
-                let mut filled = 0usize;
-                for i in 0..omega {
-                    let g = row_base + i;
-                    if g < a.rows() {
-                        if !self.rcu.fifo_push_event() {
-                            b_fifo.push(b[g]);
-                        }
-                        if !self.rcu.fifo_push_event() {
-                            diag_fifo.push(a.diagonal()[g]);
-                        }
-                        filled += 1;
-                    }
-                }
-                // Occupancy check: both FIFOs must hold exactly one entry
-                // per valid lane before the recurrence starts.
-                state.operand_fifo_peak = state.operand_fifo_peak.max(b_fifo.len());
-                if b_fifo.len() == filled && diag_fifo.len() == filled {
-                    if fifo_caught > 0 {
-                        if let Some(inj) = &self.faults {
-                            inj.note_recovered(fifo_caught);
-                        }
-                    }
-                    if fifo_recovering {
-                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                            recovered: true,
-                            cycles: fifo_redo,
-                        });
-                    }
-                    break;
-                }
-                let newly = self
-                    .faults
-                    .as_ref()
-                    .map_or(0, FaultInjector::confirm_detected);
-                fifo_caught += newly;
-                if newly > 0 {
-                    self.trace.record(crate::trace::TraceEvent::FaultInjected {
-                        site: FaultSite::RcuFifo,
-                    });
-                }
-                while b_fifo.pop().is_some() {}
-                while diag_fifo.pop().is_some() {}
-                if fifo_attempt >= self.recovery.max_retries() {
-                    if fifo_recovering {
-                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                            recovered: false,
-                            cycles: fifo_redo,
-                        });
-                    }
-                    return Err(SimError::FaultDetected {
-                        site: FaultSite::RcuFifo,
-                        cycle: state.cycles,
-                    });
-                }
-                if !fifo_recovering {
-                    fifo_recovering = true;
-                    self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
-                        site: FaultSite::RcuFifo,
-                    });
-                }
-                fifo_attempt += 1;
-                if let Some(inj) = &self.faults {
-                    inj.note_retry();
-                }
-                state.cycles += self.recovery.backoff_cycles();
-                state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
-                fifo_redo += self.recovery.backoff_cycles();
-            }
-            if backward {
-                // The r2l access order of the diagonal block consumes the
-                // operands back to front; drain the FIFOs into reverse
-                // order buffers (the hardware's addressable cache serves
-                // this; the FIFO still sized/counted the traffic).
-            }
-
-            let rows_iter: Box<dyn Iterator<Item = usize>> = if backward {
-                Box::new((0..omega).rev())
-            } else {
-                Box::new(0..omega)
-            };
-            // Forward sweeps feed the multipliers from the Figure 10 shift
-            // register: lane k starts as x^{t-1}[ω−1−k]; each step pushes
-            // the fresh x^t into lane 0. The streamed (reversed) payload
-            // row, rotated by the step index, lines each lane up with its
-            // logical column. The backward sweep is the mirror-image
-            // hardware and uses the addressable cache path directly.
-            let mut shift_reg = if backward {
-                None
-            } else {
-                let initial: Vec<f64> = (0..omega)
-                    .map(|k| x.get(row_base + omega - 1 - k).copied().unwrap_or(0.0))
-                    .collect();
-                Some(crate::shift::ShiftRegister::load(&initial))
-            };
-            let mut steps = 0u64;
-            for i in rows_iter {
-                let g = row_base + i;
-                if g >= a.rows() {
-                    continue;
-                }
-                let diag = a.diagonal()[g];
-                if !backward {
-                    // Forward sweeps consume the operand FIFOs in order.
-                    let fb = b_fifo.pop().unwrap_or(b[g]);
-                    let fd = diag_fifo.pop().unwrap_or(diag);
-                    debug_assert_eq!(fb.to_bits(), b[g].to_bits());
-                    debug_assert_eq!(fd.to_bits(), diag.to_bits());
-                }
-                if diag == 0.0 {
-                    return Err(SimError::Structure(
-                        alrescha_sparse::Error::MissingDiagonal { row: g },
-                    ));
-                }
-                let mut sum = b[g] - partial[i];
-                if let Some(block) = diag_block {
-                    // Payload of the diagonal block streams in parallel with
-                    // the recurrence; its diagonal slots are zero so the
-                    // full ω-wide dot product is safe.
-                    if let Some(reg) = &shift_reg {
-                        // Lane k multiplies streamed slot (k + ω − i)
-                        // mod ω ("rotating the inputs of the
-                        // multipliers", §4.2).
-                        let streamed = block.row(i);
-                        let rotated: Vec<f64> = (0..omega)
-                            .map(|k| streamed[(k + omega - (i % omega)) % omega])
-                            .collect();
-                        sum -= self.fcu.mac_row(&rotated, reg.lanes());
-                    } else {
-                        let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                        let operand = Self::operand_slice(x, row_base, omega);
-                        sum -= self.fcu.mac_row(&logical, &operand);
-                    }
-                    // Link-stack pop feeding the recurrence.
-                    self.rcu.buffer_event();
-                }
-                // PE: subtract/divide producing x_g, with the SOR blend
-                // (a second PE op) when the relaxation factor is not 1.
-                let _ = self.rcu.pe_op();
-                if (omega_relax - 1.0).abs() < f64::EPSILON {
-                    x[g] = sum / diag;
-                } else {
-                    let _ = self.rcu.pe_op();
-                    x[g] = (1.0 - omega_relax) * x[g] + omega_relax * sum / diag;
-                }
-                if let Some(reg) = &mut shift_reg {
-                    reg.push(x[g]);
-                }
-                steps += 1;
-            }
-            let dsymgs_cycles = if diag_block.is_some() {
-                let payload_cycles = state.memory.stream_values(omega * omega);
-                let compute = steps * self.config.dsymgs_step_latency();
-                let block_cycles = payload_cycles.max(compute);
-                state.cycles += block_cycles;
-                state.breakdown.dsymgs_cycles += block_cycles;
-                state.counts.dsymgs_blocks += 1;
-                block_cycles
-            } else if steps > 0 {
-                // Rows with only an extracted diagonal: pure PE updates.
-                let block_cycles = steps * self.config.dsymgs_step_latency();
-                state.cycles += block_cycles;
-                state.breakdown.dsymgs_cycles += block_cycles;
-                block_cycles
-            } else {
-                0
-            };
-            self.note_block_end(dsymgs_cycles);
-            self.publish_cycle(&state);
-            self.write_chunk(&mut state, REGION_X, row_base, a.rows());
-        }
+        let sweep = Sweep {
+            a,
+            b,
+            backward,
+            omega_relax,
+        };
+        self.with_scratch(|eng, sc| eng.sor_block_rows(sc, &mut state, sweep, x))?;
 
         state.memory.record_bytes(a.rows() as u64 * 8); // x write-back
         state.counts.link_stack_peak = state.link_stack_peak as u64;
@@ -1296,6 +1073,400 @@ impl Engine {
         );
         report.datapaths.iterations = 1;
         Ok(report)
+    }
+
+    /// The sweep proper: every block row in sweep order, each through the
+    /// four phases of Figure 11 — GEMVs pushing onto the link stack, the
+    /// link-stack drain, the operand FIFO fill, and the D-SymGS recurrence.
+    fn sor_block_rows(
+        &mut self,
+        sc: &mut Scratch,
+        state: &mut RunState,
+        sweep: Sweep<'_>,
+        x: &mut [f64],
+    ) -> Result<()> {
+        // Index blocks by block row once; within a row keep stream order.
+        sc.index_block_rows(sweep.a);
+        let block_rows = sweep.a.block_rows();
+        for step in 0..block_rows {
+            let br = if sweep.backward {
+                block_rows - 1 - step
+            } else {
+                step
+            };
+            self.check_budget(state)?;
+            let diag_block = self.gemv_link_push(sc, state, sweep.a, x, br)?;
+            self.drain_link_stack(sc, state);
+            self.switch_to_dsymgs(state, br)?;
+            self.fill_operand_fifos(sc, state, sweep, br)?;
+            self.dsymgs_recurrence(sc, state, sweep, x, br, diag_block)?;
+        }
+        Ok(())
+    }
+
+    /// Phase 1: the GEMV data path over block row `br`'s off-diagonal
+    /// blocks. Intermediate GEMV results ride the LIFO link stack to the
+    /// D-SymGS data path (Figure 11): one (lane, value) per block-row lane
+    /// per GEMV block. Returns the row's diagonal block, if any.
+    fn gemv_link_push<'a>(
+        &mut self,
+        sc: &mut Scratch,
+        state: &mut RunState,
+        a: &'a Alf,
+        x: &[f64],
+        br: usize,
+    ) -> Result<Option<AlfBlock<'a>>> {
+        let omega = self.config.omega;
+        sc.link_stack.reset();
+        let mut diag_block = None;
+        for pos in sc.row_start[br]..sc.row_start[br + 1] {
+            let block = a.block(sc.row_blocks[pos]);
+            if block.kind() == BlockKind::Diagonal {
+                diag_block = Some(block);
+                continue;
+            }
+            let switched = self.rcu.current() != Some(DataPathKind::Gemv);
+            let exposed = self
+                .rcu
+                .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
+            if switched {
+                self.trace_reconfigure(DataPathKind::Gemv, exposed);
+            }
+            self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
+            let col_base = block.block_col() * omega;
+            let (payload_cycles, stuck) =
+                state
+                    .memory
+                    .stream_block(block.block_row(), block.block_col(), omega * omega);
+            self.read_chunk(state, REGION_X, col_base, a.cols());
+            let block_cycles = payload_cycles.max(omega as u64);
+            state.cycles += block_cycles;
+            state.breakdown.gemv_cycles += block_cycles;
+            state.counts.gemv_blocks += 1;
+            self.publish_cycle(state);
+
+            load_operand(&mut sc.operand, x, col_base, omega);
+            self.gemv_block_checked(state, block, &sc.operand, stuck, &mut sc.dots)?;
+            // The verified dots ride the link stack; entries can still be
+            // dropped in flight, which the occupancy check below catches
+            // (the stack grew by fewer than ω entries).
+            let link_stack = &mut sc.link_stack;
+            let mut push_attempt = 0u32;
+            let mut drops_caught = 0u64;
+            let mut push_recovering = false;
+            let mut push_redo = 0u64;
+            loop {
+                if let Some(inj) = &self.faults {
+                    inj.begin_scope();
+                }
+                let before = link_stack.len();
+                for (i, dot) in sc.dots.iter().enumerate() {
+                    if !self.rcu.link_push_event() {
+                        link_stack.push((i, *dot));
+                    }
+                }
+                if link_stack.len() - before == omega {
+                    if drops_caught > 0 {
+                        if let Some(inj) = &self.faults {
+                            inj.note_recovered(drops_caught);
+                        }
+                    }
+                    if push_recovering {
+                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
+                            recovered: true,
+                            cycles: push_redo,
+                        });
+                    }
+                    break;
+                }
+                let newly = self
+                    .faults
+                    .as_ref()
+                    .map_or(0, FaultInjector::confirm_detected);
+                drops_caught += newly;
+                if newly > 0 {
+                    self.trace.record(crate::trace::TraceEvent::FaultInjected {
+                        site: FaultSite::RcuLifo,
+                    });
+                }
+                // Roll back this attempt's (LIFO-ordered) pushes.
+                while link_stack.len() > before {
+                    let _ = link_stack.pop();
+                }
+                if push_attempt >= self.recovery.max_retries() {
+                    if push_recovering {
+                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
+                            recovered: false,
+                            cycles: push_redo,
+                        });
+                    }
+                    return Err(SimError::FaultDetected {
+                        site: FaultSite::RcuLifo,
+                        cycle: state.cycles,
+                    });
+                }
+                if !push_recovering {
+                    push_recovering = true;
+                    self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
+                        site: FaultSite::RcuLifo,
+                    });
+                }
+                push_attempt += 1;
+                if let Some(inj) = &self.faults {
+                    inj.note_retry();
+                }
+                state.cycles += self.recovery.backoff_cycles();
+                state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
+                push_redo += self.recovery.backoff_cycles();
+            }
+            self.note_block_end(block_cycles);
+        }
+        Ok(diag_block)
+    }
+
+    /// Phase 2: the successive D-SymGS pops the GEMV results off the stack
+    /// and reduces them per lane into `sc.partial` (the pops happen in LIFO
+    /// order — the reverse of the push order, which the reduction is
+    /// insensitive to because addition commutes).
+    fn drain_link_stack(&mut self, sc: &mut Scratch, state: &mut RunState) {
+        sc.partial.clear();
+        sc.partial.resize(self.config.omega, 0.0);
+        state.link_stack_peak = state.link_stack_peak.max(sc.link_stack.max_depth());
+        while let Some((lane, value)) = sc.link_stack.pop() {
+            sc.partial[lane] += value;
+            self.rcu.buffer_event();
+        }
+    }
+
+    /// Issues block row `br`'s D-SymGS: the data-path switch, whose drain
+    /// is charged unless the overlap-drain ablation forwards through it.
+    /// A wedged scheduler never issues it: the run terminates through the
+    /// watchdog or the cycle budget instead of idling forever.
+    fn switch_to_dsymgs(&mut self, state: &mut RunState, br: usize) -> Result<()> {
+        if let Some(inj) = &self.faults {
+            if inj.scheduler_wedged(state.counts.dsymgs_blocks) {
+                return Err(self.scheduler_stall(state));
+            }
+        }
+        let drain = self.fcu.drain(Reduce::Sum);
+        let switched = self.rcu.current() != Some(DataPathKind::DSymGs);
+        let exposed = self.rcu.configure(DataPathKind::DSymGs, drain);
+        if switched {
+            self.trace_reconfigure(DataPathKind::DSymGs, exposed);
+        }
+        self.trace_block(br, br, DataPathKind::DSymGs);
+        if !self.config.overlap_drain {
+            state.cycles += drain;
+            state.breakdown.drain_cycles += drain;
+        }
+        Ok(())
+    }
+
+    /// Phase 3: the right-hand side and the extracted diagonal of block
+    /// row `br` arrive through FIFOs (deterministic access order, §4.3).
+    fn fill_operand_fifos(
+        &mut self,
+        sc: &mut Scratch,
+        state: &mut RunState,
+        sweep: Sweep<'_>,
+        br: usize,
+    ) -> Result<()> {
+        let Sweep { a, b, .. } = sweep;
+        let omega = self.config.omega;
+        let row_base = br * omega;
+        self.read_chunk(state, REGION_B, row_base, a.rows());
+        self.read_chunk(state, REGION_DIAG, row_base, a.diagonal().len());
+        let (b_fifo, diag_fifo) = (&mut sc.b_fifo, &mut sc.diag_fifo);
+        b_fifo.reset();
+        diag_fifo.reset();
+        let mut fifo_attempt = 0u32;
+        let mut fifo_caught = 0u64;
+        let mut fifo_recovering = false;
+        let mut fifo_redo = 0u64;
+        loop {
+            if let Some(inj) = &self.faults {
+                inj.begin_scope();
+            }
+            let mut filled = 0usize;
+            for i in 0..omega {
+                let g = row_base + i;
+                if g < a.rows() {
+                    if !self.rcu.fifo_push_event() {
+                        b_fifo.push(b[g]);
+                    }
+                    if !self.rcu.fifo_push_event() {
+                        diag_fifo.push(a.diagonal()[g]);
+                    }
+                    filled += 1;
+                }
+            }
+            // Occupancy check: both FIFOs must hold exactly one entry per
+            // valid lane before the recurrence starts.
+            state.operand_fifo_peak = state.operand_fifo_peak.max(b_fifo.len());
+            if b_fifo.len() == filled && diag_fifo.len() == filled {
+                if fifo_caught > 0 {
+                    if let Some(inj) = &self.faults {
+                        inj.note_recovered(fifo_caught);
+                    }
+                }
+                if fifo_recovering {
+                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
+                        recovered: true,
+                        cycles: fifo_redo,
+                    });
+                }
+                return Ok(());
+            }
+            let newly = self
+                .faults
+                .as_ref()
+                .map_or(0, FaultInjector::confirm_detected);
+            fifo_caught += newly;
+            if newly > 0 {
+                self.trace.record(crate::trace::TraceEvent::FaultInjected {
+                    site: FaultSite::RcuFifo,
+                });
+            }
+            while b_fifo.pop().is_some() {}
+            while diag_fifo.pop().is_some() {}
+            if fifo_attempt >= self.recovery.max_retries() {
+                if fifo_recovering {
+                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
+                        recovered: false,
+                        cycles: fifo_redo,
+                    });
+                }
+                return Err(SimError::FaultDetected {
+                    site: FaultSite::RcuFifo,
+                    cycle: state.cycles,
+                });
+            }
+            if !fifo_recovering {
+                fifo_recovering = true;
+                self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
+                    site: FaultSite::RcuFifo,
+                });
+            }
+            fifo_attempt += 1;
+            if let Some(inj) = &self.faults {
+                inj.note_retry();
+            }
+            state.cycles += self.recovery.backoff_cycles();
+            state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
+            fifo_redo += self.recovery.backoff_cycles();
+        }
+    }
+
+    /// Phase 4: the D-SymGS recurrence over block row `br` (Figure 10),
+    /// then the row's cycle charge and the `x` chunk write-back.
+    ///
+    /// Forward sweeps feed the multipliers from the shift register: lane k
+    /// starts as x^{t-1}[ω−1−k]; each step pushes the fresh x^t into lane
+    /// 0. The streamed (reversed) payload row, rotated by the step index,
+    /// lines each lane up with its logical column. The backward sweep is
+    /// the mirror-image hardware and uses the addressable cache path
+    /// directly, walking the streamed row in logical order.
+    fn dsymgs_recurrence(
+        &mut self,
+        sc: &mut Scratch,
+        state: &mut RunState,
+        sweep: Sweep<'_>,
+        x: &mut [f64],
+        br: usize,
+        diag_block: Option<AlfBlock<'_>>,
+    ) -> Result<()> {
+        let Sweep {
+            a,
+            b,
+            backward,
+            omega_relax,
+        } = sweep;
+        let omega = self.config.omega;
+        let row_base = br * omega;
+        if !backward {
+            sc.shift.reload(
+                (0..omega).map(|k| x.get(row_base + omega - 1 - k).copied().unwrap_or(0.0)),
+            );
+        }
+        let mut steps = 0u64;
+        for step in 0..omega {
+            let i = if backward { omega - 1 - step } else { step };
+            let g = row_base + i;
+            if g >= a.rows() {
+                continue;
+            }
+            let diag = a.diagonal()[g];
+            if !backward {
+                // Forward sweeps consume the operand FIFOs in order.
+                let fb = sc.b_fifo.pop().unwrap_or(b[g]);
+                let fd = sc.diag_fifo.pop().unwrap_or(diag);
+                debug_assert_eq!(fb.to_bits(), b[g].to_bits());
+                debug_assert_eq!(fd.to_bits(), diag.to_bits());
+            }
+            if diag == 0.0 {
+                return Err(SimError::Structure(
+                    alrescha_sparse::Error::MissingDiagonal { row: g },
+                ));
+            }
+            let mut sum = b[g] - sc.partial[i];
+            if let Some(block) = diag_block {
+                // Payload of the diagonal block streams in parallel with
+                // the recurrence; its diagonal slots are zero so the full
+                // ω-wide dot product is safe.
+                let streamed = block.row(i);
+                if backward {
+                    load_operand(&mut sc.operand, x, row_base, omega);
+                    sum -= if block.reversed() {
+                        self.fcu.mac_row_reversed(streamed, &sc.operand)
+                    } else {
+                        self.fcu.mac_row(streamed, &sc.operand)
+                    };
+                } else {
+                    // Lane k multiplies streamed slot (k + ω − i) mod ω
+                    // ("rotating the inputs of the multipliers", §4.2).
+                    sc.lanes.clear();
+                    sc.lanes.extend_from_slice(&streamed[omega - i..]);
+                    sc.lanes.extend_from_slice(&streamed[..omega - i]);
+                    sum -= self.fcu.mac_row(&sc.lanes, sc.shift.lanes());
+                }
+                // Link-stack pop feeding the recurrence.
+                self.rcu.buffer_event();
+            }
+            // PE: subtract/divide producing x_g, with the SOR blend (a
+            // second PE op) when the relaxation factor is not 1.
+            let _ = self.rcu.pe_op();
+            if (omega_relax - 1.0).abs() < f64::EPSILON {
+                x[g] = sum / diag;
+            } else {
+                let _ = self.rcu.pe_op();
+                x[g] = (1.0 - omega_relax) * x[g] + omega_relax * sum / diag;
+            }
+            if !backward {
+                sc.shift.push(x[g]);
+            }
+            steps += 1;
+        }
+        let dsymgs_cycles = if diag_block.is_some() {
+            let payload_cycles = state.memory.stream_values(omega * omega);
+            let compute = steps * self.config.dsymgs_step_latency();
+            let block_cycles = payload_cycles.max(compute);
+            state.cycles += block_cycles;
+            state.breakdown.dsymgs_cycles += block_cycles;
+            state.counts.dsymgs_blocks += 1;
+            block_cycles
+        } else if steps > 0 {
+            // Rows with only an extracted diagonal: pure PE updates.
+            let block_cycles = steps * self.config.dsymgs_step_latency();
+            state.cycles += block_cycles;
+            state.breakdown.dsymgs_cycles += block_cycles;
+            block_cycles
+        } else {
+            0
+        };
+        self.note_block_end(dsymgs_cycles);
+        self.publish_cycle(state);
+        self.write_chunk(state, REGION_X, row_base, a.rows());
+        Ok(())
     }
 
     /// Runs BFS from `source` over the transposed adjacency structure
@@ -1385,16 +1556,20 @@ impl Engine {
                 state.counts.graph_blocks += 1;
                 self.note_block_end(block_cycles);
 
-                let operand = Self::operand_slice(&dist, src_base, omega);
+                load_operand(&mut self.scratch.operand, &dist, src_base, omega);
+                let operand = &self.scratch.operand;
                 for i in 0..omega {
                     let d = dst_base + i;
                     if d >= n {
                         continue;
                     }
-                    let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                    let cand = self
-                        .fcu
-                        .min_reduce_row(&logical, &operand, |w, dsrc| weight_of(w) + dsrc);
+                    let row = block.row(i);
+                    let op = |w, dsrc| weight_of(w) + dsrc;
+                    let cand = if block.reversed() {
+                        self.fcu.min_reduce_row_reversed(row, operand, op)
+                    } else {
+                        self.fcu.min_reduce_row(row, operand, op)
+                    };
                     if cand < dist[d] {
                         // Phase-3 assign: compare and update (Table 1).
                         let _ = self.rcu.pe_op();
@@ -1471,7 +1646,9 @@ impl Engine {
         for it in 1..=opts.max_iters {
             self.check_budget(&state)?;
             // Phase-1 division: contribution of every vertex (ω-wide PEs).
-            let mut contrib = vec![0.0; n];
+            let contrib = &mut self.scratch.contrib;
+            contrib.clear();
+            contrib.resize(n, 0.0);
             let mut dangling = 0.0;
             for u in 0..n {
                 if out_degrees[u] == 0 {
@@ -1486,7 +1663,8 @@ impl Engine {
             state.breakdown.graph_cycles += div_cycles;
 
             let base = (1.0 - opts.damping) / n as f64 + opts.damping * dangling / n as f64;
-            let mut next = vec![base; n];
+            self.scratch.next.clear();
+            self.scratch.next.resize(n, base);
             for block in at.blocks() {
                 let dst_base = block.block_row() * omega;
                 let src_base = block.block_col() * omega;
@@ -1499,7 +1677,8 @@ impl Engine {
                 state.counts.graph_blocks += 1;
                 self.note_block_end(block_cycles);
 
-                let operand = Self::operand_slice(&contrib, src_base, omega);
+                let sc = &mut self.scratch;
+                load_operand(&mut sc.operand, &sc.contrib, src_base, omega);
                 for i in 0..omega {
                     let d = dst_base + i;
                     if d >= n {
@@ -1507,18 +1686,24 @@ impl Engine {
                     }
                     // Structure-only gather: an edge contributes its
                     // source's (already damped and divided) share.
-                    let indicator: Vec<f64> = (0..omega)
-                        .map(|j| if block.get(i, j) == 0.0 { 0.0 } else { 1.0 })
-                        .collect();
-                    next[d] += self.fcu.mac_row(&indicator, &operand);
+                    let indicator = |v: &f64| if *v == 0.0 { 0.0 } else { 1.0 };
+                    let row = block.row(i);
+                    sc.lanes.clear();
+                    if block.reversed() {
+                        sc.lanes.extend(row.iter().rev().map(indicator));
+                    } else {
+                        sc.lanes.extend(row.iter().map(indicator));
+                    }
+                    sc.next[d] += self.fcu.mac_row(&sc.lanes, &sc.operand);
                 }
             }
             for chunk in (0..n).step_by(omega) {
                 self.write_chunk(&mut state, REGION_X, chunk, n);
             }
 
-            let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            rank = next;
+            let next = &mut self.scratch.next;
+            let delta: f64 = rank.iter().zip(&*next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut rank, next);
             if delta < opts.tol {
                 state.memory.record_bytes(n as u64 * 8);
                 let mut report = self.finish("pagerank", state, Reduce::Sum);
@@ -1564,19 +1749,35 @@ mod tests {
         // The contract behind per-worker engine reuse: a run on a recycled
         // engine must match a run on a fresh engine down to every report
         // field — including the RCU switch count, which would differ if the
-        // previous run's data-path wiring leaked through the reset.
+        // previous run's data-path wiring leaked through the reset — and
+        // down to every output bit, which would differ if a larger run's
+        // scratch buffers (link stack, FIFOs, shift register, PageRank
+        // vectors) leaked into a smaller one.
         let coo = gen::stencil27(3);
         let a = spmv_alf(&coo);
         let sg = Alf::from_coo(&coo, 8, AlfLayout::SymGs).unwrap();
         let x: Vec<f64> = (0..coo.cols()).map(|i| (i as f64 * 0.3).sin()).collect();
         let b = vec![1.0; coo.rows()];
+        let graph = gen::GraphClass::Kronecker.generate(48, 5);
+        let at = spmv_alf(&graph.transpose());
+        let csr = Csr::from_coo(&graph);
+        let out_deg: Vec<usize> = (0..csr.rows()).map(|u| csr.row_nnz(u)).collect();
+        let pr = PageRankConfig::default();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let symgs = |eng: &mut Engine| {
+            let mut xs = x.clone();
+            let report = eng.run_symgs(&sg, &b, &mut xs).unwrap();
+            (xs, report)
+        };
 
         let (y_fresh, r_fresh) = engine().run_spmv(&a, &x).unwrap();
+        let (xs_fresh, rs_fresh) = symgs(&mut engine());
+        let (pr_fresh, rp_fresh) = engine().run_pagerank(&at, &out_deg, &pr).unwrap();
 
         let mut eng = engine();
         // Dirty every piece of engine-lifetime state: a different kernel
-        // (leaves the RCU wired for D-SymGS), a fault plan, a budget, and
-        // an enabled trace.
+        // (leaves the RCU wired for D-SymGS), a fault plan, a budget, an
+        // enabled trace, and scratch buffers grown by larger runs.
         eng.set_fault_plan(Some(FaultPlan::inert(3)));
         eng.set_budget(ExecBudget {
             max_cycles: Some(u64::MAX),
@@ -1585,15 +1786,34 @@ mod tests {
         eng.enable_tracing();
         let mut xs = vec![0.0; coo.cols()];
         eng.run_symgs(&sg, &b, &mut xs).unwrap();
+        eng.set_fault_plan(None);
+        let big = gen::stencil27(5);
+        let big_sg = Alf::from_coo(&big, 8, AlfLayout::SymGs).unwrap();
+        let mut big_x = vec![0.5; big.cols()];
+        eng.run_symgs(&big_sg, &vec![2.0; big.rows()], &mut big_x)
+            .unwrap();
+        let big_graph = gen::GraphClass::Kronecker.generate(160, 9);
+        let big_csr = Csr::from_coo(&big_graph);
+        let big_deg: Vec<usize> = (0..big_csr.rows()).map(|u| big_csr.row_nnz(u)).collect();
+        eng.run_pagerank(&spmv_alf(&big_graph.transpose()), &big_deg, &pr)
+            .unwrap();
 
         eng.reset();
         let (y_reused, r_reused) = eng.run_spmv(&a, &x).unwrap();
         assert_eq!(r_fresh, r_reused, "reports must match field-for-field");
-        for (p, q) in y_fresh.iter().zip(&y_reused) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
+        assert_eq!(bits(&y_fresh), bits(&y_reused));
         assert!(eng.fault_injector().is_none(), "reset disarms the plan");
         assert!(eng.take_trace().is_empty(), "reset clears the trace");
+
+        eng.reset();
+        let (xs_reused, rs_reused) = symgs(&mut eng);
+        assert_eq!(rs_fresh, rs_reused);
+        assert_eq!(bits(&xs_fresh), bits(&xs_reused));
+
+        eng.reset();
+        let (pr_reused, rp_reused) = eng.run_pagerank(&at, &out_deg, &pr).unwrap();
+        assert_eq!(rp_fresh, rp_reused);
+        assert_eq!(bits(&pr_fresh), bits(&pr_reused));
     }
 
     #[test]
@@ -1844,6 +2064,28 @@ mod link_stack_tests {
         // omega.
         assert!(report.datapaths.link_stack_peak >= 8);
         assert_eq!(report.datapaths.link_stack_peak % 8, 0);
+    }
+
+    #[test]
+    fn buffer_peaks_are_per_run_on_a_reused_engine() {
+        // The link stack and FIFOs are engine scratch reused across runs;
+        // their high-water marks must still be this run's own.
+        let sweep = |engine: &mut Engine, side: usize| {
+            let coo = gen::stencil27(side);
+            let a = Alf::from_coo(&coo, 8, AlfLayout::SymGs).unwrap();
+            let mut x = vec![0.0; coo.cols()];
+            engine
+                .run_symgs_forward(&a, &vec![1.0; coo.rows()], &mut x)
+                .unwrap()
+                .datapaths
+        };
+        let fresh = sweep(&mut Engine::new(SimConfig::paper()), 2);
+        let mut reused = Engine::new(SimConfig::paper());
+        let big = sweep(&mut reused, 4);
+        assert!(big.link_stack_peak > fresh.link_stack_peak);
+        let small = sweep(&mut reused, 2);
+        assert_eq!(small.link_stack_peak, fresh.link_stack_peak);
+        assert_eq!(small.operand_fifo_peak, fresh.operand_fifo_peak);
     }
 
     #[test]
@@ -2288,15 +2530,20 @@ impl Engine {
                 state.counts.graph_blocks += 1;
                 self.note_block_end(block_cycles);
 
-                let operand = Self::operand_slice(&label, src_base, omega);
+                load_operand(&mut self.scratch.operand, &label, src_base, omega);
+                let operand = &self.scratch.operand;
                 for i in 0..omega {
                     let d = dst_base + i;
                     if d >= n {
                         continue;
                     }
-                    let logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
+                    let row = block.row(i);
                     // Phase 1 passes the neighbor label through untouched.
-                    let cand = self.fcu.min_reduce_row(&logical, &operand, |_w, l| l);
+                    let cand = if block.reversed() {
+                        self.fcu.min_reduce_row_reversed(row, operand, |_w, l| l)
+                    } else {
+                        self.fcu.min_reduce_row(row, operand, |_w, l| l)
+                    };
                     if cand < label[d] {
                         let _ = self.rcu.pe_op();
                         self.cache.write(REGION_X + d);

@@ -82,15 +82,40 @@ impl Fcu {
     ///
     /// Panics if the slices are not ω long.
     pub fn mac_row(&mut self, row: &[f64], operand: &[f64]) -> f64 {
+        self.mac(row, operand, false)
+    }
+
+    /// [`Fcu::mac_row`] over a row streamed right-to-left: lane `j`
+    /// multiplies `row[ω−1−j]` by `operand[j]`. The products are summed in
+    /// the same logical lane order, so the result is bit-identical to
+    /// `mac_row` on the un-reversed row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices are not ω long.
+    pub fn mac_row_reversed(&mut self, row: &[f64], operand: &[f64]) -> f64 {
+        self.mac(row, operand, true)
+    }
+
+    fn mac(&mut self, row: &[f64], operand: &[f64], reversed: bool) -> f64 {
         assert_eq!(row.len(), self.omega, "row width must be omega");
         assert_eq!(operand.len(), self.omega, "operand width must be omega");
         self.counters.alu_ops += self.omega as u64;
         self.counters.re_ops += (self.omega - 1) as u64;
-        let mut sum: f64 = row.iter().zip(operand).map(|(a, b)| a * b).sum();
+        let mut sum: f64 = if reversed {
+            row.iter().rev().zip(operand).map(|(a, b)| a * b).sum()
+        } else {
+            row.iter().zip(operand).map(|(a, b)| a * b).sum()
+        };
         if let Some(inj) = &self.faults {
             if let Some((lane, bit)) = inj.lane_fault(self.omega) {
                 // A single lane product is upset before it enters the tree.
-                let clean = row[lane] * operand[lane];
+                let value = if reversed {
+                    row[self.omega - 1 - lane]
+                } else {
+                    row[lane]
+                };
+                let clean = value * operand[lane];
                 sum = sum - clean + fault::flip_bit(clean, bit);
             }
             if let Some(bit) = inj.tree_fault() {
@@ -116,15 +141,40 @@ impl Fcu {
         operand: &[f64],
         op: impl Fn(f64, f64) -> f64,
     ) -> f64 {
+        self.min_reduce(row, operand, false, op)
+    }
+
+    /// [`Fcu::min_reduce_row`] over a row streamed right-to-left, reduced
+    /// in the same logical lane order (see [`Fcu::mac_row_reversed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices are not ω long.
+    pub fn min_reduce_row_reversed(
+        &mut self,
+        row: &[f64],
+        operand: &[f64],
+        op: impl Fn(f64, f64) -> f64,
+    ) -> f64 {
+        self.min_reduce(row, operand, true, op)
+    }
+
+    fn min_reduce(
+        &mut self,
+        row: &[f64],
+        operand: &[f64],
+        reversed: bool,
+        op: impl Fn(f64, f64) -> f64,
+    ) -> f64 {
         assert_eq!(row.len(), self.omega, "row width must be omega");
         assert_eq!(operand.len(), self.omega, "operand width must be omega");
         self.counters.alu_ops += self.omega as u64;
         self.counters.re_ops += (self.omega - 1) as u64;
-        row.iter()
-            .zip(operand)
-            .filter(|(a, _)| **a != 0.0)
-            .map(|(a, b)| op(*a, *b))
-            .fold(f64::INFINITY, f64::min)
+        if reversed {
+            min_fold(row.iter().rev().zip(operand), op)
+        } else {
+            min_fold(row.iter().zip(operand), op)
+        }
     }
 
     /// Drains the pipeline — the window during which the RCU switch is
@@ -142,6 +192,17 @@ impl Fcu {
     pub fn take_counters(&mut self) -> EnergyCounters {
         std::mem::take(&mut self.counters)
     }
+}
+
+/// `min` over the active lanes (non-zero matrix value) of `op(a, b)`.
+fn min_fold<'a>(
+    lanes: impl Iterator<Item = (&'a f64, &'a f64)>,
+    op: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    lanes
+        .filter(|(a, _)| **a != 0.0)
+        .map(|(a, b)| op(*a, *b))
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -170,6 +231,23 @@ mod tests {
         // Active lanes: 2.0+1.0 = 3.0 and 5.0+0.5 = 5.5 -> min 3.0.
         let got = f.min_reduce_row(&weights, &dist, |w, d| w + d);
         assert_eq!(got, 3.0);
+    }
+
+    #[test]
+    fn reversed_rows_reduce_in_logical_order() {
+        let mut f = fcu();
+        let row = [0.1, 0.2, 0.3, 1e16, -1e16, 0.7, 0.0, 3.0];
+        let x = [1.5, -2.0, 0.25, 1.0, 1.0, 4.0, 9.0, 0.5];
+        let mut streamed = row;
+        streamed.reverse();
+        let plain = f.mac_row(&row, &x);
+        assert_eq!(f.mac_row_reversed(&streamed, &x).to_bits(), plain.to_bits());
+        let op = |w: f64, d: f64| w + d;
+        assert_eq!(
+            f.min_reduce_row_reversed(&streamed, &x, op).to_bits(),
+            f.min_reduce_row(&row, &x, op).to_bits()
+        );
+        assert_eq!(f.counters().alu_ops, 32);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! addressable access.
 
 /// The ω-lane operand shift register feeding the D-SymGS multipliers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShiftRegister {
     lanes: Vec<f64>,
     shifts: u64,
@@ -23,6 +23,14 @@ impl ShiftRegister {
             lanes: initial.to_vec(),
             shifts: 0,
         }
+    }
+
+    /// Reloads the lanes in place (same contract as
+    /// [`ShiftRegister::load`]), keeping the lane storage.
+    pub fn reload(&mut self, initial: impl IntoIterator<Item = f64>) {
+        self.lanes.clear();
+        self.lanes.extend(initial);
+        self.shifts = 0;
     }
 
     /// Lane width ω.
@@ -71,6 +79,14 @@ mod tests {
         assert_eq!(evicted, 2.0);
         assert_eq!(reg.lanes(), &[20.0, 10.0, 1.0]);
         assert_eq!(reg.shifts(), 2);
+    }
+
+    #[test]
+    fn reload_equals_a_fresh_load() {
+        let mut reg = ShiftRegister::load(&[9.0; 5]);
+        reg.push(1.0);
+        reg.reload([1.0, 2.0, 3.0]);
+        assert_eq!(reg, ShiftRegister::load(&[1.0, 2.0, 3.0]));
     }
 
     #[test]

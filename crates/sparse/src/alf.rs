@@ -55,22 +55,23 @@ pub enum AlfLayout {
     SymGs,
 }
 
-/// One locally-dense block in streaming order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlfBlock {
+/// One locally-dense block in streaming order: a borrowed view of one
+/// block header and its ω² payload slice in the owning [`Alf`]'s arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AlfBlock<'a> {
     block_row: usize,
     block_col: usize,
     kind: BlockKind,
+    reversed: bool,
+    omega: usize,
     /// ω×ω values in *streaming* order: row-major, each row already permuted
     /// to the access order the compute engine consumes (reversed for
     /// upper-triangle blocks under [`AlfLayout::SymGs`]). Extracted diagonal
     /// slots hold `0.0`.
-    payload: Vec<f64>,
-    omega: usize,
-    reversed: bool,
+    payload: &'a [f64],
 }
 
-impl AlfBlock {
+impl<'a> AlfBlock<'a> {
     /// Block-row coordinate.
     pub fn block_row(&self) -> usize {
         self.block_row
@@ -87,8 +88,8 @@ impl AlfBlock {
     }
 
     /// The ω² payload values in streaming order.
-    pub fn payload(&self) -> &[f64] {
-        &self.payload
+    pub fn payload(&self) -> &'a [f64] {
+        self.payload
     }
 
     /// True if this block's rows are streamed right-to-left.
@@ -111,64 +112,12 @@ impl AlfBlock {
         self.payload.iter().filter(|v| **v != 0.0).count()
     }
 
-    /// Mutable payload access for verifier/mutation tests. Breaks the
-    /// format invariants by design; never used by the simulator.
-    #[doc(hidden)]
-    pub fn payload_mut_unchecked(&mut self) -> &mut [f64] {
-        &mut self.payload
-    }
-
-    /// Overrides the reversal flag for verifier/mutation tests.
-    #[doc(hidden)]
-    pub fn set_reversed_unchecked(&mut self, reversed: bool) {
-        self.reversed = reversed;
-    }
-
-    /// Builds a block directly from a streamed payload — the assembler's
-    /// entry point (`alrescha-asm`), where the text listing *is* the stream
-    /// and no COO round-trip exists to canonicalize it. The payload is taken
-    /// verbatim in streaming order; `reversed` records how logical columns
-    /// map onto it (see [`AlfBlock::get`]). Format invariants beyond the
-    /// payload geometry (ordering, reversal legality, diagonal extraction)
-    /// are alverify's job, not this constructor's.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::InvalidBlockWidth`] if `omega == 0`.
-    /// * [`Error::DimensionMismatch`] if `payload.len() != ω²`.
-    pub fn from_streamed_payload(
-        block_row: usize,
-        block_col: usize,
-        kind: BlockKind,
-        payload: Vec<f64>,
-        omega: usize,
-        reversed: bool,
-    ) -> Result<Self> {
-        if omega == 0 {
-            return Err(Error::InvalidBlockWidth { omega });
-        }
-        if payload.len() != omega * omega {
-            return Err(Error::DimensionMismatch {
-                expected: (omega, omega),
-                found: (payload.len(), 1),
-            });
-        }
-        Ok(AlfBlock {
-            block_row,
-            block_col,
-            kind,
-            payload,
-            omega,
-            reversed,
-        })
-    }
-
     /// One streamed row of the payload (already in access order).
     ///
     /// # Panics
     ///
     /// Panics if `i >= ω`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &'a [f64] {
         &self.payload[i * self.omega..(i + 1) * self.omega]
     }
 
@@ -180,7 +129,83 @@ impl AlfBlock {
     }
 }
 
+/// The blocks of an [`Alf`] in exact streaming order, as borrowed views.
+#[derive(Debug, Clone, Copy)]
+pub struct Blocks<'a> {
+    alf: &'a Alf,
+}
+
+impl<'a> Blocks<'a> {
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.alf.num_blocks()
+    }
+
+    /// True when the matrix stores no block.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `k`-th block in stream order, if any.
+    pub fn get(&self, k: usize) -> Option<AlfBlock<'a>> {
+        (k < self.len()).then(|| self.alf.block(k))
+    }
+
+    /// Iterates the blocks in stream order.
+    pub fn iter(&self) -> BlockIter<'a> {
+        BlockIter {
+            alf: self.alf,
+            range: 0..self.len(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Blocks<'a> {
+    type Item = AlfBlock<'a>;
+    type IntoIter = BlockIter<'a>;
+
+    fn into_iter(self) -> BlockIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &Blocks<'a> {
+    type Item = AlfBlock<'a>;
+    type IntoIter = BlockIter<'a>;
+
+    fn into_iter(self) -> BlockIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Alf`]'s blocks in stream order.
+#[derive(Debug, Clone)]
+pub struct BlockIter<'a> {
+    alf: &'a Alf,
+    range: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for BlockIter<'a> {
+    type Item = AlfBlock<'a>;
+
+    fn next(&mut self) -> Option<AlfBlock<'a>> {
+        self.range.next().map(|k| self.alf.block(k))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BlockIter<'_> {}
+
 /// A sparse matrix in the ALRESCHA locally-dense format.
+///
+/// Storage mirrors the stream (§4.5): one contiguous f64 arena holds every
+/// block's ω² payload back to back in streaming order, so block `k` is
+/// `arena[k·ω² .. (k+1)·ω²]`, and the per-block headers (coordinates, kind,
+/// reversal flag) live in parallel struct-of-arrays vectors indexed by `k`.
+/// [`Alf::blocks`] hands out borrowed [`AlfBlock`] views into it.
 ///
 /// # Example
 ///
@@ -204,13 +229,52 @@ pub struct Alf {
     cols: usize,
     omega: usize,
     layout: AlfLayout,
-    blocks: Vec<AlfBlock>,
+    /// Every block's payload, ω² values each, in streaming order.
+    arena: Vec<f64>,
+    block_row: Vec<usize>,
+    block_col: Vec<usize>,
+    kind: Vec<BlockKind>,
+    reversed: Vec<bool>,
     /// Extracted main diagonal (empty under [`AlfLayout::Streaming`]).
     diagonal: Vec<f64>,
     nnz: usize,
 }
 
 impl Alf {
+    /// An empty matrix shell with room for `blocks` blocks.
+    fn with_capacity(
+        rows: usize,
+        cols: usize,
+        omega: usize,
+        layout: AlfLayout,
+        blocks: usize,
+    ) -> Self {
+        Alf {
+            rows,
+            cols,
+            omega,
+            layout,
+            arena: Vec::with_capacity(blocks * omega * omega),
+            block_row: Vec::with_capacity(blocks),
+            block_col: Vec::with_capacity(blocks),
+            kind: Vec::with_capacity(blocks),
+            reversed: Vec::with_capacity(blocks),
+            diagonal: Vec::new(),
+            nnz: 0,
+        }
+    }
+
+    /// Appends one block header and returns its zeroed ω² arena slot.
+    fn push_header(&mut self, br: usize, bc: usize, kind: BlockKind, reversed: bool) -> &mut [f64] {
+        self.block_row.push(br);
+        self.block_col.push(bc);
+        self.kind.push(kind);
+        self.reversed.push(reversed);
+        let start = self.arena.len();
+        self.arena.resize(start + self.omega * self.omega, 0.0);
+        &mut self.arena[start..]
+    }
+
     /// Converts from COO with block width `omega`.
     ///
     /// # Errors
@@ -226,23 +290,20 @@ impl Alf {
         let bcsr = Bcsr::from_coo(coo, omega)?;
         let symgs = layout == AlfLayout::SymGs;
 
+        let mut alf = Alf::with_capacity(coo.rows(), coo.cols(), omega, layout, bcsr.num_blocks());
         let mut diagonal = vec![0.0; coo.rows().min(coo.cols())];
-        let mut blocks = Vec::with_capacity(bcsr.num_blocks());
-
         for br in 0..bcsr.block_rows() {
-            let mut diag_block: Option<AlfBlock> = None;
+            let mut diag_block: Option<&DenseMatrix> = None;
             for (bc, payload) in bcsr.block_row(br) {
-                let is_diag = symgs && bc == br;
-                let block = build_block(br, bc, payload, omega, layout, is_diag, &mut diagonal);
-                if is_diag {
-                    diag_block = Some(block);
+                if symgs && bc == br {
+                    diag_block = Some(payload);
                 } else {
-                    blocks.push(block);
+                    alf.build_block(br, bc, payload, false, &mut diagonal);
                 }
             }
             // Block order rule: the diagonal block closes its block row.
-            if let Some(b) = diag_block {
-                blocks.push(b);
+            if let Some(payload) = diag_block {
+                alf.build_block(br, br, payload, true, &mut diagonal);
             }
         }
 
@@ -251,84 +312,52 @@ impl Alf {
                 return Err(Error::MissingDiagonal { row });
             }
         }
-        if !symgs {
-            diagonal.clear();
+        if symgs {
+            alf.diagonal = diagonal;
         }
-
-        Ok(Alf {
-            rows: coo.rows(),
-            cols: coo.cols(),
-            omega,
-            layout,
-            blocks,
-            diagonal,
-            nnz: bcsr.nnz(),
-        })
+        alf.nnz = bcsr.nnz();
+        Ok(alf)
     }
 
-    /// Assembles a format directly from streamed blocks — the inverse of
-    /// rendering one as text. [`Alf::from_coo`] always re-canonicalizes the
-    /// block order (off-diagonals first, diagonal last, rows ascending), so
-    /// an assembler that went through COO could never carry a reordered
-    /// schedule to the engine; this constructor preserves the given stream
-    /// order verbatim. Only geometry is validated here — stream-order and
-    /// reversal legality are alverify's AL0xx/AL2xx rules, which is exactly
-    /// what lets verifier tests and the differential fuzzer build
-    /// non-canonical (but still legal) schedules.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::InvalidBlockWidth`] if `omega == 0`.
-    /// * [`Error::DimensionMismatch`] if a block was built at a different ω,
-    ///   or the diagonal length disagrees with the layout (`min(rows, cols)`
-    ///   under [`AlfLayout::SymGs`], empty under [`AlfLayout::Streaming`]).
-    pub fn from_raw_parts(
-        rows: usize,
-        cols: usize,
-        omega: usize,
-        layout: AlfLayout,
-        blocks: Vec<AlfBlock>,
-        diagonal: Vec<f64>,
-    ) -> Result<Self> {
-        if omega == 0 {
-            return Err(Error::InvalidBlockWidth { omega });
-        }
-        for b in &blocks {
-            if b.omega != omega || b.payload.len() != omega * omega {
-                return Err(Error::DimensionMismatch {
-                    expected: (omega, omega),
-                    found: (b.omega, b.payload.len() / b.omega.max(1)),
-                });
+    /// Writes one converted block straight into the arena: extracts its
+    /// diagonal into `diagonal` when `extract_diag`, and permutes each row
+    /// to its streaming order.
+    fn build_block(
+        &mut self,
+        br: usize,
+        bc: usize,
+        payload: &DenseMatrix,
+        extract_diag: bool,
+        diagonal: &mut [f64],
+    ) {
+        let omega = self.omega;
+        let reverse = self.layout == AlfLayout::SymGs && (bc > br || extract_diag);
+        let kind = if extract_diag {
+            BlockKind::Diagonal
+        } else {
+            BlockKind::OffDiagonal
+        };
+        let data = self.push_header(br, bc, kind, reverse);
+        for i in 0..omega {
+            for j in 0..omega {
+                let mut v = payload[(i, j)];
+                if extract_diag && i == j {
+                    let global = br * omega + i;
+                    if global < diagonal.len() {
+                        diagonal[global] = v;
+                    }
+                    v = 0.0;
+                }
+                let jj = if reverse { omega - 1 - j } else { j };
+                data[i * omega + jj] = v;
             }
         }
-        let want_diag = if layout == AlfLayout::SymGs {
-            rows.min(cols)
-        } else {
-            0
-        };
-        if diagonal.len() != want_diag {
-            return Err(Error::DimensionMismatch {
-                expected: (want_diag, 1),
-                found: (diagonal.len(), 1),
-            });
-        }
-        let nnz = blocks.iter().map(AlfBlock::fill_count).sum::<usize>()
-            + diagonal.iter().filter(|v| **v != 0.0).count();
-        Ok(Alf {
-            rows,
-            cols,
-            omega,
-            layout,
-            blocks,
-            diagonal,
-            nnz,
-        })
     }
 
     /// Reconstructs the matrix as COO (inverse of [`Alf::from_coo`]).
     pub fn to_coo(&self) -> Coo {
         let mut coo = Coo::with_capacity(self.rows, self.cols, self.nnz);
-        for block in &self.blocks {
+        for block in self.blocks() {
             for i in 0..self.omega {
                 for j in 0..self.omega {
                     let v = block.get(i, j);
@@ -373,8 +402,30 @@ impl Alf {
     }
 
     /// Blocks in exact streaming order.
-    pub fn blocks(&self) -> &[AlfBlock] {
-        &self.blocks
+    pub fn blocks(&self) -> Blocks<'_> {
+        Blocks { alf: self }
+    }
+
+    /// Number of stored blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.block_row.len()
+    }
+
+    /// The `k`-th block in stream order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.num_blocks()`.
+    pub fn block(&self, k: usize) -> AlfBlock<'_> {
+        let w2 = self.omega * self.omega;
+        AlfBlock {
+            block_row: self.block_row[k],
+            block_col: self.block_col[k],
+            kind: self.kind[k],
+            reversed: self.reversed[k],
+            omega: self.omega,
+            payload: &self.arena[k * w2..(k + 1) * w2],
+        }
     }
 
     /// Number of block rows.
@@ -394,7 +445,7 @@ impl Alf {
 
     /// Total configuration-table size in bits (one entry per block).
     pub fn config_table_bits(&self) -> usize {
-        self.blocks.len() * self.config_entry_bits()
+        self.num_blocks() * self.config_entry_bits()
     }
 
     /// Bytes streamed from memory per full pass over the matrix: the dense
@@ -402,7 +453,7 @@ impl Alf {
     /// property). The extracted diagonal is loaded once into the local cache
     /// and is charged separately by the simulator.
     pub fn streamed_bytes(&self) -> usize {
-        self.blocks.len() * self.omega * self.omega * std::mem::size_of::<f64>()
+        self.arena.len() * std::mem::size_of::<f64>()
     }
 
     /// The padded dimension the streamed layout covers: `⌈rows/ω⌉·ω`.
@@ -424,9 +475,9 @@ impl Alf {
     /// pops them).
     pub fn max_off_diagonal_blocks_per_row(&self) -> usize {
         let mut per_row = vec![0usize; self.block_rows().max(1)];
-        for b in &self.blocks {
-            if b.kind == BlockKind::OffDiagonal && b.block_row < per_row.len() {
-                per_row[b.block_row] += 1;
+        for (&br, &kind) in self.block_row.iter().zip(&self.kind) {
+            if kind == BlockKind::OffDiagonal && br < per_row.len() {
+                per_row[br] += 1;
             }
         }
         per_row.into_iter().max().unwrap_or(0)
@@ -438,19 +489,52 @@ impl Alf {
     pub fn max_operand_blocks_per_row(&self) -> usize {
         let rows = self.block_rows().max(1);
         let mut cols: Vec<Vec<usize>> = vec![Vec::new(); rows];
-        for b in &self.blocks {
-            if b.block_row < rows && !cols[b.block_row].contains(&b.block_col) {
-                cols[b.block_row].push(b.block_col);
+        for (&br, &bc) in self.block_row.iter().zip(&self.block_col) {
+            if br < rows && !cols[br].contains(&bc) {
+                cols[br].push(bc);
             }
         }
         cols.into_iter().map(|c| c.len()).max().unwrap_or(0)
     }
 
-    /// Mutable block access for verifier/mutation tests (swap stream order,
-    /// corrupt payloads). Breaks the format invariants by design.
+    /// Mutable payload of block `k` for verifier/mutation tests. Breaks the
+    /// format invariants by design; never used by the simulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.num_blocks()`.
     #[doc(hidden)]
-    pub fn blocks_mut_unchecked(&mut self) -> &mut Vec<AlfBlock> {
-        &mut self.blocks
+    pub fn payload_mut_unchecked(&mut self, k: usize) -> &mut [f64] {
+        let w2 = self.omega * self.omega;
+        &mut self.arena[k * w2..(k + 1) * w2]
+    }
+
+    /// Overrides block `k`'s reversal flag for verifier/mutation tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.num_blocks()`.
+    #[doc(hidden)]
+    pub fn set_reversed_unchecked(&mut self, k: usize, reversed: bool) {
+        self.reversed[k] = reversed;
+    }
+
+    /// Swaps blocks `a` and `b` (headers and payloads) in the stream, for
+    /// verifier/mutation tests. Breaks the format invariants by design.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    #[doc(hidden)]
+    pub fn swap_blocks_unchecked(&mut self, a: usize, b: usize) {
+        self.block_row.swap(a, b);
+        self.block_col.swap(a, b);
+        self.kind.swap(a, b);
+        self.reversed.swap(a, b);
+        let w2 = self.omega * self.omega;
+        for t in 0..w2 {
+            self.arena.swap(a * w2 + t, b * w2 + t);
+        }
     }
 
     /// Mutable diagonal access for verifier/mutation tests.
@@ -461,16 +545,101 @@ impl Alf {
 
     /// Mean fraction of non-zero slots across stored blocks.
     pub fn mean_block_fill(&self) -> f64 {
-        if self.blocks.is_empty() {
+        if self.num_blocks() == 0 {
             return 0.0;
         }
         let slots = self.omega * self.omega;
         let fill: f64 = self
-            .blocks
+            .blocks()
             .iter()
-            .map(|b| b.payload.iter().filter(|v| **v != 0.0).count() as f64 / slots as f64)
+            .map(|b| b.fill_count() as f64 / slots as f64)
             .sum();
-        fill / self.blocks.len() as f64
+        fill / self.num_blocks() as f64
+    }
+}
+
+/// Assembles an [`Alf`] directly from streamed blocks — the inverse of
+/// rendering one as text, used by the assembler and the program container.
+/// [`Alf::from_coo`] always re-canonicalizes the block order (off-diagonals
+/// first, diagonal last, rows ascending), so an assembler that went through
+/// COO could never carry a reordered schedule to the engine; the builder
+/// preserves the pushed stream order verbatim. Only geometry is validated
+/// here — stream-order and reversal legality are alverify's AL0xx/AL2xx
+/// rules, which is exactly what lets verifier tests and the differential
+/// fuzzer build non-canonical (but still legal) schedules.
+#[derive(Debug, Clone)]
+pub struct AlfBuilder {
+    alf: Alf,
+}
+
+impl AlfBuilder {
+    /// Starts an empty `rows`×`cols` matrix at block width `omega`.
+    pub fn new(rows: usize, cols: usize, omega: usize, layout: AlfLayout) -> Self {
+        AlfBuilder {
+            alf: Alf::with_capacity(rows, cols, omega, layout, 0),
+        }
+    }
+
+    /// Appends one block whose payload is taken verbatim in streaming
+    /// order; `reversed` records how logical columns map onto it (see
+    /// [`AlfBlock::get`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::InvalidBlockWidth`] if the builder's `omega == 0`.
+    /// * [`Error::DimensionMismatch`] if `payload.len() != ω²`.
+    pub fn push_block(
+        &mut self,
+        block_row: usize,
+        block_col: usize,
+        kind: BlockKind,
+        payload: &[f64],
+        reversed: bool,
+    ) -> Result<()> {
+        let omega = self.alf.omega;
+        if omega == 0 {
+            return Err(Error::InvalidBlockWidth { omega });
+        }
+        if payload.len() != omega * omega {
+            return Err(Error::DimensionMismatch {
+                expected: (omega, omega),
+                found: (payload.len(), 1),
+            });
+        }
+        self.alf
+            .push_header(block_row, block_col, kind, reversed)
+            .copy_from_slice(payload);
+        Ok(())
+    }
+
+    /// Completes the matrix with its extracted diagonal.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::InvalidBlockWidth`] if `omega == 0`.
+    /// * [`Error::DimensionMismatch`] if the diagonal length disagrees with
+    ///   the layout (`min(rows, cols)` under [`AlfLayout::SymGs`], empty
+    ///   under [`AlfLayout::Streaming`]).
+    pub fn finish(self, diagonal: Vec<f64>) -> Result<Alf> {
+        let mut alf = self.alf;
+        if alf.omega == 0 {
+            return Err(Error::InvalidBlockWidth { omega: 0 });
+        }
+        let want_diag = if alf.layout == AlfLayout::SymGs {
+            alf.rows.min(alf.cols)
+        } else {
+            0
+        };
+        if diagonal.len() != want_diag {
+            return Err(Error::DimensionMismatch {
+                expected: (want_diag, 1),
+                found: (diagonal.len(), 1),
+            });
+        }
+        alf.nnz = alf.arena.iter().filter(|v| **v != 0.0).count()
+            + diagonal.iter().filter(|v| **v != 0.0).count();
+        alf.diagonal = diagonal;
+        Ok(alf)
     }
 }
 
@@ -479,7 +648,7 @@ impl MetaData for Alf {
         // "Same meta-data overhead" as BCSR (§4.5): one block index per block
         // plus block-row pointers — except it lives in the configuration
         // table rather than being streamed at runtime.
-        self.blocks.len() * 4 + (self.block_rows() + 1) * 4
+        self.num_blocks() * 4 + (self.block_rows() + 1) * 4
     }
 
     fn payload_bytes(&self) -> usize {
@@ -488,47 +657,6 @@ impl MetaData for Alf {
 
     fn nnz(&self) -> usize {
         self.nnz
-    }
-}
-
-fn build_block(
-    br: usize,
-    bc: usize,
-    payload: &DenseMatrix,
-    omega: usize,
-    layout: AlfLayout,
-    extract_diag: bool,
-    diagonal: &mut [f64],
-) -> AlfBlock {
-    let upper = bc > br;
-    let reverse = layout == AlfLayout::SymGs && (upper || extract_diag);
-    let mut data = vec![0.0; omega * omega];
-    for i in 0..omega {
-        for j in 0..omega {
-            let mut v = payload[(i, j)];
-            if extract_diag && i == j {
-                let global = br * omega + i;
-                if global < diagonal.len() {
-                    diagonal[global] = v;
-                }
-                v = 0.0;
-            }
-            let jj = if reverse { omega - 1 - j } else { j };
-            data[i * omega + jj] = v;
-        }
-    }
-    let kind = if extract_diag {
-        BlockKind::Diagonal
-    } else {
-        BlockKind::OffDiagonal
-    };
-    AlfBlock {
-        block_row: br,
-        block_col: bc,
-        kind,
-        payload: data,
-        omega,
-        reversed: reverse,
     }
 }
 
@@ -596,7 +724,7 @@ mod tests {
     #[test]
     fn upper_triangle_rows_are_reversed_in_stream() {
         let alf = Alf::from_coo(&paper_like(), 3, AlfLayout::SymGs).unwrap();
-        let upper = &alf.blocks()[0];
+        let upper = alf.block(0);
         assert_eq!((upper.block_row(), upper.block_col()), (0, 2));
         assert!(upper.reversed());
         // Logical row 0 of block (0,2) is [1.0, 2.0, 0.0] (cols 6,7,8);
@@ -641,7 +769,7 @@ mod tests {
         for b in alf.blocks() {
             assert_eq!(b.kind(), BlockKind::OffDiagonal);
         }
-        let first = &alf.blocks()[0];
+        let first = alf.block(0);
         // Under Streaming, block (0,0) comes first and keeps l2r order:
         assert_eq!((first.block_row(), first.block_col()), (0, 0));
         assert_eq!(first.row(0), &[10.0, 6.0, 0.0]);
@@ -687,61 +815,96 @@ mod tests {
         assert!(Alf::from_coo(&paper_like(), 0, AlfLayout::SymGs).is_err());
     }
 
-    #[test]
-    fn from_raw_parts_preserves_non_canonical_stream_order() {
-        // Rebuild a converted format with one block row's off-diagonals
-        // reversed: from_coo would re-canonicalize, from_raw_parts must not.
-        let canonical = Alf::from_coo(&paper_like(), 3, AlfLayout::SymGs).unwrap();
-        let mut blocks: Vec<AlfBlock> = canonical.blocks().to_vec();
-        blocks.swap(0, 1); // off-diagonal (0,2) and diagonal (0,0)
-        let rebuilt = Alf::from_raw_parts(
-            canonical.rows(),
-            canonical.cols(),
-            canonical.omega(),
-            canonical.layout(),
-            blocks.clone(),
-            canonical.diagonal().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.blocks(), blocks.as_slice());
-        assert_eq!(rebuilt.nnz(), canonical.nnz());
-        assert_eq!(rebuilt.diagonal(), canonical.diagonal());
+    /// Rebuilds `alf` through the builder, pushing blocks in `order`.
+    fn rebuild(alf: &Alf, order: &[usize]) -> Alf {
+        let mut builder = AlfBuilder::new(alf.rows(), alf.cols(), alf.omega(), alf.layout());
+        for &k in order {
+            let b = alf.block(k);
+            builder
+                .push_block(
+                    b.block_row(),
+                    b.block_col(),
+                    b.kind(),
+                    b.payload(),
+                    b.reversed(),
+                )
+                .unwrap();
+        }
+        builder.finish(alf.diagonal().to_vec()).unwrap()
     }
 
     #[test]
-    fn raw_constructors_reject_bad_geometry() {
-        let block =
-            AlfBlock::from_streamed_payload(0, 0, BlockKind::OffDiagonal, vec![1.0; 9], 3, false)
-                .unwrap();
-        assert_eq!(block.payload(), &[1.0; 9]);
-        assert!(AlfBlock::from_streamed_payload(
-            0,
-            0,
-            BlockKind::OffDiagonal,
-            vec![1.0; 8],
-            3,
-            false
-        )
-        .is_err());
-        assert!(
-            AlfBlock::from_streamed_payload(0, 0, BlockKind::OffDiagonal, vec![], 0, false)
-                .is_err()
-        );
+    fn builder_preserves_non_canonical_stream_order() {
+        // Rebuild a converted format with one block row's off-diagonal and
+        // diagonal swapped: from_coo would re-canonicalize, the builder must
+        // not.
+        let canonical = Alf::from_coo(&paper_like(), 3, AlfLayout::SymGs).unwrap();
+        assert_eq!(rebuild(&canonical, &[0, 1, 2, 3, 4]), canonical);
+        let rebuilt = rebuild(&canonical, &[1, 0, 2, 3, 4]);
+        assert_eq!(rebuilt.block(0), canonical.block(1));
+        assert_eq!(rebuilt.block(1), canonical.block(0));
+        assert_eq!(rebuilt.nnz(), canonical.nnz());
+        assert_eq!(rebuilt.diagonal(), canonical.diagonal());
+        // The unchecked swap hook yields the same stream.
+        let mut swapped = canonical.clone();
+        swapped.swap_blocks_unchecked(0, 1);
+        assert_eq!(swapped, rebuilt);
+    }
+
+    #[test]
+    fn mutation_hooks_edit_one_block_in_place() {
+        let mut alf = Alf::from_coo(&paper_like(), 3, AlfLayout::SymGs).unwrap();
+        let before = alf.clone();
+        alf.set_reversed_unchecked(0, false);
+        alf.payload_mut_unchecked(2)[0] = 99.0;
+        assert!(!alf.block(0).reversed());
+        assert_eq!(alf.block(0).payload(), before.block(0).payload());
+        assert_eq!(alf.block(2).payload()[0], 99.0);
+        for k in [1, 3, 4] {
+            assert_eq!(alf.block(k), before.block(k));
+        }
+    }
+
+    #[test]
+    fn builder_rejects_bad_geometry() {
+        let mut ok = AlfBuilder::new(6, 6, 3, AlfLayout::Streaming);
+        ok.push_block(0, 0, BlockKind::OffDiagonal, &[1.0; 9], false)
+            .unwrap();
+        let alf = ok.clone().finish(vec![]).unwrap();
+        assert_eq!(alf.block(0).payload(), &[1.0; 9]);
+        assert_eq!(alf.nnz(), 9);
+        // Payload must be ω².
+        assert!(ok
+            .push_block(0, 0, BlockKind::OffDiagonal, &[1.0; 8], false)
+            .is_err());
+        let mut zero = AlfBuilder::new(6, 6, 0, AlfLayout::Streaming);
+        assert!(zero
+            .push_block(0, 0, BlockKind::OffDiagonal, &[], false)
+            .is_err());
+        assert!(zero.finish(vec![]).is_err());
         // Diagonal length must match the layout.
-        assert!(
-            Alf::from_raw_parts(6, 6, 3, AlfLayout::SymGs, vec![block.clone()], vec![]).is_err()
-        );
-        assert!(Alf::from_raw_parts(
-            6,
-            6,
-            3,
-            AlfLayout::Streaming,
-            vec![block.clone()],
-            vec![1.0; 6]
-        )
-        .is_err());
-        // Block built at a different ω is refused.
-        assert!(Alf::from_raw_parts(6, 6, 2, AlfLayout::Streaming, vec![block], vec![]).is_err());
+        assert!(AlfBuilder::new(6, 6, 3, AlfLayout::SymGs)
+            .finish(vec![])
+            .is_err());
+        assert!(ok.finish(vec![1.0; 6]).is_err());
+        // A payload built at a different ω is refused.
+        let mut narrow = AlfBuilder::new(6, 6, 2, AlfLayout::Streaming);
+        assert!(narrow
+            .push_block(0, 0, BlockKind::OffDiagonal, &[1.0; 9], false)
+            .is_err());
+    }
+
+    #[test]
+    fn blocks_view_indexes_the_arena_in_stream_order() {
+        let alf = Alf::from_coo(&paper_like(), 3, AlfLayout::SymGs).unwrap();
+        let blocks = alf.blocks();
+        assert_eq!(blocks.len(), 5);
+        assert!(!blocks.is_empty());
+        assert!(blocks.get(5).is_none());
+        let flat: Vec<f64> = blocks.iter().flat_map(|b| b.payload().to_vec()).collect();
+        assert_eq!(flat.len() * 8, alf.streamed_bytes());
+        assert_eq!(blocks.iter().last(), Some(alf.block(4)));
+        assert_eq!(blocks.get(2), Some(alf.block(2)));
     }
 
     #[test]
@@ -803,7 +966,7 @@ impl Alf {
     /// ```
     pub fn stream_rows(&self) -> impl Iterator<Item = StreamedRow<'_>> {
         let omega = self.omega;
-        self.blocks.iter().flat_map(move |block| {
+        self.blocks().iter().flat_map(move |block| {
             (0..omega).map(move |i| StreamedRow {
                 block_row: block.block_row(),
                 block_col: block.block_col(),
@@ -865,7 +1028,7 @@ impl Alf {
     /// like [`Alf::blocks`].
     pub fn physical_offsets(&self) -> Vec<usize> {
         let block_bytes = self.omega * self.omega * std::mem::size_of::<f64>();
-        (0..self.blocks.len()).map(|k| k * block_bytes).collect()
+        (0..self.num_blocks()).map(|k| k * block_bytes).collect()
     }
 }
 

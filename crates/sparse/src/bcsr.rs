@@ -55,7 +55,6 @@ impl Bcsr {
         }
         let canon = coo.clone().compress();
         let block_rows = canon.rows().div_ceil(omega);
-        let block_cols = canon.cols().div_ceil(omega);
 
         // Group entries by (block_row, block_col); entries arrive row-major
         // so blocks of one block row appear contiguously only after bucketing.
@@ -72,15 +71,14 @@ impl Bcsr {
         let mut block_row_ptr = vec![0usize; block_rows + 1];
         let mut block_col_idx = Vec::with_capacity(buckets.len());
         let mut blocks = Vec::with_capacity(buckets.len());
-        for (&(br, bc), block) in &buckets {
+        for ((br, bc), block) in buckets {
             block_row_ptr[br + 1] += 1;
             block_col_idx.push(bc);
-            blocks.push(block.clone());
+            blocks.push(block);
         }
         for i in 0..block_rows {
             block_row_ptr[i + 1] += block_row_ptr[i];
         }
-        let _ = block_cols;
         Ok(Bcsr {
             rows: canon.rows(),
             cols: canon.cols(),

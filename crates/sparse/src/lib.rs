@@ -52,7 +52,7 @@ pub mod ops;
 pub mod reorder;
 pub mod stats;
 
-pub use alf::{Alf, AlfBlock, BlockKind};
+pub use alf::{Alf, AlfBlock, AlfBuilder, BlockKind};
 pub use bcsr::Bcsr;
 pub use coo::Coo;
 pub use csc::Csc;

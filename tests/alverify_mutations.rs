@@ -25,17 +25,17 @@ fn codes(diags: &[alrescha_lint::Diagnostic]) -> Vec<&'static str> {
 #[test]
 fn swapped_block_order_yields_al001() {
     let (mut alf, _) = symgs_alf(8);
-    let blocks = alf.blocks_mut_unchecked();
+    let blocks = alf.blocks();
     let off = blocks
         .iter()
         .position(|b| b.kind() == BlockKind::OffDiagonal)
         .expect("stencil has off-diagonal blocks");
-    let row = blocks[off].block_row();
+    let row = alf.block(off).block_row();
     let diag = blocks
         .iter()
         .position(|b| b.kind() == BlockKind::Diagonal && b.block_row() == row)
         .expect("row has a diagonal block");
-    blocks.swap(off, diag);
+    alf.swap_blocks_unchecked(off, diag);
     let diags = verify_alf(&alf, &SimConfig::paper());
     assert!(
         codes(&diags).contains(&"AL001"),
@@ -49,12 +49,12 @@ fn swapped_block_order_yields_al001() {
 #[test]
 fn un_reversed_upper_triangle_yields_al002() {
     let (mut alf, _) = symgs_alf(8);
-    let blocks = alf.blocks_mut_unchecked();
-    let upper = blocks
-        .iter_mut()
-        .find(|b| b.block_col() > b.block_row())
+    let upper = alf
+        .blocks()
+        .iter()
+        .position(|b| b.block_col() > b.block_row())
         .expect("stencil has upper-triangle blocks");
-    upper.set_reversed_unchecked(false);
+    alf.set_reversed_unchecked(upper, false);
     let diags = verify_alf(&alf, &SimConfig::paper());
     assert!(
         codes(&diags).contains(&"AL002"),

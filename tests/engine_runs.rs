@@ -138,6 +138,9 @@ fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| (i as f64 * 0.7).cos()).collect()
 }
 
+/// One SymGS-family sweep from a given start vector.
+type Sweep = fn(&mut Engine, &Alf, &[f64], &mut [f64]) -> ExecutionReport;
+
 /// Runs every pinned configuration and renders one JSON line per run.
 fn run_all() -> Vec<String> {
     let mut lines = Vec::new();
@@ -151,7 +154,6 @@ fn run_all() -> Vec<String> {
 
         let s = Alf::from_coo(&inp.system, OMEGA, AlfLayout::SymGs).expect("symgs format");
         let b = rhs(s.rows());
-        type Sweep = fn(&mut Engine, &Alf, &[f64], &mut [f64]) -> ExecutionReport;
         let sweeps: [(&str, Sweep); 4] = [
             ("symgs_forward", |e, a, b, x| {
                 e.run_symgs_forward(a, b, x).expect("forward")

@@ -119,10 +119,10 @@ proptest! {
                 last_row = Some(block.block_row());
             }
         }
-        for w in alf.blocks().windows(2) {
-            if w[0].block_row() == w[1].block_row() {
+        for (prev, next) in alf.blocks().iter().zip(alf.blocks().iter().skip(1)) {
+            if prev.block_row() == next.block_row() {
                 prop_assert_ne!(
-                    w[0].kind(),
+                    prev.kind(),
                     alrescha_sparse::BlockKind::Diagonal,
                     "diagonal block must close its block row"
                 );
