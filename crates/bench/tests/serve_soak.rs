@@ -23,6 +23,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobSpec};
+use alrescha::util::splitmix64;
 use alrescha::SolverOptions;
 use alrescha_obs::flight::{self, FlightDump};
 use alrescha_serve::{Client, JobPayload, Journal, RetryPolicy};
@@ -116,14 +117,6 @@ fn soak_client(addr: &str) -> Client {
             seed: 0x50A7_5EED,
         },
     )
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[test]

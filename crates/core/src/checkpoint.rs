@@ -8,13 +8,13 @@
 //! resumed run replays the *same* fault stream — making resume bit-identical
 //! to an uninterrupted solve, faults and all.
 //!
-//! The wire format is deliberately boring: a fixed magic, a format version,
-//! little-endian fixed-width integers, `f64` values as raw IEEE-754 bits
-//! (bit-exactness survives the round trip by construction), and a trailing
-//! CRC-32 over everything before it. Decoding is total: corrupted or
-//! truncated bytes produce a typed [`CheckpointError`], never a panic, and
-//! length fields are validated against the remaining payload before any
-//! allocation.
+//! The wire format is deliberately boring: an `ALCK` frame of the shared
+//! codec ([`alrescha_obs::frame`]) holding a format version,
+//! little-endian fixed-width integers and `f64` values as raw IEEE-754
+//! bits (bit-exactness survives the round trip by construction). Decoding
+//! is total: corrupted or truncated bytes produce a typed
+//! [`CheckpointError`], never a panic, and length fields are validated
+//! against the remaining payload before any allocation.
 
 use std::fmt;
 #[cfg(test)]
@@ -23,6 +23,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::storage::{self, RealStorage, StorageIo};
+use alrescha_obs::frame::{self, put_f64_vec, put_u64, Extent, FrameError, Reader};
 use alrescha_sim::InjectorSnapshot;
 
 /// File magic: "ALCK" (ALrescha ChecKpoint).
@@ -61,27 +62,8 @@ impl SolverKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CheckpointError {
-    /// The bytes do not start with the `ALCK` magic.
-    BadMagic,
-    /// The format version is newer than this build understands.
-    UnsupportedVersion(u32),
-    /// The byte stream ends before the advertised payload.
-    Truncated {
-        /// Bytes the decoder needed next.
-        needed: usize,
-        /// Bytes actually remaining.
-        got: usize,
-    },
-    /// The trailing CRC-32 does not match the payload.
-    CrcMismatch {
-        /// Checksum stored in the trailer.
-        stored: u32,
-        /// Checksum recomputed over the payload.
-        computed: u32,
-    },
-    /// A field holds a value the format forbids (unknown solver tag,
-    /// implausible length).
-    Malformed(&'static str),
+    /// The bytes are not an intact, well-formed `ALCK` frame.
+    Frame(FrameError),
     /// A structurally valid checkpoint does not belong to the resuming
     /// solver (wrong kind, wrong problem size, wrong right-hand side).
     Mismatch {
@@ -90,23 +72,16 @@ pub enum CheckpointError {
     },
 }
 
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        CheckpointError::Frame(e)
+    }
+}
+
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::BadMagic => write!(f, "not a checkpoint: bad magic"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (this build reads {VERSION})")
-            }
-            CheckpointError::Truncated { needed, got } => {
-                write!(f, "truncated checkpoint: needed {needed} more bytes, found {got}")
-            }
-            CheckpointError::CrcMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "checkpoint CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )
-            }
-            CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
+            CheckpointError::Frame(e) => write!(f, "checkpoint: {e}"),
             CheckpointError::Mismatch { field } => {
                 write!(f, "checkpoint does not match this solve: {field} disagrees")
             }
@@ -148,91 +123,6 @@ pub struct SolverCheckpoint {
     pub fault: Option<InjectorSnapshot>,
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum of
-/// gzip/zip/PNG, computed bitwise (the trailer is tiny relative to a solve).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], CheckpointError> {
-        let got = self.bytes.len() - self.pos;
-        if got < len {
-            return Err(CheckpointError::Truncated { needed: len, got });
-        }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed vector of `f64` bit patterns. The length is
-    /// validated against the bytes actually remaining *before* allocating,
-    /// so a corrupted length field cannot request an absurd allocation.
-    fn f64_vec(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let len = self.u64()?;
-        let remaining = self.bytes.len() - self.pos;
-        let len = usize::try_from(len).map_err(|_| CheckpointError::Malformed("vector length"))?;
-        let needed = len
-            .checked_mul(8)
-            .ok_or(CheckpointError::Malformed("vector length"))?;
-        if needed > remaining {
-            return Err(CheckpointError::Truncated {
-                needed,
-                got: remaining,
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
-    put_u64(out, v.len() as u64);
-    for &value in v {
-        put_u64(out, value.to_bits());
-    }
-}
-
 impl SolverCheckpoint {
     /// Serializes to the versioned wire format with a trailing CRC-32.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -258,8 +148,7 @@ impl SolverCheckpoint {
         put_f64_vec(&mut out, &self.r);
         put_f64_vec(&mut out, &self.p);
         put_f64_vec(&mut out, &self.residual_history);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        frame::seal(&mut out);
         out
     }
 
@@ -270,43 +159,21 @@ impl SolverCheckpoint {
     /// Every malformation is a typed [`CheckpointError`]; this function
     /// never panics on arbitrary input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 4 + 4 + 4 {
-            return Err(CheckpointError::Truncated {
-                needed: 12,
-                got: bytes.len(),
-            });
-        }
-        // The CRC trailer covers everything before it; verify first so every
-        // later error means "well-formed prefix, genuinely bad field".
-        let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let computed = crc32(payload);
-        if payload[..4] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if stored != computed {
-            return Err(CheckpointError::CrcMismatch { stored, computed });
-        }
-
-        let mut rd = Reader {
-            bytes: payload,
-            pos: 4,
-        };
+        let (body, _) = frame::open(bytes, MAGIC, Extent::Whole)?;
+        let mut rd = Reader::new(body);
         let version = rd.u32()?;
         if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
+            return Err(FrameError::UnsupportedVersion(version).into());
         }
-        let kind = SolverKind::from_tag(rd.u8()?)
-            .ok_or(CheckpointError::Malformed("unknown solver kind"))?;
+        let kind =
+            SolverKind::from_tag(rd.u8()?).ok_or(FrameError::Malformed("unknown solver kind"))?;
         let has_fault = match rd.u8()? {
             0 => false,
             1 => true,
-            _ => return Err(CheckpointError::Malformed("fault flag")),
+            _ => return Err(FrameError::Malformed("fault flag").into()),
         };
-        let n = usize::try_from(rd.u64()?)
-            .map_err(|_| CheckpointError::Malformed("problem size"))?;
-        let iteration = usize::try_from(rd.u64()?)
-            .map_err(|_| CheckpointError::Malformed("iteration count"))?;
+        let n = rd.usize("problem size")?;
+        let iteration = rd.usize("iteration count")?;
         let rz = rd.f64()?;
         let r0 = rd.f64()?;
         let fault = if has_fault {
@@ -328,11 +195,9 @@ impl SolverCheckpoint {
         let r = rd.f64_vec()?;
         let p = rd.f64_vec()?;
         let residual_history = rd.f64_vec()?;
-        if rd.pos != payload.len() {
-            return Err(CheckpointError::Malformed("trailing bytes after payload"));
-        }
+        rd.finish()?;
         if x.len() != n || r.len() != n || p.len() != n {
-            return Err(CheckpointError::Malformed("vector length disagrees with n"));
+            return Err(FrameError::Malformed("vector length disagrees with n").into());
         }
         Ok(SolverCheckpoint {
             kind,
@@ -506,73 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn crc_is_the_ieee_polynomial() {
-        // The standard check value for CRC-32/IEEE over "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn single_byte_corruption_is_detected() {
-        let bytes = sample(true).to_bytes();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                SolverCheckpoint::from_bytes(&bad).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_length() {
-        let bytes = sample(false).to_bytes();
-        for len in 0..bytes.len() {
-            assert!(
-                SolverCheckpoint::from_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_magic_is_a_typed_error() {
-        let mut bytes = sample(false).to_bytes();
-        bytes[0] = b'X';
-        assert_eq!(
-            SolverCheckpoint::from_bytes(&bytes),
-            Err(CheckpointError::BadMagic)
-        );
-    }
-
-    #[test]
     fn future_version_is_rejected() {
         let mut bytes = sample(false).to_bytes();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         // Re-seal the CRC so the version check is what fires.
-        let crc_pos = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_pos]);
-        bytes[crc_pos..].copy_from_slice(&crc.to_le_bytes());
+        bytes.truncate(bytes.len() - frame::TRAILER_LEN);
+        frame::seal(&mut bytes);
         assert_eq!(
             SolverCheckpoint::from_bytes(&bytes),
-            Err(CheckpointError::UnsupportedVersion(99))
+            Err(CheckpointError::Frame(FrameError::UnsupportedVersion(99)))
         );
-    }
-
-    #[test]
-    fn absurd_length_field_is_rejected_without_allocation() {
-        let mut bytes = sample(false).to_bytes();
-        // The x-vector length lives right after the fixed header
-        // (4 magic + 4 version + 2 flags + 4×8 scalars = 42).
-        bytes[42..50].copy_from_slice(&u64::MAX.to_le_bytes());
-        let crc_pos = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_pos]);
-        bytes[crc_pos..].copy_from_slice(&crc.to_le_bytes());
-        match SolverCheckpoint::from_bytes(&bytes) {
-            Err(CheckpointError::Malformed(_) | CheckpointError::Truncated { .. }) => {}
-            other => panic!("expected typed rejection, got {other:?}"),
-        }
     }
 
     /// A unique scratch directory under the target-local temp dir.
@@ -637,12 +445,14 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = CheckpointError::CrcMismatch {
+        let e = CheckpointError::from(FrameError::CrcMismatch {
             stored: 1,
             computed: 2,
-        };
+        });
         assert!(e.to_string().contains("CRC mismatch"));
-        assert!(CheckpointError::BadMagic.to_string().contains("magic"));
+        assert!(CheckpointError::from(FrameError::BadMagic)
+            .to_string()
+            .contains("magic"));
         assert!(CheckpointError::Mismatch { field: "n" }
             .to_string()
             .contains("n disagrees"));

@@ -42,7 +42,8 @@ pub mod fleet;
 pub mod program;
 pub mod solver;
 pub mod storage;
-pub mod util;
+/// The workspace's one splitmix64 (defined in [`alrescha_obs::rng`]).
+pub use alrescha_obs::rng as util;
 
 pub use accelerator::{Alrescha, ProgrammedKernel};
 pub use breaker::{BackendChoice, BreakerConfig, BreakerState, CircuitBreaker, SharedBreaker};

@@ -153,9 +153,11 @@ impl EntryLayout {
         ]
     }
 
-    /// Packed size in bytes of a table with `entries` entries.
+    /// Packed size in bytes of a table with `entries` entries. Saturates
+    /// rather than wrapping, so an untrusted entry count read from a file
+    /// yields a size no buffer holds instead of a small wrapped one.
     pub fn packed_bytes(&self, entries: usize) -> usize {
-        (entries * self.entry_bits).div_ceil(8)
+        entries.saturating_mul(self.entry_bits).div_ceil(8)
     }
 
     /// The largest value an index field can carry.

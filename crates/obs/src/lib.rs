@@ -31,7 +31,10 @@
 //! This crate is intentionally **dependency-free** (std only) so the
 //! simulator can depend on it without cycles, and it hand-rolls the JSON
 //! it needs in [`json`] (the workspace has no registry access, hence no
-//! serde).
+//! serde). Being the lowest crate every layer reaches, it also holds the
+//! two pieces of byte and seed plumbing they share: [`frame`], the one
+//! framed-container codec (CRC-32, bounded reader, typed errors), and
+//! [`rng`], the one splitmix64.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,14 +42,17 @@
 
 pub mod chrome;
 pub mod flight;
+pub mod frame;
 pub mod json;
 pub mod metrics;
 pub mod prom;
+pub mod rng;
 pub mod summary;
 pub mod telemetry;
 
 pub use chrome::export_chrome_trace;
-pub use flight::{FlightDump, FlightError, FlightRecord, FlightRecorder};
+pub use flight::{FlightDump, FlightRecord, FlightRecorder};
+pub use frame::FrameError;
 pub use metrics::{Counter, Gauge, Histogram, Registry, CYCLE_BUCKETS, MICROS_BUCKETS};
 pub use prom::validate_prometheus;
 pub use summary::{

@@ -33,12 +33,8 @@ use std::time::Duration;
 
 use alrescha_obs::Telemetry;
 
-use crate::protocol::{MAGIC, MAX_PAYLOAD};
+use crate::protocol::{self, HEADER_LEN};
 
-/// ALSV header length: magic (4) + version (4) + tag (1) + payload len (4).
-const HEADER_LEN: usize = 13;
-/// CRC-32 trailer length.
-const TRAILER_LEN: usize = 4;
 /// Poll interval for the accept loop and stop-flag checks.
 const POLL: Duration = Duration::from_millis(5);
 
@@ -482,15 +478,9 @@ fn pump(from: &TcpStream, to: &TcpStream, shared: &Arc<ProxyShared>, mut rng: u6
 fn read_frame(from: &TcpStream, shared: &Arc<ProxyShared>) -> Option<Vec<u8>> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_absorbing(from, &mut header, shared)?;
-    if header[..4] != MAGIC {
-        // Not speaking ALSV: bail out and let both sides see the close.
-        return None;
-    }
-    let len = u32::from_le_bytes([header[9], header[10], header[11], header[12]]) as usize;
-    if len > MAX_PAYLOAD {
-        return None;
-    }
-    let mut frame = vec![0u8; HEADER_LEN + len + TRAILER_LEN];
+    // Not speaking ALSV (bad magic, oversized payload): bail out and let
+    // both sides see the close.
+    let mut frame = vec![0u8; protocol::frame_len(&header).ok()?];
     frame[..HEADER_LEN].copy_from_slice(&header);
     read_exact_absorbing(from, &mut frame[HEADER_LEN..], shared)?;
     Some(frame)

@@ -10,18 +10,20 @@
 //! └───────┴─────────┴──────┴─────────────┴─────────┴────────┘
 //! ```
 //!
-//! The CRC covers everything before it, so a torn or bit-flipped frame is
-//! detected before any field is trusted. Decoding is total: corrupted
-//! input produces a typed [`WireError`], never a panic, and every length
-//! field is validated against the bytes actually present *before* any
-//! allocation. `f64` values travel as raw IEEE-754 bits — numeric payloads
-//! survive the round trip bit-exactly.
+//! Framing, the CRC-32 trailer and the bounded payload reader are the
+//! shared codec of [`alrescha_obs::frame`]. The CRC covers everything
+//! before it, so a torn or bit-flipped frame is detected before any field
+//! is trusted. Decoding is total: corrupted input produces a typed
+//! [`WireError`], never a panic, and every length field is validated
+//! against the bytes actually present *before* any allocation. `f64`
+//! values travel as raw IEEE-754 bits — numeric payloads survive the round
+//! trip bit-exactly.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use alrescha::checkpoint::crc32;
+use alrescha_obs::frame::{self, put_f64_vec, put_str, put_u64, Extent, FrameError, Reader};
 use alrescha_sparse::Coo;
 
 /// Frame magic: "ALSV" (ALrescha SerVe).
@@ -36,38 +38,24 @@ pub const MIN_VERSION: u32 = 2;
 /// Upper bound on a frame payload (a 3-D stencil system of a few million
 /// rows fits comfortably; anything bigger is a corrupt length field).
 pub const MAX_PAYLOAD: usize = 256 << 20;
+/// Bytes of the fixed header: magic, version, tag and payload length.
+pub(crate) const HEADER_LEN: usize = 13;
+/// The payload length is the u32 at byte 9 of the header.
+const EXTENT: Extent = Extent::Counted {
+    at: 9,
+    header: HEADER_LEN,
+    stride: 1,
+    max: MAX_PAYLOAD,
+};
 
 /// Errors raised while encoding, decoding, or transporting frames.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum WireError {
-    /// The bytes do not start with the `ALSV` magic.
-    BadMagic,
-    /// The frame version is newer than this build understands.
-    UnsupportedVersion(u32),
-    /// The byte stream ends before the advertised payload.
-    Truncated {
-        /// Bytes the decoder needed next.
-        needed: usize,
-        /// Bytes actually remaining.
-        got: usize,
-    },
-    /// The trailing CRC-32 does not match the frame.
-    CrcMismatch {
-        /// Checksum stored in the trailer.
-        stored: u32,
-        /// Checksum recomputed over the frame.
-        computed: u32,
-    },
-    /// A field holds a value the format forbids.
-    Malformed(&'static str),
+    /// The bytes are not an intact, well-formed `ALSV` frame.
+    Frame(FrameError),
     /// The frame tag is not one this build knows.
     UnknownFrame(u8),
-    /// The advertised payload exceeds [`MAX_PAYLOAD`].
-    TooLarge {
-        /// Advertised payload length.
-        len: usize,
-    },
     /// The underlying transport failed.
     Io(io::Error),
 }
@@ -75,22 +63,8 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::BadMagic => write!(f, "not an alserve frame: bad magic"),
-            WireError::UnsupportedVersion(v) => {
-                write!(f, "unsupported frame version {v} (this build speaks {VERSION})")
-            }
-            WireError::Truncated { needed, got } => {
-                write!(f, "truncated frame: needed {needed} more bytes, found {got}")
-            }
-            WireError::CrcMismatch { stored, computed } => write!(
-                f,
-                "frame CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ),
-            WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
+            WireError::Frame(e) => write!(f, "alserve frame: {e}"),
             WireError::UnknownFrame(tag) => write!(f, "unknown frame tag {tag}"),
-            WireError::TooLarge { len } => {
-                write!(f, "frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap")
-            }
             WireError::Io(e) => write!(f, "transport: {e}"),
         }
     }
@@ -99,9 +73,16 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            WireError::Frame(e) => Some(e),
             WireError::Io(e) => Some(e),
-            _ => None,
+            WireError::UnknownFrame(_) => None,
         }
+    }
+}
+
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        WireError::Frame(e)
     }
 }
 
@@ -109,6 +90,17 @@ impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
         WireError::Io(e)
     }
+}
+
+/// Total length, trailer included, of the frame whose fixed header is
+/// `header`: checks the magic and the payload cap, so a stream reader
+/// knows how many bytes to read next.
+///
+/// # Errors
+///
+/// [`FrameError::BadMagic`] or [`FrameError::TooLarge`].
+pub(crate) fn frame_len(header: &[u8; HEADER_LEN]) -> Result<usize, WireError> {
+    Ok(frame::frame_len(header, MAGIC, EXTENT)?)
 }
 
 /// A solve job as submitted over the wire: the operand system plus solver
@@ -182,13 +174,13 @@ impl ScrapeKind {
         }
     }
 
-    fn from_code(code: u8) -> Result<Self, WireError> {
+    fn from_code(code: u8) -> Result<Self, FrameError> {
         Ok(match code {
             0 => ScrapeKind::Metrics,
             1 => ScrapeKind::Health,
             2 => ScrapeKind::Jobs,
             3 => ScrapeKind::Top,
-            _ => return Err(WireError::Malformed("scrape kind")),
+            _ => return Err(FrameError::Malformed("scrape kind")),
         })
     }
 }
@@ -332,43 +324,42 @@ impl Frame {
 
     /// Encodes the frame: header, payload, CRC-32 trailer.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(17 + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(self.tag());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&[0; 4]); // payload length, patched below
+        self.encode_payload(&mut out);
+        let len = (out.len() - HEADER_LEN) as u32;
+        out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        frame::seal(&mut out);
         out
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Submit { tenant, job, trace } => {
-                put_str(&mut out, tenant);
-                put_job(&mut out, job);
-                put_u64(&mut out, trace.trace_id);
-                put_u64(&mut out, trace.parent_span);
+                put_str(out, tenant);
+                put_job(out, job);
+                put_u64(out, trace.trace_id);
+                put_u64(out, trace.parent_span);
             }
             Frame::Status { job_id }
             | Frame::Wait { job_id }
             | Frame::Observe { job_id }
             | Frame::Accepted { job_id }
             | Frame::NotFound { job_id }
-            | Frame::Parked { job_id } => put_u64(&mut out, *job_id),
+            | Frame::Parked { job_id } => put_u64(out, *job_id),
             Frame::Ping | Frame::Drain | Frame::Pong | Frame::Draining => {}
             Frame::Rejected {
                 reason,
                 retry_after,
             } => {
-                put_str(&mut out, reason);
+                put_str(out, reason);
                 match retry_after {
                     Some(d) => {
                         out.push(1);
-                        put_u64(&mut out, d.as_millis().min(u128::from(u64::MAX)) as u64);
+                        put_u64(out, d.as_millis().min(u128::from(u64::MAX)) as u64);
                     }
                     None => out.push(0),
                 }
@@ -378,26 +369,25 @@ impl Frame {
                 iteration,
                 residual,
             } => {
-                put_u64(&mut out, *job_id);
-                put_u64(&mut out, *iteration);
-                put_u64(&mut out, residual.to_bits());
+                put_u64(out, *job_id);
+                put_u64(out, *iteration);
+                put_u64(out, residual.to_bits());
             }
             Frame::Done { job_id, result } => {
-                put_u64(&mut out, *job_id);
-                put_f64_vec(&mut out, &result.x);
-                put_u64(&mut out, result.iterations);
-                put_u64(&mut out, result.residual.to_bits());
+                put_u64(out, *job_id);
+                put_f64_vec(out, &result.x);
+                put_u64(out, result.iterations);
+                put_u64(out, result.residual.to_bits());
                 out.push(u8::from(result.converged));
-                put_u64(&mut out, result.solution_fingerprint);
+                put_u64(out, result.solution_fingerprint);
             }
             Frame::Failed { job_id, error } => {
-                put_u64(&mut out, *job_id);
-                put_str(&mut out, error);
+                put_u64(out, *job_id);
+                put_str(out, error);
             }
             Frame::Scrape { kind } => out.push(kind.code()),
-            Frame::ScrapeReply { body } => put_str(&mut out, body),
+            Frame::ScrapeReply { body } => put_str(out, body),
         }
-        out
     }
 
     /// Decodes one complete frame from `bytes` (header through CRC).
@@ -407,42 +397,19 @@ impl Frame {
     /// Every malformation is a typed [`WireError`]; never panics on
     /// arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() < 17 {
-            return Err(WireError::Truncated {
-                needed: 17,
-                got: bytes.len(),
-            });
+        let (body, len) = frame::open(bytes, MAGIC, EXTENT)?;
+        if len != bytes.len() {
+            return Err(FrameError::Malformed("trailing bytes after frame").into());
         }
-        if bytes[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(WireError::CrcMismatch { stored, computed });
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+        let mut rd = Reader::new(body);
+        let version = rd.u32()?;
         if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(WireError::UnsupportedVersion(version));
+            return Err(FrameError::UnsupportedVersion(version).into());
         }
-        let tag = bytes[8];
-        let len = u32::from_le_bytes([bytes[9], bytes[10], bytes[11], bytes[12]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(WireError::TooLarge { len });
-        }
-        let payload = &body[13..];
-        if payload.len() != len {
-            return Err(WireError::Malformed("payload length disagrees with header"));
-        }
-        let mut rd = Reader {
-            bytes: payload,
-            pos: 0,
-        };
+        let tag = rd.u8()?;
+        rd.u32()?; // the payload length `open` already checked
         let frame = Frame::decode_payload(tag, version, &mut rd)?;
-        if rd.pos != payload.len() {
-            return Err(WireError::Malformed("trailing bytes after payload"));
-        }
+        rd.finish()?;
         Ok(frame)
     }
 
@@ -450,7 +417,7 @@ impl Frame {
         Ok(match tag {
             1 => {
                 let tenant = rd.string()?;
-                let job = rd.job()?;
+                let job = read_job(rd)?;
                 // v2 ends at the priority byte; v3 appends the trace.
                 let trace = if version >= 3 {
                     TraceContext {
@@ -472,7 +439,7 @@ impl Frame {
                 let retry_after = match rd.u8()? {
                     0 => None,
                     1 => Some(Duration::from_millis(rd.u64()?)),
-                    _ => return Err(WireError::Malformed("retry_after flag")),
+                    _ => return Err(FrameError::Malformed("retry_after flag").into()),
                 };
                 Frame::Rejected {
                     reason,
@@ -492,7 +459,7 @@ impl Frame {
                 let converged = match rd.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return Err(WireError::Malformed("converged flag")),
+                    _ => return Err(FrameError::Malformed("converged flag").into()),
                 };
                 let solution_fingerprint = rd.u64()?;
                 Frame::Done {
@@ -542,44 +509,21 @@ impl Frame {
     /// with. A clean EOF before the first header byte surfaces as
     /// [`WireError::Io`] with [`io::ErrorKind::UnexpectedEof`].
     pub fn read_from(r: &mut impl Read) -> Result<Self, WireError> {
-        let mut header = [0u8; 13];
+        let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
-        if header[..4] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let len = u32::from_le_bytes([header[9], header[10], header[11], header[12]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(WireError::TooLarge { len });
-        }
-        let mut rest = vec![0u8; len + 4];
-        r.read_exact(&mut rest)?;
-        let mut whole = Vec::with_capacity(17 + len);
+        let len = frame_len(&header)?;
+        // Read straight into spare capacity: no zero-fill, no second copy.
+        let mut whole = Vec::with_capacity(len);
         whole.extend_from_slice(&header);
-        whole.extend_from_slice(&rest);
+        r.take((len - HEADER_LEN) as u64).read_to_end(&mut whole)?;
+        if whole.len() < len {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
         Frame::decode(&whole)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Payload primitives
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
-    put_u64(out, v.len() as u64);
-    for &value in v {
-        put_u64(out, value.to_bits());
-    }
-}
-
+/// Appends a job's operand system and solver options.
 pub(crate) fn put_job(out: &mut Vec<u8>, job: &JobPayload) {
     put_u64(out, job.matrix.rows() as u64);
     put_u64(out, job.matrix.cols() as u64);
@@ -595,102 +539,37 @@ pub(crate) fn put_job(out: &mut Vec<u8>, job: &JobPayload) {
     out.push(job.priority);
 }
 
-/// Bounded, allocation-validating payload reader (same discipline as the
-/// checkpoint codec: lengths are checked against the bytes present before
-/// any `Vec` is sized).
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
-        let got = self.bytes.len() - self.pos;
-        if got < len {
-            return Err(WireError::Truncated { needed: len, got });
+/// Reads what [`put_job`] wrote; the entry count is checked against the
+/// bytes present before the matrix grows.
+pub(crate) fn read_job(rd: &mut Reader<'_>) -> Result<JobPayload, FrameError> {
+    let rows = rd.usize("rows")?;
+    let cols = rd.usize("cols")?;
+    let nnz = rd.u64()?;
+    let nnz = rd.checked_len(nnz, 24)?;
+    let mut matrix = Coo::new(rows, cols);
+    for _ in 0..nnz {
+        let r = rd.usize("entry row")?;
+        let c = rd.usize("entry col")?;
+        let v = rd.f64()?;
+        if r >= rows || c >= cols {
+            return Err(FrameError::Malformed("entry out of bounds"));
         }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
+        matrix.push(r, c, v);
     }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    let b = rd.f64_vec()?;
+    let tol = rd.f64()?;
+    let max_iters = rd.u64()?;
+    let priority = rd.u8()?;
+    if b.len() != rows {
+        return Err(FrameError::Malformed("rhs length disagrees with rows"));
     }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn checked_len(&self, len: u64, stride: usize) -> Result<usize, WireError> {
-        let len = usize::try_from(len).map_err(|_| WireError::Malformed("length field"))?;
-        let needed = len
-            .checked_mul(stride)
-            .ok_or(WireError::Malformed("length field"))?;
-        let remaining = self.bytes.len() - self.pos;
-        if needed > remaining {
-            return Err(WireError::Truncated {
-                needed,
-                got: remaining,
-            });
-        }
-        Ok(len)
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u64()?;
-        let len = self.checked_len(len, 1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string is not UTF-8"))
-    }
-
-    pub(crate) fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
-        let len = self.u64()?;
-        let len = self.checked_len(len, 8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    pub(crate) fn job(&mut self) -> Result<JobPayload, WireError> {
-        let rows = usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("rows"))?;
-        let cols = usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("cols"))?;
-        let nnz = self.u64()?;
-        let nnz = self.checked_len(nnz, 24)?;
-        let mut matrix = Coo::new(rows, cols);
-        for _ in 0..nnz {
-            let r = usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("entry row"))?;
-            let c = usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("entry col"))?;
-            let v = self.f64()?;
-            if r >= rows || c >= cols {
-                return Err(WireError::Malformed("entry out of bounds"));
-            }
-            matrix.push(r, c, v);
-        }
-        let b = self.f64_vec()?;
-        let tol = self.f64()?;
-        let max_iters = self.u64()?;
-        let priority = self.u8()?;
-        if b.len() != rows {
-            return Err(WireError::Malformed("rhs length disagrees with rows"));
-        }
-        Ok(JobPayload {
-            matrix,
-            b,
-            tol,
-            max_iters,
-            priority,
-        })
-    }
+    Ok(JobPayload {
+        matrix,
+        b,
+        tol,
+        max_iters,
+        priority,
+    })
 }
 
 #[cfg(test)]
@@ -850,13 +729,17 @@ mod tests {
         let mut bytes = frame.encode();
         // x length lives right after the 13-byte header + 8-byte job id.
         bytes[21..29].copy_from_slice(&u64::MAX.to_le_bytes());
-        let crc_pos = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_pos]);
-        bytes[crc_pos..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
         match Frame::decode(&bytes) {
-            Err(WireError::Truncated { .. } | WireError::Malformed(_)) => {}
+            Err(WireError::Frame(FrameError::Truncated { .. } | FrameError::Malformed(_))) => {}
             other => panic!("expected typed rejection, got {other:?}"),
         }
+    }
+
+    /// Replaces the CRC trailer after a deliberate edit.
+    fn reseal(bytes: &mut Vec<u8>) {
+        bytes.truncate(bytes.len() - frame::TRAILER_LEN);
+        frame::seal(bytes);
     }
 
     /// Encodes a Submit exactly as a v2 peer would: version 2 in the
@@ -871,8 +754,7 @@ mod tests {
         out.push(1); // Submit
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&payload);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        frame::seal(&mut out);
         out
     }
 
@@ -894,9 +776,7 @@ mod tests {
         for frame in [Frame::Ping, Frame::Status { job_id: 3 }] {
             let mut bytes = frame.encode();
             bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-            let crc_pos = bytes.len() - 4;
-            let crc = crc32(&bytes[..crc_pos]);
-            bytes[crc_pos..].copy_from_slice(&crc.to_le_bytes());
+            reseal(&mut bytes);
             assert_eq!(Frame::decode(&bytes).unwrap(), frame);
         }
     }
@@ -916,9 +796,7 @@ mod tests {
     fn unknown_tag_and_future_version_are_rejected() {
         let mut bytes = Frame::Ping.encode();
         bytes[8] = 200;
-        let crc_pos = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_pos]);
-        bytes[crc_pos..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
         assert!(matches!(
             Frame::decode(&bytes),
             Err(WireError::UnknownFrame(200))
@@ -926,12 +804,10 @@ mod tests {
 
         let mut bytes = Frame::Ping.encode();
         bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
-        let crc_pos = bytes.len() - 4;
-        let crc = crc32(&bytes[..crc_pos]);
-        bytes[crc_pos..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
         assert!(matches!(
             Frame::decode(&bytes),
-            Err(WireError::UnsupportedVersion(9))
+            Err(WireError::Frame(FrameError::UnsupportedVersion(9)))
         ));
     }
 }

@@ -50,7 +50,7 @@ use alrescha::storage::{RealStorage, StorageIo};
 use alrescha::SolverOptions;
 use alrescha_lint::analyze_table;
 use alrescha_obs::flight::{self, FlightRecorder};
-use alrescha_obs::{Telemetry, MICROS_BUCKETS};
+use alrescha_obs::{FrameError, Telemetry, MICROS_BUCKETS};
 use alrescha_sim::SimConfig;
 
 use crate::journal::{Journal, JournalError, JournalRecord};
@@ -877,10 +877,12 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream) {
                 // tag, malformed field, future version) is permanent.
                 let transport_damage = matches!(
                     e,
-                    WireError::BadMagic
-                        | WireError::CrcMismatch { .. }
-                        | WireError::Truncated { .. }
-                        | WireError::TooLarge { .. }
+                    WireError::Frame(
+                        FrameError::BadMagic
+                            | FrameError::CrcMismatch { .. }
+                            | FrameError::Truncated { .. }
+                            | FrameError::TooLarge { .. }
+                    )
                 );
                 if transport_damage {
                     inner.count(

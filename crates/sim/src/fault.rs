@@ -28,6 +28,8 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use alrescha_obs::rng::{splitmix64, unit_f64};
+
 /// Location classes where a fault can strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -322,15 +324,11 @@ struct InjectorCore {
 
 impl InjectorCore {
     fn next_u64(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.rng_state)
     }
 
     fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     fn in_window(&self) -> bool {

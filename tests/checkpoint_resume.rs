@@ -199,12 +199,7 @@ proptest! {
         }
         match SolverCheckpoint::from_bytes(&candidate) {
             Ok(cp) => prop_assert_eq!(cp.x.len(), cp.n), // decoder enforced coherence
-            Err(CheckpointError::BadMagic
-                | CheckpointError::UnsupportedVersion(_)
-                | CheckpointError::Truncated { .. }
-                | CheckpointError::CrcMismatch { .. }
-                | CheckpointError::Malformed(_)
-                | CheckpointError::Mismatch { .. }) => {}
+            Err(CheckpointError::Frame(_) | CheckpointError::Mismatch { .. }) => {}
             Err(e) => prop_assert!(false, "unexpected error variant {e:?}"),
         }
     }
