@@ -396,8 +396,7 @@ impl Alrescha {
                 for &(u, v, w) in a.entries() {
                     sym.push(v, u, w);
                 }
-                let (alf, table) =
-                    convert(kernel, &sym.transpose().compress(), self.config().omega)?;
+                let (alf, table) = convert(kernel, &sym.transpose(), self.config().omega)?;
                 Ok(ProgrammedKernel::build(kernel, alf, table, None))
             }
             KernelType::Bfs | KernelType::Sssp | KernelType::PageRank => {

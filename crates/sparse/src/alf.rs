@@ -19,7 +19,9 @@
 //!   they live in the one-time configuration table
 //!   (see [`config_entry_bits`]).
 
-use crate::{Bcsr, Coo, DenseMatrix, Error, MetaData, Result};
+use std::borrow::Cow;
+
+use crate::{Coo, Error, MetaData, Result};
 
 /// Bits per configuration-table entry for an `n`×`n` matrix blocked at `ω`:
 /// `2·ceil(log2(n/ω)) + 3` (§4.1 — two block indices plus one bit each for
@@ -30,6 +32,12 @@ pub fn config_entry_bits(n: usize, omega: usize) -> usize {
     // ceil(log2(block_rows)) with log2(1) = 0.
     let idx_bits = if block_rows == 1 { 0 } else { idx_bits };
     2 * idx_bits + 3
+}
+
+/// Stored non-zero values in `values`: what [`MetaData::nnz`] counts for an
+/// [`Alf`], over its payload and its extracted diagonal.
+fn nonzero(values: &[f64]) -> usize {
+    values.iter().filter(|v| **v != 0.0).count()
 }
 
 /// Role of a block in the streamed layout.
@@ -275,7 +283,15 @@ impl Alf {
         &mut self.arena[start..]
     }
 
-    /// Converts from COO with block width `omega`.
+    /// Converts from COO with block width `omega`, straight into the arena.
+    ///
+    /// Entries are grouped by block row (a stable counting sort unless the
+    /// COO is already in that order), the distinct blocks are counted so the
+    /// arena is allocated once, and each entry is added into its zeroed
+    /// slot at its streaming position, one block row at a time.
+    /// Duplicate coordinates therefore sum in COO order, exactly as
+    /// [`Coo::compress`] would sum them. Explicit zeros still create their
+    /// block but are not counted by [`MetaData::nnz`].
     ///
     /// # Errors
     ///
@@ -287,71 +303,132 @@ impl Alf {
         if omega == 0 {
             return Err(Error::InvalidBlockWidth { omega });
         }
-        let bcsr = Bcsr::from_coo(coo, omega)?;
+        let (rows, cols) = (coo.rows(), coo.cols());
+        let entries = coo.entries();
+        let block_rows = rows.div_ceil(omega);
         let symgs = layout == AlfLayout::SymGs;
 
-        let mut alf = Alf::with_capacity(coo.rows(), coo.cols(), omega, layout, bcsr.num_blocks());
-        let mut diagonal = vec![0.0; coo.rows().min(coo.cols())];
-        for br in 0..bcsr.block_rows() {
-            let mut diag_block: Option<&DenseMatrix> = None;
-            for (bc, payload) in bcsr.block_row(br) {
-                if symgs && bc == br {
-                    diag_block = Some(payload);
-                } else {
-                    alf.build_block(br, bc, payload, false, &mut diagonal);
-                }
+        // Group the entries by block row: block row `br` is
+        // `grouped[row_ptr[br]..row_ptr[br + 1]]`, each row in COO order.
+        // Input already grouped (row-major COO, e.g. any compressed one) is
+        // used in place; anything else goes through a stable counting sort.
+        let mut row_ptr = vec![0usize; block_rows + 1];
+        let mut in_order = true;
+        let mut prev = 0;
+        for &(r, _, _) in entries {
+            let br = r / omega;
+            in_order &= prev <= br;
+            prev = br;
+            row_ptr[br + 1] += 1;
+        }
+        for br in 0..block_rows {
+            row_ptr[br + 1] += row_ptr[br];
+        }
+        let grouped: Cow<'_, [(usize, usize, f64)]> = if in_order {
+            Cow::Borrowed(entries)
+        } else {
+            let mut next = row_ptr.clone();
+            let mut sorted = vec![(0, 0, 0.0); entries.len()];
+            for &e in entries {
+                let at = &mut next[e.0 / omega];
+                sorted[*at] = e;
+                *at += 1;
             }
-            // Block order rule: the diagonal block closes its block row.
-            if let Some(payload) = diag_block {
-                alf.build_block(br, br, payload, true, &mut diagonal);
+            Cow::Owned(sorted)
+        };
+        let row_entries = |br: usize| &grouped[row_ptr[br]..row_ptr[br + 1]];
+
+        // Count the distinct blocks: `marker[bc] == br + 1` once block
+        // (br, bc) has been seen.
+        let mut marker = vec![0usize; cols.div_ceil(omega)];
+        let mut blocks = 0;
+        for br in 0..block_rows {
+            for &(_, c, _) in row_entries(br) {
+                let bc = c / omega;
+                if marker[bc] != br + 1 {
+                    marker[bc] = br + 1;
+                    blocks += 1;
+                }
             }
         }
 
-        if symgs && coo.rows() == coo.cols() {
+        let w2 = omega * omega;
+        let mut alf = Alf::with_capacity(rows, cols, omega, layout, blocks);
+        let mut diagonal = if symgs {
+            vec![0.0; rows.min(cols)]
+        } else {
+            Vec::new()
+        };
+        // From here on `marker[bc]` is one past the stream index of block
+        // column `bc`'s most recent block, so a value above the current
+        // row's first index means "already in this row".
+        marker.fill(0);
+        let mut nnz = 0;
+        for br in 0..block_rows {
+            let row = row_entries(br);
+            let first = alf.block_col.len();
+            for &(_, c, _) in row {
+                let bc = c / omega;
+                if marker[bc] <= first {
+                    marker[bc] = first + 1;
+                    alf.block_col.push(bc);
+                }
+            }
+            let row_cols = &mut alf.block_col[first..];
+            row_cols.sort_unstable();
+            // Block order rule: the diagonal block closes its block row.
+            let mut diag_block = false;
+            if symgs {
+                if let Ok(d) = row_cols.binary_search(&br) {
+                    row_cols[d..].rotate_left(1);
+                    diag_block = true;
+                }
+            }
+            for (k, &bc) in alf.block_col.iter().enumerate().skip(first) {
+                marker[bc] = k + 1;
+                alf.block_row.push(br);
+                alf.kind.push(if symgs && bc == br {
+                    BlockKind::Diagonal
+                } else {
+                    BlockKind::OffDiagonal
+                });
+                // SymGS streams the upper triangle and the diagonal r2l.
+                alf.reversed.push(symgs && bc >= br);
+            }
+
+            // The row's slots are zeroed here and counted below while they
+            // are in cache, not in separate passes over the whole arena.
+            alf.arena.resize(alf.block_col.len() * w2, 0.0);
+            for &(r, c, v) in row {
+                let slot = marker[c / omega] - 1;
+                let (i, j) = (r % omega, c % omega);
+                let jj = if alf.reversed[slot] { omega - 1 - j } else { j };
+                alf.arena[slot * w2 + i * omega + jj] += v;
+            }
+
+            if diag_block {
+                let last = alf.block_col.len() - 1;
+                let data = &mut alf.arena[last * w2..(last + 1) * w2];
+                for i in 0..omega {
+                    // The diagonal block is reversed: (i, i) sits at ω-1-i.
+                    let t = i * omega + omega - 1 - i;
+                    if let Some(d) = diagonal.get_mut(br * omega + i) {
+                        *d = data[t];
+                    }
+                    data[t] = 0.0;
+                }
+            }
+            nnz += nonzero(&alf.arena[first * w2..]);
+        }
+
+        if symgs && rows == cols {
             if let Some(row) = diagonal.iter().position(|&d| d == 0.0) {
                 return Err(Error::MissingDiagonal { row });
             }
         }
-        if symgs {
-            alf.diagonal = diagonal;
-        }
-        alf.nnz = bcsr.nnz();
+        alf.nnz = nnz + nonzero(&diagonal);
+        alf.diagonal = diagonal;
         Ok(alf)
-    }
-
-    /// Writes one converted block straight into the arena: extracts its
-    /// diagonal into `diagonal` when `extract_diag`, and permutes each row
-    /// to its streaming order.
-    fn build_block(
-        &mut self,
-        br: usize,
-        bc: usize,
-        payload: &DenseMatrix,
-        extract_diag: bool,
-        diagonal: &mut [f64],
-    ) {
-        let omega = self.omega;
-        let reverse = self.layout == AlfLayout::SymGs && (bc > br || extract_diag);
-        let kind = if extract_diag {
-            BlockKind::Diagonal
-        } else {
-            BlockKind::OffDiagonal
-        };
-        let data = self.push_header(br, bc, kind, reverse);
-        for i in 0..omega {
-            for j in 0..omega {
-                let mut v = payload[(i, j)];
-                if extract_diag && i == j {
-                    let global = br * omega + i;
-                    if global < diagonal.len() {
-                        diagonal[global] = v;
-                    }
-                    v = 0.0;
-                }
-                let jj = if reverse { omega - 1 - j } else { j };
-                data[i * omega + jj] = v;
-            }
-        }
     }
 
     /// Reconstructs the matrix as COO (inverse of [`Alf::from_coo`]).
@@ -636,8 +713,7 @@ impl AlfBuilder {
                 found: (diagonal.len(), 1),
             });
         }
-        alf.nnz = alf.arena.iter().filter(|v| **v != 0.0).count()
-            + diagonal.iter().filter(|v| **v != 0.0).count();
+        alf.nnz = nonzero(&alf.arena) + nonzero(&diagonal);
         alf.diagonal = diagonal;
         Ok(alf)
     }
@@ -655,6 +731,9 @@ impl MetaData for Alf {
         self.streamed_bytes()
     }
 
+    /// Stored non-zero values: payload slots plus the extracted diagonal.
+    /// Explicit zeros and duplicates that cancel are not counted, so a
+    /// converted matrix and its ALPR round trip agree.
     fn nnz(&self) -> usize {
         self.nnz
     }
@@ -663,6 +742,7 @@ impl MetaData for Alf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bcsr;
 
     /// The 9x9, ω=3 example shape of Figure 8/13: blocks on the diagonal
     /// plus off-diagonal blocks (0,2), (1,0)-ish pattern.

@@ -1,10 +1,13 @@
-//! The fault-free engine hot path makes no heap allocation per block.
+//! The fault-free engine hot path makes no heap allocation per block, and
+//! neither does Algorithm-1 conversion.
 //!
 //! This binary installs a counting global allocator and runs warmed SpMV,
 //! SymGS and PageRank on `stencil27(4)` (8 block rows) and `stencil27(8)`
 //! (64 block rows, 8× the blocks). A run may allocate a fixed number of
 //! times — its output vector, say — but the count must not depend on how
-//! many blocks it streams.
+//! many blocks it streams. The same holds for `Alf::from_coo` in both
+//! layouts: it sizes every buffer up front, so it allocates a fixed number
+//! of times whatever the block count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,4 +103,23 @@ fn fault_free_runs_allocate_independently_of_block_count() {
              {large_blocks} blocks — the hot path allocates per block"
         );
     }
+}
+
+/// Allocations of one `Alf::from_coo` call on `stencil27(side)` in each
+/// layout, as `[streaming, symgs]`.
+fn conversion_allocations(side: usize) -> [u64; 2] {
+    let coo = gen::stencil27(side);
+    [AlfLayout::Streaming, AlfLayout::SymGs]
+        .map(|layout| allocations(|| Alf::from_coo(&coo, 8, layout).expect("format")))
+}
+
+#[test]
+fn conversion_allocates_independently_of_block_count() {
+    let small = conversion_allocations(4);
+    let large = conversion_allocations(8);
+    assert_eq!(
+        small, large,
+        "Alf::from_coo allocates {small:?} times on stencil27(4) but {large:?} on \
+         stencil27(8) — conversion allocates per block"
+    );
 }
