@@ -10,7 +10,7 @@
 //!   cross-reference the alobs device-timeline span names
 //!   (`block 0,2 (Gemv)`, `reconfigure → DSymGs`), so a listing reads
 //!   against a trace.
-//! * [`parser`] + [`assemble`] turn hand-written or generated text back
+//! * [`parser`] + [`mod@assemble`] turn hand-written or generated text back
 //!   into the bit-packed [`alrescha::ProgramBinary`] through the shared
 //!   [`alrescha::EntryLayout`] tables — codec, lint, and asm consume one
 //!   encoding source and cannot drift.

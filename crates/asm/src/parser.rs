@@ -23,7 +23,7 @@
 //! index the config table stores); `out=-` is Algorithm 1's `-1` (results
 //! go to the link stack). The parser reports syntax-level findings
 //! (AL501 unknown token, AL503 wrong arity, AL504 duplicates); the
-//! cross-directive semantic checks live in [`crate::assemble`].
+//! cross-directive semantic checks live in [`mod@crate::assemble`].
 
 use alrescha::convert::{AccessOrder, DataPath, KernelType, OperandPort};
 use alrescha_sparse::{alf::AlfLayout, BlockKind};

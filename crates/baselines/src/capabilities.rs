@@ -82,11 +82,6 @@ pub const PLATFORM_CAPABILITIES: [Capabilities; 5] = [
     },
 ];
 
-/// Looks up a platform's capabilities by name.
-pub fn capabilities_of(name: &str) -> Option<&'static Capabilities> {
-    PLATFORM_CAPABILITIES.iter().find(|c| c.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +108,10 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert!(capabilities_of("graphr").is_some());
-        assert!(capabilities_of("unknown").is_none());
-        assert_eq!(
-            capabilities_of("alrescha").unwrap().bandwidth_utilization,
-            "high"
-        );
+        let find = |name| PLATFORM_CAPABILITIES.iter().find(|c| c.name == name);
+        assert!(find("graphr").is_some());
+        assert!(find("unknown").is_none());
+        assert_eq!(find("alrescha").unwrap().bandwidth_utilization, "high");
     }
 
     #[test]

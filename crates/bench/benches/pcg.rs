@@ -62,20 +62,5 @@ fn bench_multigrid(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_host(c: &mut Criterion) {
-    use alrescha_kernels::parallel::par_spmv;
-    let coo = gen::stencil27(12);
-    let a = Csr::from_coo(&coo);
-    let x: Vec<f64> = (0..a.cols()).map(|i| (i as f64 * 0.01).sin()).collect();
-    let mut group = c.benchmark_group("host-spmv");
-    group.bench_function("sequential", |bench| bench.iter(|| spmv(&a, &x)));
-    for threads in [2usize, 4] {
-        group.bench_function(format!("parallel-{threads}"), |bench| {
-            bench.iter(|| par_spmv(&a, &x, threads).expect("runs"));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_pcg, bench_multigrid, bench_parallel_host);
+criterion_group!(benches, bench_pcg, bench_multigrid);
 criterion_main!(benches);

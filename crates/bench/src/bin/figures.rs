@@ -8,8 +8,26 @@
 //! figures --table 2             # the feature matrix
 //! figures --ablation block-size # the §5.2 block-width sweep
 //! ```
+//!
+//! A bad argument (unknown figure, table or ablation, or `--scale` below 2)
+//! is a usage error: the help text goes to stdout and the exit code is 2.
 
 use alrescha_bench::fig;
+
+/// Every figure of the evaluation, in `--all` order.
+const FIGURES: [u32; 8] = [3, 6, 12, 15, 16, 17, 18, 19];
+/// Every `--ablation` name, in `--all` order.
+const ABLATIONS: [&str; 6] = [
+    "block-size",
+    "drain",
+    "reorder",
+    "cache",
+    "format",
+    "bandwidth",
+];
+/// Smallest `--scale`: graph figures run at `scale / 2` vertices, which
+/// must not be zero.
+const MIN_SCALE: usize = 2;
 
 struct Args {
     verify: bool,
@@ -22,10 +40,8 @@ struct Args {
     fleet: bool,
     all: bool,
     scale: usize,
-    skip_preflight: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    bench_out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -40,21 +56,29 @@ fn parse_args() -> Result<Args, String> {
         fleet: false,
         all: false,
         scale: 1000,
-        skip_preflight: false,
         trace_out: None,
         metrics_out: None,
-        bench_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--fig" => {
                 let v = it.next().ok_or("--fig needs a number")?;
-                args.fig = Some(v.parse().map_err(|_| format!("bad figure number {v}"))?);
+                let num = v.parse().map_err(|_| format!("bad figure number {v}"))?;
+                if !FIGURES.contains(&num) {
+                    return Err(format!(
+                        "figure {num} is not part of the evaluation harness"
+                    ));
+                }
+                args.fig = Some(num);
             }
             "--table" => {
                 let v = it.next().ok_or("--table needs a number")?;
-                args.table = Some(v.parse().map_err(|_| format!("bad table number {v}"))?);
+                let num = v.parse().map_err(|_| format!("bad table number {v}"))?;
+                if !(1..=3).contains(&num) {
+                    return Err(format!("table {num} is not part of the evaluation harness"));
+                }
+                args.table = Some(num);
             }
             "--datasets" => args.datasets = true,
             "--breakdown" => args.breakdown = true,
@@ -63,7 +87,14 @@ fn parse_args() -> Result<Args, String> {
                 args.out = Some(it.next().ok_or("--out needs a directory")?);
             }
             "--ablation" => {
-                args.ablation = Some(it.next().ok_or("--ablation needs a name")?);
+                let name = it.next().ok_or("--ablation needs a name")?;
+                if !ABLATIONS.contains(&name.as_str()) {
+                    return Err(format!(
+                        "unknown ablation {name}; try {}",
+                        ABLATIONS.join(", ")
+                    ));
+                }
+                args.ablation = Some(name);
             }
             "--fleet" => args.fleet = true,
             "--trace-out" => {
@@ -72,14 +103,13 @@ fn parse_args() -> Result<Args, String> {
             "--metrics-out" => {
                 args.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
             }
-            "--bench-out" => {
-                args.bench_out = Some(it.next().ok_or("--bench-out needs a directory")?);
-            }
             "--all" => args.all = true,
-            "--skip-preflight" => args.skip_preflight = true,
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a number")?;
                 args.scale = v.parse().map_err(|_| format!("bad scale {v}"))?;
+                if args.scale < MIN_SCALE {
+                    return Err(format!("--scale must be at least {MIN_SCALE}"));
+                }
             }
             "--help" | "-h" => {
                 print_help();
@@ -100,7 +130,6 @@ fn print_help() {
     println!("  --breakdown           device-side SymGS cycle breakdown");
     println!("  --verify              check every headline claim; exit 1 on failure");
     println!("  --out <dir>           export every figure's rows as CSV");
-    println!("  --bench-out <dir>     write machine-readable BENCH_<workload>.json results");
     println!("  --ablation block-size the §5.2 block-width sweep");
     println!("  --ablation drain      drain-hidden reconfiguration cost");
     println!("  --ablation reorder    RCM-before-conversion fill/time sweep");
@@ -110,8 +139,7 @@ fn print_help() {
     println!("  --fleet               batched-execution throughput (fleet vs sequential)");
     println!("  --trace-out <path>    run an instrumented fleet batch; write a Chrome/Perfetto trace");
     println!("  --metrics-out <path>  same batch; write the metrics-registry JSON snapshot");
-    println!("  --scale <n>           approximate matrix dimension (default 1000)");
-    println!("  --skip-preflight      skip the alverify static-verification sub-step");
+    println!("  --scale <n>           approximate matrix dimension, at least 2 (default 1000)");
 }
 
 fn run_figure(num: u32, n: usize) {
@@ -124,7 +152,19 @@ fn run_figure(num: u32, n: usize) {
         17 => fig::graph::print_figure17(n / 2),
         18 => fig::spmv::print_figure18(n),
         19 => fig::energy::print_figure19(n),
-        other => eprintln!("figure {other} is not part of the evaluation harness"),
+        other => unreachable!("figure {other} passed argument parsing"),
+    }
+}
+
+fn run_ablation(name: &str, n: usize) {
+    match name {
+        "block-size" => fig::ablation::print_block_size_sweep(n),
+        "drain" => fig::ablation::print_drain_sweep(n),
+        "reorder" => fig::ablation::print_reorder_sweep(n),
+        "cache" => fig::ablation::print_cache_sweep(n),
+        "format" => fig::ablation::print_format_sweep(n),
+        "bandwidth" => fig::ablation::print_bandwidth_sweep(n),
+        other => unreachable!("ablation {other} passed argument parsing"),
     }
 }
 
@@ -141,18 +181,17 @@ fn main() {
     let mut ran = false;
 
     // Static-verification sub-step: refuse to benchmark artifacts the
-    // alverify rule catalog rejects (opt out with --skip-preflight).
+    // alverify rule catalog rejects.
     let benchmarks_requested = args.all
         || args.fig.is_some()
         || args.breakdown
         || args.ablation.is_some()
-        || args.out.is_some()
-        || args.bench_out.is_some();
-    if benchmarks_requested && !args.skip_preflight {
+        || args.out.is_some();
+    if benchmarks_requested {
         match alrescha_bench::preflight_suites(n) {
             Ok(checked) => println!("preflight: {checked} dataset/kernel pairs verified clean\n"),
             Err(msg) => {
-                eprintln!("preflight refused (rerun with --skip-preflight to override):");
+                eprintln!("preflight refused:");
                 eprintln!("{msg}");
                 std::process::exit(1);
             }
@@ -178,24 +217,9 @@ fn main() {
         }
         ran = true;
     }
-    if let Some(dir) = &args.bench_out {
-        match fig::export::export_bench_json(std::path::Path::new(dir), n) {
-            Ok(files) => {
-                println!("wrote {} benchmark JSON files to {dir}:", files.len());
-                for f in files {
-                    println!("  {f}");
-                }
-            }
-            Err(e) => {
-                eprintln!("bench export failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        ran = true;
-    }
 
     if args.all {
-        for f in [3u32, 6, 12, 15, 16, 17, 18, 19] {
+        for f in FIGURES {
             run_figure(f, n);
             println!();
         }
@@ -208,18 +232,10 @@ fn main() {
         fig::datasets::print_inventory(n, n / 2);
         println!();
         fig::breakdown::print_symgs_breakdown(n);
-        println!();
-        fig::ablation::print_block_size_sweep(n / 2);
-        println!();
-        fig::ablation::print_drain_sweep(n / 2);
-        println!();
-        fig::ablation::print_reorder_sweep(n / 2);
-        println!();
-        fig::ablation::print_cache_sweep(n / 2);
-        println!();
-        fig::ablation::print_format_sweep(n / 2);
-        println!();
-        fig::ablation::print_bandwidth_sweep(n / 2);
+        for name in ABLATIONS {
+            println!();
+            run_ablation(name, n / 2);
+        }
         return;
     }
     if let Some(f) = args.fig {
@@ -231,7 +247,7 @@ fn main() {
             1 => fig::table1::print_table1(),
             2 => fig::table2::print_table2(),
             3 => fig::graph::print_table3_report(n / 2),
-            other => eprintln!("table {other} is not part of the evaluation harness"),
+            other => unreachable!("table {other} passed argument parsing"),
         }
         ran = true;
     }
@@ -244,17 +260,7 @@ fn main() {
         ran = true;
     }
     if let Some(name) = &args.ablation {
-        match name.as_str() {
-            "block-size" => fig::ablation::print_block_size_sweep(n / 2),
-            "drain" => fig::ablation::print_drain_sweep(n / 2),
-            "reorder" => fig::ablation::print_reorder_sweep(n / 2),
-            "cache" => fig::ablation::print_cache_sweep(n / 2),
-            "format" => fig::ablation::print_format_sweep(n / 2),
-            "bandwidth" => fig::ablation::print_bandwidth_sweep(n / 2),
-            other => {
-                eprintln!("unknown ablation {other}; try block-size, drain, reorder, cache, format, bandwidth");
-            }
-        }
+        run_ablation(name, n / 2);
         ran = true;
     }
     if args.fleet {

@@ -5,8 +5,6 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use alrescha_obs::json::Value;
-
 use crate::fig;
 
 /// Writes one CSV file.
@@ -150,148 +148,6 @@ pub fn export_all(dir: &Path, n: usize) -> std::io::Result<Vec<&'static str>> {
     Ok(written)
 }
 
-/// One `BENCH_<workload>.json` document: a named row set plus the scale
-/// it was measured at, serialized through the house JSON model so the
-/// output is guaranteed to re-parse.
-fn write_bench_json(
-    dir: &Path,
-    workload: &str,
-    scale: usize,
-    rows: Vec<Value>,
-) -> std::io::Result<String> {
-    let name = format!("BENCH_{workload}.json");
-    let doc = Value::Obj(vec![
-        ("workload".to_owned(), Value::Str(workload.to_owned())),
-        ("scale".to_owned(), Value::Num(scale as f64)),
-        ("rows".to_owned(), Value::Arr(rows)),
-    ]);
-    fs::write(dir.join(&name), doc.to_json())?;
-    Ok(name)
-}
-
-fn row(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
-fn num(v: f64) -> Value {
-    Value::Num(v)
-}
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_owned())
-}
-
-/// Writes machine-readable benchmark results as `BENCH_<workload>.json`
-/// files into `dir` (created if missing) — the CI artifact counterpart
-/// of the human tables. Returns the file names written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn export_bench_json(dir: &Path, n: usize) -> std::io::Result<Vec<String>> {
-    fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-
-    written.push(write_bench_json(
-        dir,
-        "pcg",
-        n,
-        fig::pcg::figure15(n)
-            .iter()
-            .map(|r| {
-                row(vec![
-                    ("dataset", s(&r.dataset)),
-                    ("alrescha_speedup", num(r.alrescha_speedup)),
-                    ("memristive_speedup", num(r.memristive_speedup)),
-                    ("alrescha_bw_utilization", num(r.alrescha_bw_utilization)),
-                    ("memristive_bw_utilization", num(r.memristive_bw_utilization)),
-                ])
-            })
-            .collect(),
-    )?);
-
-    written.push(write_bench_json(
-        dir,
-        "spmv",
-        n,
-        fig::spmv::figure18(n)
-            .iter()
-            .map(|r| {
-                row(vec![
-                    ("dataset", s(&r.dataset)),
-                    ("suite", s(r.suite)),
-                    ("alrescha_speedup", num(r.alrescha_speedup)),
-                    ("outerspace_speedup", num(r.outerspace_speedup)),
-                    ("alrescha_cache_pct", num(r.alrescha_cache_pct)),
-                    ("outerspace_cache_pct", num(r.outerspace_cache_pct)),
-                ])
-            })
-            .collect(),
-    )?);
-
-    written.push(write_bench_json(
-        dir,
-        "graph",
-        n,
-        fig::graph::figure17(n / 2)
-            .iter()
-            .map(|r| {
-                row(vec![
-                    ("kernel", s(&format!("{:?}", r.kernel))),
-                    ("dataset", s(&r.dataset)),
-                    ("alrescha_speedup", num(r.alrescha_speedup)),
-                    ("graphr_speedup", num(r.graphr_speedup)),
-                    ("gpu_speedup", num(r.gpu_speedup)),
-                ])
-            })
-            .collect(),
-    )?);
-
-    written.push(write_bench_json(
-        dir,
-        "energy",
-        n,
-        fig::energy::figure19(n)
-            .iter()
-            .map(|r| {
-                row(vec![
-                    ("dataset", s(&r.dataset)),
-                    ("alrescha_joules", num(r.alrescha_joules)),
-                    ("vs_cpu", num(r.vs_cpu)),
-                    ("vs_gpu", num(r.vs_gpu)),
-                ])
-            })
-            .collect(),
-    )?);
-
-    written.push(write_bench_json(
-        dir,
-        "format",
-        n,
-        fig::format::figure12(n)
-            .iter()
-            .map(|r| {
-                row(vec![
-                    ("matrix", s(r.matrix)),
-                    ("coo", num(r.coo)),
-                    ("csr", num(r.csr)),
-                    ("dia", num(r.dia)),
-                    ("ell", num(r.ell)),
-                    ("bcsr", num(r.bcsr)),
-                    ("alrescha", num(r.alrescha)),
-                ])
-            })
-            .collect(),
-    )?);
-
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,25 +162,6 @@ mod tests {
             let lines: Vec<&str> = text.lines().collect();
             assert!(lines.len() >= 2, "{name} must have header plus rows");
             assert!(lines[0].contains(','), "{name} header is csv");
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_json_files_reparse_with_rows() {
-        let dir =
-            std::env::temp_dir().join(format!("alrescha-benchjson-{}", std::process::id()));
-        let written = export_bench_json(&dir, 300).expect("export succeeds");
-        assert_eq!(written.len(), 5);
-        for name in &written {
-            assert!(name.starts_with("BENCH_"));
-            let ext = std::path::Path::new(name).extension();
-            assert!(ext.is_some_and(|e| e.eq_ignore_ascii_case("json")));
-            let text = fs::read_to_string(dir.join(name)).expect("file exists");
-            let doc = Value::parse(&text).expect("valid JSON");
-            assert!(doc.get("workload").and_then(Value::as_str).is_some());
-            let rows = doc.get("rows").and_then(Value::as_arr).expect("rows array");
-            assert!(!rows.is_empty(), "{name} must have rows");
         }
         fs::remove_dir_all(&dir).ok();
     }

@@ -27,11 +27,6 @@ impl Coloring {
         }
         groups
     }
-
-    /// Size of the largest color class — the per-step parallelism bound.
-    pub fn max_group(&self) -> usize {
-        self.groups().iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Greedy first-fit coloring of the symmetrized structure of `a`.
@@ -75,36 +70,6 @@ pub fn greedy_coloring(a: &Csr) -> Coloring {
         num_colors = num_colors.max(c + 1);
     }
     Coloring { color, num_colors }
-}
-
-/// Level scheduling of the *forward* Gauss-Seidel dependency DAG: row `j`
-/// depends on every row `i < j` with `A[j][i] ≠ 0`. Returns the level of
-/// each row (rows of equal level are mutually independent within a sweep)
-/// and the number of levels — the critical-path length of the sweep.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn forward_levels(a: &Csr) -> (Vec<usize>, usize) {
-    assert_eq!(
-        a.rows(),
-        a.cols(),
-        "level scheduling requires a square matrix"
-    );
-    let n = a.rows();
-    let mut level = vec![0usize; n];
-    let mut depth = 0usize;
-    for j in 0..n {
-        let mut lvl = 0;
-        for (i, _) in a.row_entries(j) {
-            if i < j {
-                lvl = lvl.max(level[i] + 1);
-            }
-        }
-        level[j] = lvl;
-        depth = depth.max(lvl + 1);
-    }
-    (level, if n == 0 { 0 } else { depth })
 }
 
 #[cfg(test)]
@@ -151,7 +116,7 @@ mod tests {
         }
         let coloring = greedy_coloring(&Csr::from_coo(&coo));
         assert_eq!(coloring.num_colors, 1);
-        assert_eq!(coloring.max_group(), 5);
+        assert_eq!(coloring.groups(), vec![vec![0, 1, 2, 3, 4]]);
     }
 
     #[test]
@@ -160,168 +125,5 @@ mod tests {
         let coloring = greedy_coloring(&a);
         let total: usize = coloring.groups().iter().map(Vec::len).sum();
         assert_eq!(total, 40);
-    }
-
-    #[test]
-    fn forward_levels_of_lower_chain() {
-        // Lower bidiagonal: each row depends on the previous -> n levels.
-        let mut coo = Coo::new(6, 6);
-        for i in 0..6 {
-            coo.push(i, i, 2.0);
-            if i > 0 {
-                coo.push(i, i - 1, -1.0);
-            }
-        }
-        let (levels, depth) = forward_levels(&Csr::from_coo(&coo));
-        assert_eq!(depth, 6);
-        assert_eq!(levels, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn forward_levels_of_diagonal_matrix_is_one() {
-        let mut coo = Coo::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 1.0);
-        }
-        let (_, depth) = forward_levels(&Csr::from_coo(&coo));
-        assert_eq!(depth, 1);
-    }
-
-    #[test]
-    fn upper_triangle_does_not_create_forward_dependencies() {
-        let mut coo = Coo::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 1.0);
-        }
-        coo.push(0, 3, 5.0); // upper entry: read from x^{t-1}, no dependency
-        let (_, depth) = forward_levels(&Csr::from_coo(&coo));
-        assert_eq!(depth, 1);
-    }
-}
-
-/// One colored Gauss-Seidel sweep: colors execute in ascending order; rows
-/// within a color update in parallel semantics (they read only values from
-/// other colors and the previous iterate).
-///
-/// This is the GPU baseline optimization \[8\] the paper compares against:
-/// reordering by color exposes parallelism but changes the sweep's update
-/// order, which typically costs convergence speed relative to the natural
-/// order — exactly the trade ALRESCHA avoids by keeping the natural order
-/// and extracting parallelism structurally instead.
-///
-/// # Errors
-///
-/// * [`crate::KernelError::DimensionMismatch`] on operand length mismatch.
-/// * [`crate::KernelError::Structure`] on a structurally zero diagonal.
-pub fn colored_forward_sweep(
-    a: &Csr,
-    coloring: &Coloring,
-    b: &[f64],
-    x: &mut [f64],
-) -> crate::Result<()> {
-    crate::check_len(a.rows(), b.len())?;
-    crate::check_len(a.cols(), x.len())?;
-    a.require_nonzero_diagonal()?;
-    for group in coloring.groups() {
-        // Within a color no two rows are coupled, so reading `x` during the
-        // group is equivalent to a parallel update.
-        for &j in &group {
-            let mut sum = b[j];
-            let mut diag = 0.0;
-            for (i, v) in a.row_entries(j) {
-                if i == j {
-                    diag = v;
-                } else {
-                    sum -= v * x[i];
-                }
-            }
-            x[j] = sum / diag;
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod colored_tests {
-    use super::*;
-    use crate::{norm2, spmv::spmv, symgs};
-    use alrescha_sparse::gen;
-
-    #[test]
-    fn colored_sweep_converges_on_dd_systems() {
-        let a = Csr::from_coo(&gen::stencil27(3));
-        let coloring = greedy_coloring(&a);
-        let x_true: Vec<f64> = (0..a.rows()).map(|i| ((i % 4) as f64) - 1.0).collect();
-        let b = spmv(&a, &x_true);
-        let mut x = vec![0.0; a.cols()];
-        for _ in 0..500 {
-            colored_forward_sweep(&a, &coloring, &b, &mut x).unwrap();
-        }
-        assert!(alrescha_sparse::approx_eq(&x, &x_true, 1e-6));
-    }
-
-    #[test]
-    fn colored_order_is_independent_within_a_color() {
-        // Updating a color's rows in any order gives the same result: no
-        // two same-color rows are coupled. Verify by comparing ascending
-        // and descending within-group order.
-        let coo = gen::banded(60, 2, 5);
-        let a = Csr::from_coo(&coo);
-        let coloring = greedy_coloring(&a);
-        let b: Vec<f64> = (0..60).map(|i| f64::from(i).cos()).collect();
-
-        let mut x_fwd = vec![0.0; 60];
-        colored_forward_sweep(&a, &coloring, &b, &mut x_fwd).unwrap();
-
-        let mut x_rev = vec![0.0; 60];
-        for group in coloring.groups() {
-            for &j in group.iter().rev() {
-                let mut sum = b[j];
-                let mut diag = 0.0;
-                for (i, v) in a.row_entries(j) {
-                    if i == j {
-                        diag = v;
-                    } else {
-                        sum -= v * x_rev[i];
-                    }
-                }
-                x_rev[j] = sum / diag;
-            }
-        }
-        assert!(alrescha_sparse::approx_eq(&x_fwd, &x_rev, 1e-14));
-    }
-
-    #[test]
-    fn colored_and_natural_orders_converge_comparably() {
-        // Young's theory: for consistently ordered matrices the colored and
-        // natural Gauss-Seidel rates agree asymptotically; on general
-        // matrices they differ but stay within a small factor. Both must
-        // converge, within 3x of each other's iteration count.
-        let a = Csr::from_coo(&gen::banded(300, 3, 5));
-        let coloring = greedy_coloring(&a);
-        let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.05).sin()).collect();
-        let b = spmv(&a, &x_true);
-        let target = 1e-8 * norm2(&b);
-
-        let iterate = |colored: bool| -> usize {
-            let mut x = vec![0.0; a.cols()];
-            for k in 1..=2000 {
-                if colored {
-                    colored_forward_sweep(&a, &coloring, &b, &mut x).unwrap();
-                } else {
-                    symgs::forward_sweep(&a, &b, &mut x).unwrap();
-                }
-                let r = symgs::residual(&a, &b, &x);
-                if norm2(&r) <= target {
-                    return k;
-                }
-            }
-            2000
-        };
-        let natural = iterate(false);
-        let colored = iterate(true);
-        assert!(natural < 2000 && colored < 2000);
-        let (lo, hi) = (natural.min(colored), natural.max(colored));
-        assert!(hi <= 3 * lo, "natural {natural} colored {colored}");
     }
 }

@@ -354,85 +354,3 @@ mod cc_tests {
         }
     }
 }
-
-/// BFS returning both levels and a parent tree (the Graph500 output shape):
-/// `parents[v]` is the vertex that discovered `v`, `v` itself for the
-/// source, and `usize::MAX` for unreached vertices.
-///
-/// # Errors
-///
-/// Same conditions as [`bfs`].
-pub fn bfs_with_parents(adj: &Csr, source: usize) -> Result<(Vec<f64>, Vec<usize>)> {
-    check_len(adj.rows(), adj.cols())?;
-    if source >= adj.rows() {
-        return Err(crate::KernelError::DimensionMismatch {
-            expected: adj.rows(),
-            found: source,
-        });
-    }
-    let n = adj.rows();
-    let mut level = vec![UNREACHED; n];
-    let mut parents = vec![usize::MAX; n];
-    level[source] = 0.0;
-    parents[source] = source;
-    let mut frontier = vec![source];
-    let mut depth = 0.0;
-    while !frontier.is_empty() {
-        depth += 1.0;
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for (v, _) in adj.row_entries(u) {
-                if level[v] == UNREACHED {
-                    level[v] = depth;
-                    parents[v] = u;
-                    next.push(v);
-                }
-            }
-        }
-        frontier = next;
-    }
-    Ok((level, parents))
-}
-
-#[cfg(test)]
-mod parent_tests {
-    use super::*;
-    use alrescha_sparse::gen;
-
-    #[test]
-    fn parent_tree_is_consistent_with_levels() {
-        // The Graph500 validation rule: level(v) == level(parent(v)) + 1
-        // for every reached non-source vertex, and the parent edge exists.
-        let adj = Csr::from_coo(&gen::GraphClass::Kronecker.generate(256, 5));
-        let (levels, parents) = bfs_with_parents(&adj, 0).unwrap();
-        for v in 0..adj.rows() {
-            if v == 0 || levels[v].is_infinite() {
-                continue;
-            }
-            let p = parents[v];
-            assert_ne!(p, usize::MAX, "reached vertex {v} must have a parent");
-            assert_eq!(levels[v], levels[p] + 1.0, "vertex {v}");
-            assert!(
-                adj.row_entries(p).any(|(c, _)| c == v),
-                "parent edge {p}->{v} must exist"
-            );
-        }
-    }
-
-    #[test]
-    fn levels_agree_with_plain_bfs() {
-        let adj = Csr::from_coo(&gen::road_grid(7));
-        let (levels, _) = bfs_with_parents(&adj, 0).unwrap();
-        assert_eq!(levels, bfs(&adj, 0).unwrap());
-    }
-
-    #[test]
-    fn unreached_vertices_have_no_parent() {
-        let mut coo = alrescha_sparse::Coo::new(3, 3);
-        coo.push(0, 1, 1.0);
-        let (levels, parents) = bfs_with_parents(&Csr::from_coo(&coo), 0).unwrap();
-        assert!(levels[2].is_infinite());
-        assert_eq!(parents[2], usize::MAX);
-        assert_eq!(parents[0], 0);
-    }
-}

@@ -1,6 +1,6 @@
 //! Reference sparse kernels for the ALRESCHA reproduction.
 //!
-//! These are straightforward, obviously-correct CSR/CSC implementations of
+//! These are straightforward, obviously-correct CSR implementations of
 //! every kernel the paper accelerates (Table 1): [`spmv`], [`symgs`] (the
 //! Gauss-Seidel smoother of Equation 2), the [`pcg`] solver of Figure 2, and
 //! the graph kernels [`graph::bfs`], [`graph::sssp`], [`graph::pagerank`].
@@ -33,14 +33,11 @@ pub mod coloring;
 pub mod graph;
 pub mod metrics;
 pub mod multigrid;
-pub mod parallel;
 pub mod parallelism;
 pub mod pcg;
 pub mod smoothers;
 pub mod spmv;
-pub mod spmv_formats;
 pub mod symgs;
-pub mod validate;
 
 use std::fmt;
 

@@ -68,8 +68,7 @@ pub struct PcgSolution {
 ///   a diagonal entry is missing.
 ///
 /// The solver does not error on non-convergence; inspect
-/// [`PcgSolution::converged`]. Use [`pcg_checked`] to turn non-convergence
-/// into an error.
+/// [`PcgSolution::converged`].
 pub fn pcg(a: &Csr, b: &[f64], opts: &PcgOptions) -> Result<PcgSolution> {
     if opts.preconditioner == Preconditioner::SymGs {
         a.require_nonzero_diagonal()?;
@@ -187,24 +186,6 @@ where
     })
 }
 
-/// Like [`pcg`] but treats non-convergence as an error.
-///
-/// # Errors
-///
-/// Everything [`pcg`] returns, plus [`KernelError::NoConvergence`] when the
-/// iteration budget is exhausted.
-pub fn pcg_checked(a: &Csr, b: &[f64], opts: &PcgOptions) -> Result<PcgSolution> {
-    let sol = pcg(a, b, opts)?;
-    if sol.converged {
-        Ok(sol)
-    } else {
-        Err(KernelError::NoConvergence {
-            iterations: sol.iterations,
-            residual: sol.residual,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +270,6 @@ mod tests {
         };
         let sol = pcg(&a, &b, &opts).unwrap();
         assert!(!sol.converged);
-        assert!(pcg_checked(&a, &b, &opts).is_err());
     }
 
     #[test]

@@ -1,47 +1,13 @@
-//! Additional smoothers: weighted Jacobi and SOR/SSOR.
+//! SOR/SSOR smoothers.
 //!
-//! These bracket SymGS in the parallelism/convergence trade-off the paper's
-//! introduction describes. Jacobi is embarrassingly parallel — every update
-//! reads only the previous iterate — but converges more slowly, which is
-//! precisely why HPCG (and the paper) insist on the data-dependent SymGS:
-//! an accelerator that only handles Jacobi-style parallelism has not solved
-//! the hard problem. SOR generalizes Gauss-Seidel with a relaxation factor;
-//! SSOR is its symmetric (forward+backward) version, reducing to SymGS at
-//! `omega_relax = 1`.
+//! SOR generalizes Gauss-Seidel with a relaxation factor; SSOR is its
+//! symmetric (forward+backward) version, reducing to SymGS at
+//! `omega_relax = 1`. The host PCG uses SSOR as a preconditioner, and the
+//! engine's SOR kernels are checked against these sweeps.
 
 use alrescha_sparse::Csr;
 
 use crate::{check_len, Result};
-
-/// One weighted-Jacobi sweep:
-/// `x_new[j] = x[j] + w·(b[j] − Σ A[j][i]·x[i]) / A[j][j]`.
-///
-/// Fully parallel: reads only the previous iterate.
-///
-/// # Errors
-///
-/// * [`crate::KernelError::DimensionMismatch`] on operand length mismatch.
-/// * [`crate::KernelError::Structure`] on a structurally zero diagonal.
-pub fn jacobi_sweep(a: &Csr, b: &[f64], x: &mut [f64], weight: f64) -> Result<()> {
-    check_len(a.rows(), b.len())?;
-    check_len(a.cols(), x.len())?;
-    a.require_nonzero_diagonal()?;
-    let mut next = vec![0.0; x.len()];
-    for j in 0..a.rows() {
-        let mut sum = b[j];
-        let mut diag = 0.0;
-        for (i, v) in a.row_entries(j) {
-            if i == j {
-                diag = v;
-            } else {
-                sum -= v * x[i];
-            }
-        }
-        next[j] = (1.0 - weight) * x[j] + weight * sum / diag;
-    }
-    x.copy_from_slice(&next);
-    Ok(())
-}
 
 /// One forward SOR sweep with relaxation factor `omega_relax`:
 /// `x[j] ← (1 − ω)·x[j] + ω·(b[j] − Σ_{i≠j} A[j][i]·x[i]) / A[j][j]`,
@@ -51,9 +17,10 @@ pub fn jacobi_sweep(a: &Csr, b: &[f64], x: &mut [f64], weight: f64) -> Result<()
 ///
 /// # Errors
 ///
-/// Same conditions as [`jacobi_sweep`], plus
-/// [`crate::KernelError::DimensionMismatch`] if `omega_relax` is outside
-/// `(0, 2)` (SOR diverges outside that interval for SPD systems).
+/// * [`crate::KernelError::DimensionMismatch`] on operand length mismatch,
+///   or if `omega_relax` is outside `(0, 2)` (SOR diverges outside that
+///   interval for SPD systems).
+/// * [`crate::KernelError::Structure`] on a structurally zero diagonal.
 pub fn sor_forward(a: &Csr, b: &[f64], x: &mut [f64], omega_relax: f64) -> Result<()> {
     validate_relaxation(omega_relax)?;
     check_len(a.rows(), b.len())?;
@@ -116,50 +83,22 @@ fn validate_relaxation(omega_relax: f64) -> Result<()> {
     }
 }
 
-/// Iterates a smoother until the residual drops below `tol·‖b‖`, returning
-/// `(iterations, converged)`. Shared driver for convergence comparisons.
-///
-/// # Errors
-///
-/// Propagates the smoother's errors.
-pub fn smooth_until<F>(
-    a: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    mut sweep: F,
-) -> Result<(usize, bool)>
-where
-    F: FnMut(&Csr, &[f64], &mut [f64]) -> Result<()>,
-{
-    let target = tol * crate::norm2(b).max(f64::MIN_POSITIVE);
-    for k in 1..=max_iters {
-        sweep(a, b, x)?;
-        let r = crate::symgs::residual(a, b, x);
-        if crate::norm2(&r) <= target {
-            return Ok((k, true));
-        }
-    }
-    Ok((max_iters, false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{spmv::spmv, symgs};
     use alrescha_sparse::gen;
 
-    fn system() -> (Csr, Vec<f64>, Vec<f64>) {
+    fn system() -> (Csr, Vec<f64>) {
         let a = Csr::from_coo(&gen::stencil27(3));
         let x_true: Vec<f64> = (0..a.rows()).map(|i| ((i % 4) as f64) - 1.5).collect();
         let b = spmv(&a, &x_true);
-        (a, b, x_true)
+        (a, b)
     }
 
     #[test]
     fn ssor_at_unit_relaxation_equals_symgs() {
-        let (a, b, _) = system();
+        let (a, b) = system();
         let mut x_ssor = vec![0.0; a.cols()];
         ssor(&a, &b, &mut x_ssor, 1.0).unwrap();
         let mut x_symgs = vec![0.0; a.cols()];
@@ -167,167 +106,35 @@ mod tests {
         assert!(alrescha_sparse::approx_eq(&x_ssor, &x_symgs, 1e-14));
     }
 
-    #[test]
-    fn jacobi_converges_on_diagonally_dominant() {
-        let (a, b, x_true) = system();
+    /// SSOR sweeps from zero until the residual drops below `1e-8·‖b‖`:
+    /// `(iterations, converged)`.
+    fn ssor_iterations(a: &Csr, b: &[f64], omega_relax: f64) -> (usize, bool) {
+        let target = 1e-8 * crate::norm2(b);
         let mut x = vec![0.0; a.cols()];
-        let (_, converged) = smooth_until(&a, &b, &mut x, 1e-10, 2000, |a, b, x| {
-            jacobi_sweep(a, b, x, 0.9)
-        })
-        .unwrap();
-        assert!(converged);
-        assert!(alrescha_sparse::approx_eq(&x, &x_true, 1e-6));
-    }
-
-    #[test]
-    fn gauss_seidel_converges_faster_than_jacobi() {
-        // The data-dependent smoother earns its keep: fewer iterations.
-        let (a, b, _) = system();
-        let mut xj = vec![0.0; a.cols()];
-        let (jacobi_iters, jc) = smooth_until(&a, &b, &mut xj, 1e-8, 2000, |a, b, x| {
-            jacobi_sweep(a, b, x, 1.0)
-        })
-        .unwrap();
-        let mut xg = vec![0.0; a.cols()];
-        let (gs_iters, gc) =
-            smooth_until(&a, &b, &mut xg, 1e-8, 2000, |a, b, x| ssor(a, b, x, 1.0)).unwrap();
-        assert!(jc && gc);
-        assert!(
-            gs_iters < jacobi_iters,
-            "gs {gs_iters} jacobi {jacobi_iters}"
-        );
+        for k in 1..=2000 {
+            ssor(a, b, &mut x, omega_relax).unwrap();
+            if crate::norm2(&symgs::residual(a, b, &x)) <= target {
+                return (k, true);
+            }
+        }
+        (2000, false)
     }
 
     #[test]
     fn over_relaxation_can_accelerate() {
-        let (a, b, _) = system();
-        let mut x1 = vec![0.0; a.cols()];
-        let (plain, _) =
-            smooth_until(&a, &b, &mut x1, 1e-8, 2000, |a, b, x| ssor(a, b, x, 1.0)).unwrap();
-        let mut x2 = vec![0.0; a.cols()];
-        let (relaxed, converged) =
-            smooth_until(&a, &b, &mut x2, 1e-8, 2000, |a, b, x| ssor(a, b, x, 1.2)).unwrap();
+        let (a, b) = system();
+        let (plain, _) = ssor_iterations(&a, &b, 1.0);
+        let (relaxed, converged) = ssor_iterations(&a, &b, 1.2);
         assert!(converged);
         assert!(relaxed <= plain + 2, "relaxed {relaxed} plain {plain}");
     }
 
     #[test]
     fn invalid_relaxation_rejected() {
-        let (a, b, _) = system();
+        let (a, b) = system();
         let mut x = vec![0.0; a.cols()];
         assert!(sor_forward(&a, &b, &mut x, 0.0).is_err());
         assert!(sor_forward(&a, &b, &mut x, 2.0).is_err());
         assert!(sor_forward(&a, &b, &mut x, -0.5).is_err());
-    }
-
-    #[test]
-    fn jacobi_rejects_bad_shapes() {
-        let (a, b, _) = system();
-        let mut short = vec![0.0; 3];
-        assert!(jacobi_sweep(&a, &b, &mut short, 1.0).is_err());
-    }
-}
-
-/// Chebyshev polynomial smoother: `iters` steps of the classic three-term
-/// recurrence over the eigenvalue interval `[lambda_min, lambda_max]`.
-///
-/// Unlike Gauss-Seidel it needs no dependent updates at all — it is built
-/// entirely from SpMV and AXPY, the kernels every platform parallelizes —
-/// but it requires spectral bounds, which
-/// [`alrescha_sparse::stats::gershgorin`] supplies for the generator
-/// matrices. The classic accelerator trade: Chebyshev trades the SymGS
-/// dependency chain for more SpMV passes.
-///
-/// # Errors
-///
-/// * [`crate::KernelError::DimensionMismatch`] on shape mismatches or a
-///   non-positive / inverted eigenvalue interval.
-pub fn chebyshev(
-    a: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    lambda_min: f64,
-    lambda_max: f64,
-    iters: usize,
-) -> Result<()> {
-    check_len(a.rows(), b.len())?;
-    check_len(a.cols(), x.len())?;
-    if !(lambda_min > 0.0 && lambda_max > lambda_min) {
-        return Err(crate::KernelError::DimensionMismatch {
-            expected: 1,
-            found: 0,
-        });
-    }
-    let theta = f64::midpoint(lambda_max, lambda_min);
-    let delta = (lambda_max - lambda_min) / 2.0;
-    let sigma = theta / delta;
-    let mut r = crate::symgs::residual(a, b, x);
-    let mut d: Vec<f64> = r.iter().map(|ri| ri / theta).collect();
-    // Three-term recurrence bookkeeping: rho_0 = 1/sigma.
-    let mut rho_prev = 1.0 / sigma;
-    for k in 0..iters {
-        for (xi, di) in x.iter_mut().zip(&d) {
-            *xi += di;
-        }
-        if k + 1 == iters {
-            break;
-        }
-        r = crate::symgs::residual(a, b, x);
-        let rho = 1.0 / (2.0 * sigma - rho_prev);
-        for (di, ri) in d.iter_mut().zip(&r) {
-            *di = rho * rho_prev * *di + 2.0 * rho / delta * ri;
-        }
-        rho_prev = rho;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod chebyshev_tests {
-    use super::*;
-    use crate::spmv::spmv;
-    use alrescha_sparse::{gen, stats::gershgorin};
-
-    #[test]
-    fn chebyshev_converges_with_gershgorin_bounds() {
-        let a = Csr::from_coo(&gen::stencil27(3));
-        let bounds = gershgorin(&a).unwrap();
-        assert!(bounds.certifies_spd());
-        let x_true: Vec<f64> = (0..a.rows()).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let b = spmv(&a, &x_true);
-        let mut x = vec![0.0; a.cols()];
-        let r0 = crate::norm2(&crate::symgs::residual(&a, &b, &x));
-        chebyshev(&a, &b, &mut x, bounds.lower, bounds.upper, 30).unwrap();
-        let r1 = crate::norm2(&crate::symgs::residual(&a, &b, &x));
-        assert!(r1 < 0.1 * r0, "r0 {r0} r1 {r1}");
-    }
-
-    #[test]
-    fn chebyshev_beats_jacobi_at_equal_spmv_count() {
-        let a = Csr::from_coo(&gen::banded(200, 4, 7));
-        let bounds = gershgorin(&a).unwrap();
-        let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.1).sin()).collect();
-        let b = spmv(&a, &x_true);
-
-        let iters = 20;
-        let mut x_c = vec![0.0; a.cols()];
-        chebyshev(&a, &b, &mut x_c, bounds.lower, bounds.upper, iters).unwrap();
-        let r_cheb = crate::norm2(&crate::symgs::residual(&a, &b, &x_c));
-
-        let mut x_j = vec![0.0; a.cols()];
-        for _ in 0..iters {
-            jacobi_sweep(&a, &b, &mut x_j, 0.9).unwrap();
-        }
-        let r_jac = crate::norm2(&crate::symgs::residual(&a, &b, &x_j));
-        assert!(r_cheb < r_jac, "chebyshev {r_cheb} jacobi {r_jac}");
-    }
-
-    #[test]
-    fn chebyshev_rejects_bad_interval() {
-        let a = Csr::from_coo(&gen::stencil27(2));
-        let b = vec![1.0; a.rows()];
-        let mut x = vec![0.0; a.cols()];
-        assert!(chebyshev(&a, &b, &mut x, 0.0, 1.0, 5).is_err());
-        assert!(chebyshev(&a, &b, &mut x, 2.0, 1.0, 5).is_err());
     }
 }

@@ -45,22 +45,6 @@ pub fn try_spmv(a: &Csr, x: &[f64]) -> Result<Vec<f64>> {
         .collect())
 }
 
-/// Computes `y = Aᵀ * x` without materializing the transpose.
-///
-/// # Errors
-///
-/// Returns [`crate::KernelError::DimensionMismatch`] if `x.len() != a.rows()`.
-pub fn try_spmv_transpose(a: &Csr, x: &[f64]) -> Result<Vec<f64>> {
-    check_len(a.rows(), x.len())?;
-    let mut y = vec![0.0; a.cols()];
-    for (r, &xr) in x.iter().enumerate() {
-        for (c, v) in a.row_entries(r) {
-            y[c] += v * xr;
-        }
-    }
-    Ok(y)
-}
-
 /// `y += alpha * x` (the AXPY helper PCG needs between device kernels).
 ///
 /// # Panics
@@ -93,17 +77,6 @@ mod tests {
     fn rejects_wrong_length() {
         let a = Csr::from_coo(&Coo::new(3, 3));
         assert!(try_spmv(&a, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_spmv_matches_explicit_transpose() {
-        let coo = gen::scattered(40, 4, 9);
-        let a = Csr::from_coo(&coo);
-        let at = a.transpose();
-        let x: Vec<f64> = (0..40).map(|i| 1.0 / f64::from(i + 1)).collect();
-        let fast = try_spmv_transpose(&a, &x).unwrap();
-        let slow = spmv(&at, &x);
-        assert!(alrescha_sparse::approx_eq(&fast, &slow, 1e-12));
     }
 
     #[test]

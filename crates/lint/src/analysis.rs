@@ -108,7 +108,7 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// True when no AL4xx finding reaches [`Severity::Error`].
+    /// True when no AL4xx finding reaches [`crate::Severity::Error`].
     pub fn is_admissible(&self) -> bool {
         crate::is_launchable(&self.diagnostics)
     }

@@ -78,7 +78,7 @@ impl Severity {
 
 /// One row of the static rule catalog: the stable code, the severity a
 /// finding of this rule carries by default (variable-severity rules list
-/// their ceiling; downgraded instances use [`Diagnostic::of_with`]), and a
+/// their ceiling; downgraded instances carry a lower one), and a
 /// one-line summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleInfo {

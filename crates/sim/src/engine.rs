@@ -433,7 +433,7 @@ impl Engine {
     /// a handful of gated atomic adds.
     ///
     /// While telemetry is attached *and enabled*, each run auto-enables
-    /// event tracing and consumes its own events at [`Engine::finish`] to
+    /// event tracing and consumes its own events when the run finishes to
     /// build a device timeline, so [`Engine::take_trace`] only returns
     /// events recorded outside runs (e.g. checkpoint writes). Detaching
     /// does not disable tracing that was enabled explicitly.

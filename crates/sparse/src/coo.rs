@@ -52,23 +52,6 @@ impl Coo {
         }
     }
 
-    /// Builds a COO matrix from an iterator of `(row, col, value)` triplets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IndexOutOfBounds`] if any triplet lies outside the
-    /// matrix.
-    pub fn from_triplets<I>(rows: usize, cols: usize, triplets: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (usize, usize, f64)>,
-    {
-        let mut coo = Coo::new(rows, cols);
-        for (r, c, v) in triplets {
-            coo.try_push(r, c, v)?;
-        }
-        Ok(coo)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -270,89 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn from_triplets_validates() {
-        let ok = Coo::from_triplets(2, 2, vec![(0, 0, 1.0), (1, 1, 2.0)]);
-        assert!(ok.is_ok());
-        let bad = Coo::from_triplets(2, 2, vec![(9, 9, 1.0)]);
-        assert!(bad.is_err());
-    }
-
-    #[test]
     fn extend_appends() {
         let mut a = Coo::new(2, 2);
         a.extend(vec![(0, 0, 1.0), (1, 0, 2.0)]);
         assert_eq!(a.nnz(), 2);
-    }
-}
-
-impl Coo {
-    /// Builds a COO matrix from a row-major dense slice, storing only the
-    /// non-zero entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] if `data.len() != rows * cols`.
-    pub fn from_dense(rows: usize, cols: usize, data: &[f64]) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(Error::DimensionMismatch {
-                expected: (rows, cols),
-                found: (data.len(), 1),
-            });
-        }
-        let mut coo = Coo::new(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = data[r * cols + c];
-                if v != 0.0 {
-                    coo.push(r, c, v);
-                }
-            }
-        }
-        Ok(coo)
-    }
-
-    /// Returns the matrix with every value transformed by `f` (structure
-    /// unchanged; a transform returning exact zero keeps the entry).
-    #[must_use]
-    pub fn map_values(&self, mut f: impl FnMut(f64) -> f64) -> Self {
-        Coo {
-            rows: self.rows,
-            cols: self.cols,
-            entries: self.entries.iter().map(|&(r, c, v)| (r, c, f(v))).collect(),
-        }
-    }
-
-    /// Returns the matrix scaled by `alpha`.
-    #[must_use]
-    pub fn scale(&self, alpha: f64) -> Self {
-        self.map_values(|v| alpha * v)
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-    use crate::MetaData;
-
-    #[test]
-    fn from_dense_keeps_only_nonzeros() {
-        let a = Coo::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 0.0, 3.0]).unwrap();
-        assert_eq!(a.nnz(), 3);
-        assert_eq!(a.get(0, 2), 2.0);
-        assert_eq!(a.get(1, 2), 3.0);
-        assert!(Coo::from_dense(2, 2, &[1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn scale_and_map_preserve_structure() {
-        let mut a = Coo::new(2, 2);
-        a.push(0, 1, 4.0);
-        a.push(1, 0, -2.0);
-        let b = a.scale(0.5);
-        assert_eq!(b.get(0, 1), 2.0);
-        assert_eq!(b.get(1, 0), -1.0);
-        let c = a.map_values(f64::abs);
-        assert_eq!(c.get(1, 0), 2.0);
-        assert_eq!(c.nnz(), a.nnz());
     }
 }

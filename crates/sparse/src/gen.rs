@@ -567,93 +567,3 @@ mod tests {
         }
     }
 }
-
-/// 5-point stencil of the 2-D Poisson equation on a `side`×`side` grid —
-/// the textbook PDE system (the 2-D little sibling of [`stencil27`]).
-/// Symmetric, strictly diagonally dominant, hence SPD.
-pub fn poisson2d(side: usize) -> Coo {
-    let n = side * side;
-    let mut coo = Coo::with_capacity(n, n, n * 5);
-    let idx = |x: usize, y: usize| y * side + x;
-    for y in 0..side {
-        for x in 0..side {
-            let row = idx(x, y);
-            let mut neighbors = 0.0;
-            if x > 0 {
-                coo.push(row, idx(x - 1, y), -1.0);
-                neighbors += 1.0;
-            }
-            if x + 1 < side {
-                coo.push(row, idx(x + 1, y), -1.0);
-                neighbors += 1.0;
-            }
-            if y > 0 {
-                coo.push(row, idx(x, y - 1), -1.0);
-                neighbors += 1.0;
-            }
-            if y + 1 < side {
-                coo.push(row, idx(x, y + 1), -1.0);
-                neighbors += 1.0;
-            }
-            coo.push(row, row, neighbors + 1.0);
-        }
-    }
-    coo
-}
-
-#[cfg(test)]
-mod poisson_tests {
-    use super::*;
-    use crate::Csr;
-
-    #[test]
-    fn interior_rows_have_five_points() {
-        let coo = poisson2d(5);
-        let csr = Csr::from_coo(&coo);
-        assert_eq!(csr.row_nnz(2 * 5 + 2), 5); // interior point (2,2)
-        assert_eq!(csr.row_nnz(0), 3); // corner
-        assert!(coo.is_symmetric(1e-15));
-    }
-
-    #[test]
-    fn poisson_system_is_pcg_solvable() {
-        let coo = poisson2d(12);
-        let csr = Csr::from_coo(&coo);
-        let x_true: Vec<f64> = (0..coo.rows()).map(|i| (i as f64 * 0.17).cos()).collect();
-        let b: Vec<f64> = (0..csr.rows())
-            .map(|r| csr.row_entries(r).map(|(c, v)| v * x_true[c]).sum())
-            .collect();
-        let sol = alrescha_kernels_free_pcg(&csr, &b);
-        assert!(crate::approx_eq(&sol, &x_true, 1e-5));
-    }
-
-    /// Tiny local CG to avoid a dev-dependency cycle on alrescha-kernels.
-    fn alrescha_kernels_free_pcg(a: &Csr, b: &[f64]) -> Vec<f64> {
-        let n = a.rows();
-        let mut x = vec![0.0; n];
-        let mut r = b.to_vec();
-        let mut p = r.clone();
-        let mut rr: f64 = r.iter().map(|v| v * v).sum();
-        for _ in 0..2000 {
-            let ap: Vec<f64> = (0..n)
-                .map(|row| a.row_entries(row).map(|(c, v)| v * p[c]).sum())
-                .collect();
-            let pap: f64 = p.iter().zip(&ap).map(|(x, y)| x * y).sum();
-            let alpha = rr / pap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            let rr_next: f64 = r.iter().map(|v| v * v).sum();
-            if rr_next.sqrt() < 1e-12 {
-                break;
-            }
-            let beta = rr_next / rr;
-            rr = rr_next;
-            for i in 0..n {
-                p[i] = r[i] + beta * p[i];
-            }
-        }
-        x
-    }
-}

@@ -1,6 +1,6 @@
 //! Sparse-matrix substrate for the ALRESCHA reproduction.
 //!
-//! This crate provides every storage format the paper discusses (Figure 12
+//! This crate provides the storage formats the evaluation compares (Figure 12
 //! and Table 2), the ALRESCHA locally-dense format itself (§4.5), synthetic
 //! dataset generators standing in for the SuiteSparse/SNAP matrices of
 //! Figure 14 and Table 3, Matrix Market I/O, and structure statistics used by
@@ -9,7 +9,7 @@
 //! # Formats
 //!
 //! * [`Coo`] — triplet builder format.
-//! * [`Csr`] / [`Csc`] — compressed sparse row/column.
+//! * [`Csr`] — compressed sparse row.
 //! * [`Dia`] — diagonal storage.
 //! * [`Ell`] — ELLPACK-ITPACK.
 //! * [`Bcsr`] — blocked CSR.
@@ -39,11 +39,9 @@
 pub mod alf;
 pub mod bcsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod dia;
-pub mod edgelist;
 pub mod ell;
 pub mod error;
 pub mod gen;
@@ -55,7 +53,6 @@ pub mod stats;
 pub use alf::{Alf, AlfBlock, AlfBuilder, BlockKind};
 pub use bcsr::Bcsr;
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::DenseMatrix;
 pub use dia::Dia;

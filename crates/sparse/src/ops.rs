@@ -1,11 +1,8 @@
-//! Structural matrix operations: permutation, triangle extraction, scaling,
-//! and addition.
+//! Structural matrix operations: symmetric permutation and bandwidth.
 //!
 //! These support the preprocessing pipeline around the locally-dense format:
 //! reordering (see [`crate::reorder`]) permutes a matrix symmetrically to
-//! raise block fill, and SymGS analysis splits a matrix into its strict
-//! lower/upper triangles and diagonal (the three operand groups of
-//! Equation 2).
+//! raise block fill.
 
 use crate::{Coo, Csr, Error, Result};
 
@@ -76,69 +73,6 @@ pub fn permute_vector(v: &[f64], perm: &[usize]) -> Vec<f64> {
         out[p] = v[i];
     }
     out
-}
-
-/// The three operand groups of Equation 2, split structurally.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Triangles {
-    /// Strict lower triangle (`col < row`).
-    pub lower: Coo,
-    /// Main diagonal values (dense, zeros where absent).
-    pub diagonal: Vec<f64>,
-    /// Strict upper triangle (`col > row`).
-    pub upper: Coo,
-}
-
-/// Splits a square matrix into strict-lower / diagonal / strict-upper parts.
-///
-/// # Errors
-///
-/// Returns [`Error::DimensionMismatch`] if the matrix is not square.
-pub fn split_triangles(a: &Coo) -> Result<Triangles> {
-    if a.rows() != a.cols() {
-        return Err(Error::DimensionMismatch {
-            expected: (a.rows(), a.rows()),
-            found: (a.rows(), a.cols()),
-        });
-    }
-    let n = a.rows();
-    let mut lower = Coo::new(n, n);
-    let mut upper = Coo::new(n, n);
-    let mut diagonal = vec![0.0; n];
-    for &(r, c, v) in a.entries() {
-        match c.cmp(&r) {
-            std::cmp::Ordering::Less => lower.push(r, c, v),
-            std::cmp::Ordering::Equal => diagonal[r] += v,
-            std::cmp::Ordering::Greater => upper.push(r, c, v),
-        }
-    }
-    Ok(Triangles {
-        lower,
-        diagonal,
-        upper,
-    })
-}
-
-/// `A + alpha * B` for matching shapes.
-///
-/// # Errors
-///
-/// Returns [`Error::DimensionMismatch`] on shape mismatch.
-pub fn add_scaled(a: &Coo, alpha: f64, b: &Coo) -> Result<Coo> {
-    if a.rows() != b.rows() || a.cols() != b.cols() {
-        return Err(Error::DimensionMismatch {
-            expected: (a.rows(), a.cols()),
-            found: (b.rows(), b.cols()),
-        });
-    }
-    let mut out = Coo::with_capacity(a.rows(), a.cols(), a.entries().len() + b.entries().len());
-    for &(r, c, v) in a.entries() {
-        out.push(r, c, v);
-    }
-    for &(r, c, v) in b.entries() {
-        out.push(r, c, alpha * v);
-    }
-    Ok(out.compress())
 }
 
 /// Bandwidth of a square matrix: `max |col − row|` over stored entries.
@@ -217,32 +151,6 @@ mod tests {
         (0..a.rows())
             .map(|r| a.row_entries(r).map(|(c, v)| v * x[c]).sum())
             .collect()
-    }
-
-    #[test]
-    fn split_triangles_partitions() {
-        let t = split_triangles(&sample()).unwrap();
-        assert_eq!(t.lower.get(1, 0), 3.0);
-        assert_eq!(t.upper.get(0, 2), 2.0);
-        assert_eq!(t.diagonal, vec![1.0, 0.0, 4.0]);
-        assert_eq!(t.lower.entries().len() + t.upper.entries().len(), 2);
-    }
-
-    #[test]
-    fn split_rejects_rectangular() {
-        assert!(split_triangles(&Coo::new(2, 3)).is_err());
-    }
-
-    #[test]
-    fn add_scaled_cancels() {
-        let a = sample();
-        let sum = add_scaled(&a, -1.0, &a).unwrap();
-        assert!(sum.entries().iter().all(|&(_, _, v)| v == 0.0));
-    }
-
-    #[test]
-    fn add_scaled_rejects_mismatch() {
-        assert!(add_scaled(&sample(), 1.0, &Coo::new(2, 2)).is_err());
     }
 
     #[test]
