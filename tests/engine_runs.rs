@@ -12,6 +12,18 @@
 //! graph. Two extra SymGS runs cover the ABFT machinery: an inert fault plan
 //! and a seeded active plan under `RecoveryPolicy::Retry`.
 //!
+//! The recovery paths are pinned too. An SpMV under an active FCU-lane plan
+//! with retries, and one run per fault site (FCU lane, memory stuck-at via
+//! SpMV, RCU link stack, RCU operand FIFO) under `FailFast` and under a
+//! retry budget the plan exhausts. Every faulted run pins its outcome
+//! (the `SimError` with its site and cycle, or the output and report), the
+//! injector's fault counters and an FNV-1a hash of its trace-event
+//! sequence. Last come the `Alrescha` facade's failover paths: `spmv`,
+//! `symgs` and `symgs_forward` pinned to the CPU, under
+//! `RecoveryPolicy::DegradeToCpu`, and behind an armed circuit breaker over
+//! a sequence of operations (full report, breaker stats and recovery
+//! cycles included, plus the output hash).
+//!
 //! To regenerate after an intentional engine change:
 //!
 //! ```text
@@ -20,7 +32,12 @@
 
 use std::path::PathBuf;
 
-use alrescha_sim::{Engine, ExecutionReport, FaultPlan, PageRankConfig, RecoveryPolicy, SimConfig};
+use alrescha::{Alrescha, BreakerConfig, KernelType};
+use alrescha_sim::trace::TraceEvent;
+use alrescha_sim::{
+    Engine, ExecutionReport, FaultPlan, FaultSite, PageRankConfig, RecoveryPolicy, SimConfig,
+    SimError,
+};
 use alrescha_sparse::{alf::AlfLayout, gen, Alf, Coo, Csr};
 
 const OMEGA: usize = 8;
@@ -223,12 +240,221 @@ fn run_all() -> Vec<String> {
         ),
     ];
     for (run, plan, policy) in plans {
-        let mut e = engine();
-        e.set_fault_plan(Some(plan));
-        e.set_recovery_policy(policy);
+        let mut e = faulted_engine(plan, policy);
         let mut xs = sweep_start(s.cols());
-        let r = e.run_symgs(&s, &b, &mut xs).expect("faulted symgs");
-        lines.push(line(&format!("{run}/stencil27_4"), hash_f64(&xs), &r));
+        let out = e.run_symgs(&s, &b, &mut xs).map(|r| (hash_f64(&xs), r));
+        lines.push(faulted_line(&format!("{run}/stencil27_4"), &mut e, out));
+    }
+
+    let a = Alf::from_coo(&coo, OMEGA, AlfLayout::Streaming).expect("spmv format");
+    let x: Vec<f64> = (0..a.cols()).map(|i| (i as f64 * 0.3).sin()).collect();
+    let mut e = faulted_engine(
+        FaultPlan::inert(0x5EED_0018).with_fcu_lane_rate(0.05),
+        RecoveryPolicy::Retry {
+            max_retries: 8,
+            backoff_cycles: 16,
+        },
+    );
+    let out = e.run_spmv(&a, &x).map(|(y, r)| (hash_f64(&y), r));
+    lines.push(faulted_line("spmv_fcu_lane_retry/stencil27_4", &mut e, out));
+
+    // One plan per fault site, each run under FailFast (the first detection
+    // surfaces at that site) and under a small retry budget.
+    let sites = [
+        (
+            "fcu_lane",
+            FaultSite::FcuLane,
+            FaultPlan::inert(0x5EED_0019).with_fcu_lane_rate(0.05),
+        ),
+        (
+            "memory_stuck",
+            FaultSite::Memory,
+            FaultPlan::inert(0x5EED_001A).with_memory_stuck_rate(1.0),
+        ),
+        (
+            "rcu_lifo",
+            FaultSite::RcuLifo,
+            FaultPlan::inert(0x5EED_001B).with_lifo_drop_rate(0.05),
+        ),
+        (
+            "rcu_fifo",
+            FaultSite::RcuFifo,
+            FaultPlan::inert(0x5EED_001C).with_fifo_drop_rate(0.05),
+        ),
+    ];
+    let policies = [
+        ("failfast", RecoveryPolicy::FailFast),
+        (
+            "retry2",
+            RecoveryPolicy::Retry {
+                max_retries: 2,
+                backoff_cycles: 8,
+            },
+        ),
+    ];
+    for (site_name, site, plan) in sites {
+        for (policy_name, policy) in policies {
+            let mut e = faulted_engine(plan.clone(), policy);
+            let out = if matches!(site, FaultSite::FcuLane | FaultSite::Memory) {
+                e.run_spmv(&a, &x).map(|(y, r)| (hash_f64(&y), r))
+            } else {
+                let mut xs = sweep_start(s.cols());
+                e.run_symgs(&s, &b, &mut xs).map(|r| (hash_f64(&xs), r))
+            };
+            if policy == RecoveryPolicy::FailFast {
+                assert!(
+                    matches!(out, Err(SimError::FaultDetected { site: got, .. }) if got == site),
+                    "{site_name}: {out:?}"
+                );
+            }
+            let run = format!("{site_name}_{policy_name}/stencil27_4");
+            lines.push(faulted_line(&run, &mut e, out));
+        }
+    }
+
+    lines.extend(facade_runs(&coo));
+    lines
+}
+
+fn faulted_engine(plan: FaultPlan, policy: RecoveryPolicy) -> Engine {
+    let mut e = engine();
+    e.enable_tracing();
+    e.set_fault_plan(Some(plan));
+    e.set_recovery_policy(policy);
+    e
+}
+
+/// FNV-1a over the debug rendering of every trace event, in order.
+fn trace_hash(events: &[TraceEvent]) -> u64 {
+    fnv(events
+        .iter()
+        .flat_map(|e| format!("{e:?};").into_bytes())
+        .map(u64::from))
+}
+
+/// Pins a faulted run: its outcome (output hash and report, or the error
+/// with its site and cycle), the injector's counters, and the trace hash.
+fn faulted_line(
+    run: &str,
+    e: &mut Engine,
+    outcome: Result<(u64, ExecutionReport), SimError>,
+) -> String {
+    let faults = format!("{:?}", e.fault_injector().expect("plan armed").counters());
+    let trace = trace_hash(&e.take_trace());
+    match outcome {
+        Ok((output_fnv, report)) => format!(
+            "{{\"run\":{run:?},\"output_fnv\":\"{output_fnv:016x}\",\"trace_fnv\":\"{trace:016x}\",\"faults\":{faults:?},\"report\":{}}}",
+            report.to_json()
+        ),
+        Err(err) => format!(
+            "{{\"run\":{run:?},\"error\":{:?},\"trace_fnv\":\"{trace:016x}\",\"faults\":{faults:?}}}",
+            format!("{err:?}")
+        ),
+    }
+}
+
+/// One facade configuration: its fault plan, recovery policy, optional
+/// breaker, and how many operations run in sequence on one accelerator.
+struct FacadeSetup {
+    name: &'static str,
+    plan: FaultPlan,
+    policy: RecoveryPolicy,
+    breaker: Option<BreakerConfig>,
+    ops: usize,
+}
+
+/// The facade's failover paths on `coo`: each guarded operation pinned to
+/// the CPU, degraded under `DegradeToCpu`, and behind a circuit breaker.
+fn facade_runs(coo: &Coo) -> Vec<String> {
+    type Op =
+        fn(&mut Alrescha, &alrescha::ProgrammedKernel, &[f64], &mut Vec<f64>) -> ExecutionReport;
+    let ops: [(&str, KernelType, Op); 3] = [
+        ("spmv", KernelType::SpMv, |acc, prog, x, out| {
+            let (y, r) = acc.spmv(prog, x).expect("facade spmv");
+            *out = y;
+            r
+        }),
+        ("symgs", KernelType::SymGs, |acc, prog, b, out| {
+            acc.symgs(prog, b, out).expect("facade symgs")
+        }),
+        ("symgs_forward", KernelType::SymGs, |acc, prog, b, out| {
+            acc.symgs_forward(prog, b, out)
+                .expect("facade symgs_forward")
+        }),
+    ];
+    let stuck = FaultPlan::inert(0x5EED_001D).with_memory_stuck_rate(1.0);
+    let flaky = FaultPlan::inert(0x5EED_001E).with_fcu_lane_rate(0.002);
+    let degrade = |max_retries, backoff_cycles| RecoveryPolicy::DegradeToCpu {
+        max_retries,
+        backoff_cycles,
+    };
+    let tight_breaker = BreakerConfig {
+        failure_threshold: 2,
+        cooldown_ops: 2,
+        max_attempts: 2,
+        ..BreakerConfig::default()
+    };
+    let setups = [
+        FacadeSetup {
+            name: "cpu_only",
+            plan: stuck.clone(),
+            policy: RecoveryPolicy::FailFast,
+            breaker: None,
+            ops: 1,
+        },
+        FacadeSetup {
+            name: "degrade_stuck",
+            plan: stuck.clone(),
+            policy: degrade(2, 8),
+            breaker: None,
+            ops: 1,
+        },
+        FacadeSetup {
+            name: "degrade_absorbed",
+            plan: FaultPlan::inert(0x5EED_001F).with_fcu_lane_rate(0.05),
+            policy: degrade(8, 16),
+            breaker: None,
+            ops: 1,
+        },
+        FacadeSetup {
+            name: "breaker_stuck",
+            plan: stuck,
+            policy: RecoveryPolicy::FailFast,
+            breaker: Some(tight_breaker),
+            ops: 6,
+        },
+        FacadeSetup {
+            name: "breaker_flaky",
+            plan: flaky,
+            policy: RecoveryPolicy::FailFast,
+            breaker: Some(BreakerConfig::default()),
+            ops: 8,
+        },
+    ];
+    let mut lines = Vec::new();
+    for (kernel, kind, op) in ops {
+        for setup in &setups {
+            let mut acc = Alrescha::with_paper_config();
+            let prog = acc.program(kind, coo).expect("program");
+            acc.set_fault_plan(Some(setup.plan.clone()));
+            acc.set_recovery_policy(setup.policy);
+            acc.set_circuit_breaker(setup.breaker);
+            acc.set_cpu_only(setup.name == "cpu_only");
+            for k in 0..setup.ops {
+                let (input, mut out) = if kind == KernelType::SpMv {
+                    let x = (0..coo.cols()).map(|i| (i as f64 * 0.3).sin()).collect();
+                    (x, Vec::new())
+                } else {
+                    (rhs(coo.rows()), sweep_start(coo.cols()))
+                };
+                let r = op(&mut acc, &prog, &input, &mut out);
+                lines.push(line(
+                    &format!("facade/{kernel}/{}/op{k}", setup.name),
+                    hash_f64(&out),
+                    &r,
+                ));
+            }
+        }
     }
     lines
 }
