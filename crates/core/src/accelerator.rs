@@ -6,9 +6,10 @@
 //! data through the *data interface* and return an
 //! [`alrescha_sim::ExecutionReport`].
 
+use alrescha_kernels::symgs;
 use alrescha_sim::{
-    BreakerStats, Engine, ExecBudget, ExecutionReport, FaultCounters, FaultPlan,
-    InjectorSnapshot, PageRankConfig, RecoveryPolicy, SimConfig, SimError,
+    BreakerStats, Engine, ExecBudget, ExecutionReport, FaultCounters, FaultPlan, InjectorSnapshot,
+    PageRankConfig, RecoveryPolicy, Result as SimResult, SimConfig, SimError,
 };
 use alrescha_sparse::{Coo, Csr, MetaData};
 
@@ -270,66 +271,19 @@ impl Alrescha {
         self.engine.fault_injector().is_some() && self.engine.recovery_policy().degrades_to_cpu()
     }
 
-    /// Builds the report for a run completed on the host after the device
-    /// gave up: the fault accounting of the failed attempts (relative to
-    /// `base`), the degradation marker, and the device cycles wasted on
-    /// those attempts (plus backoff waits) charged to the recovery bucket.
-    fn degraded_report(
+    /// The report of an operation the host served: zero device activity,
+    /// announced on the telemetry sink as `{tag}:{kernel}` and counted on
+    /// `counter`.
+    fn host_report(
         &self,
         kernel: &'static str,
-        base: &FaultCounters,
-        wasted_cycles: u64,
+        tag: &str,
+        counter: &'static str,
+        help: &'static str,
     ) -> ExecutionReport {
-        if let Some(inj) = self.engine.fault_injector() {
-            inj.note_degraded();
-        }
-        let faults = self
-            .engine
-            .fault_injector()
-            .map(|inj| inj.counters().delta(base))
-            .unwrap_or_default();
-        let mut report = ExecutionReport {
-            kernel,
-            cycles: 0,
-            seconds: 0.0,
-            bytes_streamed: 0,
-            bandwidth_utilization: 0.0,
-            cache_time_fraction: 0.0,
-            energy: alrescha_sim::EnergyCounters::new(),
-            reconfig: alrescha_sim::rcu::ReconfigStats::default(),
-            cache: alrescha_sim::report::CacheStats::default(),
-            datapaths: alrescha_sim::report::DataPathCounts::default(),
-            breakdown: alrescha_sim::report::CycleBreakdown::default(),
-            faults,
-            breaker: BreakerStats::default(),
-        };
-        report.charge_recovery(wasted_cycles, self.engine.config());
         if let Some(tele) = self.engine.telemetry() {
-            tele.instant(format!("degraded:{kernel}"));
-            tele.metrics()
-                .counter(
-                    "alrescha_degraded_runs_total",
-                    true,
-                    "kernel runs completed on the host after the device gave up",
-                )
-                .inc();
-        }
-        report
-    }
-
-    /// Report for an operation served by the host because the accelerator
-    /// is pinned to CPU-only mode: zero device cycles and no fault,
-    /// recovery, or breaker activity — a planned mode, not a degradation.
-    fn cpu_only_report(&self, kernel: &'static str) -> ExecutionReport {
-        if let Some(tele) = self.engine.telemetry() {
-            tele.instant(format!("cpu-only:{kernel}"));
-            tele.metrics()
-                .counter(
-                    "alrescha_cpu_only_runs_total",
-                    true,
-                    "kernel runs served by the host under a cpu-only pin",
-                )
-                .inc();
+            tele.instant(format!("{tag}:{kernel}"));
+            tele.metrics().counter(counter, true, help).inc();
         }
         ExecutionReport {
             kernel,
@@ -346,6 +300,103 @@ impl Alrescha {
             faults: FaultCounters::default(),
             breaker: BreakerStats::default(),
         }
+    }
+
+    /// Runs a guarded operation — [`Alrescha::spmv`], [`Alrescha::symgs`]
+    /// or [`Alrescha::symgs_forward`] — on the device, failing over to the
+    /// host when the device cannot deliver (the host/accelerator split of
+    /// Figure 7).
+    ///
+    /// * Pinned to the CPU ([`Alrescha::set_cpu_only`]), `host` serves the
+    ///   operation with a clean report.
+    /// * With a circuit breaker armed, the breaker's routing decision
+    ///   grants the device a number of attempts with backoff between them;
+    ///   if none succeeds (or the breaker routes straight to the CPU),
+    ///   `host` serves it. The outcome feeds the breaker.
+    /// * Otherwise the device gets one attempt, and an unrecovered fault
+    ///   falls back to `host` only under a policy that degrades to the CPU.
+    ///
+    /// `x` is the state the operation updates in place (empty for SpMV):
+    /// every failed device attempt restores it before the next one. A
+    /// host-served fallback reports the wasted device cycles and backoff in
+    /// its recovery bucket and counts as degraded.
+    fn failover<T>(
+        &mut self,
+        kernel: &'static str,
+        x: &mut [f64],
+        mut device: impl FnMut(&mut Engine, &mut [f64]) -> SimResult<(T, ExecutionReport)>,
+        host: impl FnOnce(&mut [f64]) -> Result<T>,
+    ) -> Result<(T, ExecutionReport)> {
+        if self.cpu_only {
+            let out = host(x)?;
+            let report = self.host_report(
+                kernel,
+                "cpu-only",
+                "alrescha_cpu_only_runs_total",
+                "kernel runs served by the host under a cpu-only pin",
+            );
+            return Ok((out, report));
+        }
+        let base = self.fault_counters();
+        let stats_base = self.breaker_stats();
+        let attempts = self
+            .breaker
+            .as_mut()
+            .map_or(1, |breaker| attempt_budget(breaker.gate()));
+        let fall_back = self.breaker.is_some() || self.degrades_to_cpu();
+        let saved = if fall_back { x.to_vec() } else { Vec::new() };
+        let mut wasted = 0u64;
+        let mut done = None;
+        for attempt in 0..attempts {
+            match device(&mut self.engine, x) {
+                Ok(run) => {
+                    done = Some(run);
+                    break;
+                }
+                Err(SimError::FaultDetected { cycle, .. }) if fall_back => {
+                    x.copy_from_slice(&saved);
+                    wasted = wasted.saturating_add(cycle);
+                    if attempt + 1 < attempts {
+                        let backoff = self
+                            .breaker
+                            .as_mut()
+                            .map_or(0, |b| b.backoff_cycles(attempt));
+                        wasted = wasted.saturating_add(backoff);
+                    }
+                }
+                Err(other) => return Err(other.into()),
+            }
+        }
+        if let Some(breaker) = &mut self.breaker {
+            if done.is_some() {
+                breaker.record_success();
+            } else if attempts > 0 {
+                breaker.record_failure();
+            }
+        }
+        let (out, mut report) = if let Some(run) = done {
+            run
+        } else {
+            x.copy_from_slice(&saved);
+            let out = host(x)?;
+            if let Some(inj) = self.engine.fault_injector() {
+                inj.note_degraded();
+            }
+            let mut report = self.host_report(
+                kernel,
+                "degraded",
+                "alrescha_degraded_runs_total",
+                "kernel runs completed on the host after the device gave up",
+            );
+            report.faults = self.fault_counters().delta(&base);
+            (out, report)
+        };
+        report.charge_recovery(wasted, self.engine.config());
+        if let Some(breaker) = &self.breaker {
+            report.breaker = breaker_delta(breaker.stats(), stats_base);
+            self.note_breaker(&report.breaker);
+        }
+        Ok((out, report))
     }
 
     /// Programs a kernel: runs Algorithm 1 and loads the result (the
@@ -430,71 +481,18 @@ impl Alrescha {
         x: &[f64],
     ) -> Result<(Vec<f64>, ExecutionReport)> {
         expect_kernel(prog, KernelType::SpMv)?;
-        if self.cpu_only {
-            let csr = Csr::from_coo(&prog.alf.to_coo());
-            let y = alrescha_kernels::spmv::spmv(&csr, x);
-            return Ok((y, self.cpu_only_report("spmv")));
-        }
-        if let Some(mut breaker) = self.breaker.take() {
-            let out = self.spmv_with_breaker(&mut breaker, prog, x);
-            self.breaker = Some(breaker);
-            return out;
-        }
-        let base = self.fault_counters();
-        match self.engine.run_spmv(&prog.alf, x) {
-            Err(SimError::FaultDetected { cycle, .. }) if self.degrades_to_cpu() => {
-                let csr = Csr::from_coo(&prog.alf.to_coo());
-                let y = alrescha_kernels::spmv::spmv(&csr, x);
-                Ok((y, self.degraded_report("spmv", &base, cycle)))
-            }
-            run => Ok(run?),
-        }
-    }
-
-    fn spmv_with_breaker(
-        &mut self,
-        breaker: &mut CircuitBreaker,
-        prog: &ProgrammedKernel,
-        x: &[f64],
-    ) -> Result<(Vec<f64>, ExecutionReport)> {
-        let base = self.fault_counters();
-        let stats_base = breaker.stats();
-        let attempts = attempt_budget(breaker.gate());
-        let mut wasted = 0u64;
-        for attempt in 0..attempts {
-            match self.engine.run_spmv(&prog.alf, x) {
-                Ok((y, mut report)) => {
-                    breaker.record_success();
-                    report.charge_recovery(wasted, self.engine.config());
-                    report.breaker = breaker_delta(breaker.stats(), stats_base);
-                    self.note_breaker(&report.breaker);
-                    return Ok((y, report));
-                }
-                Err(SimError::FaultDetected { cycle, .. }) => {
-                    wasted = wasted.saturating_add(cycle);
-                    if attempt + 1 < attempts {
-                        wasted = wasted.saturating_add(breaker.backoff_cycles(attempt));
-                    }
-                }
-                Err(other) => return Err(other.into()),
-            }
-        }
-        if attempts > 0 {
-            breaker.record_failure();
-        }
-        let csr = Csr::from_coo(&prog.alf.to_coo());
-        let y = alrescha_kernels::spmv::spmv(&csr, x);
-        let mut report = self.degraded_report("spmv", &base, wasted);
-        report.breaker = breaker_delta(breaker.stats(), stats_base);
-        self.note_breaker(&report.breaker);
-        Ok((y, report))
+        self.failover(
+            "spmv",
+            &mut [],
+            |engine, _| engine.run_spmv(&prog.alf, x),
+            |_| Ok(alrescha_kernels::spmv::spmv(&host_csr(prog), x)),
+        )
     }
 
     /// Runs one symmetric Gauss-Seidel application, updating `x` in place.
     ///
-    /// Under a [`RecoveryPolicy`] that degrades to the CPU, an unrecovered
-    /// fault restores `x` to its pre-call state and reruns the sweep with
-    /// the host reference kernel (report as in [`Alrescha::spmv`]).
+    /// Failover as in [`Alrescha::spmv`]; a sweep the host takes over
+    /// restarts from `x`'s pre-call state.
     ///
     /// # Errors
     ///
@@ -507,81 +505,12 @@ impl Alrescha {
         x: &mut [f64],
     ) -> Result<ExecutionReport> {
         expect_kernel(prog, KernelType::SymGs)?;
-        if self.cpu_only {
-            let csr = Csr::from_coo(&prog.alf.to_coo());
-            alrescha_kernels::symgs::symgs(&csr, b, x)?;
-            return Ok(self.cpu_only_report("symgs"));
-        }
-        if let Some(mut breaker) = self.breaker.take() {
-            let out = self.symgs_with_breaker(&mut breaker, prog, b, x, false);
-            self.breaker = Some(breaker);
-            return out;
-        }
-        let snapshot = self.degrades_to_cpu().then(|| x.to_vec());
-        let base = self.fault_counters();
-        match self.engine.run_symgs(&prog.alf, b, x) {
-            Err(SimError::FaultDetected { cycle, .. }) if snapshot.is_some() => {
-                if let Some(saved) = snapshot {
-                    x.copy_from_slice(&saved);
-                }
-                let csr = Csr::from_coo(&prog.alf.to_coo());
-                alrescha_kernels::symgs::symgs(&csr, b, x)?;
-                Ok(self.degraded_report("symgs", &base, cycle))
-            }
-            run => Ok(run?),
-        }
-    }
-
-    fn symgs_with_breaker(
-        &mut self,
-        breaker: &mut CircuitBreaker,
-        prog: &ProgrammedKernel,
-        b: &[f64],
-        x: &mut [f64],
-        forward: bool,
-    ) -> Result<ExecutionReport> {
-        let base = self.fault_counters();
-        let stats_base = breaker.stats();
-        let saved = x.to_vec();
-        let attempts = attempt_budget(breaker.gate());
-        let mut wasted = 0u64;
-        for attempt in 0..attempts {
-            let run = if forward {
-                self.engine.run_symgs_forward(&prog.alf, b, x)
-            } else {
-                self.engine.run_symgs(&prog.alf, b, x)
-            };
-            match run {
-                Ok(mut report) => {
-                    breaker.record_success();
-                    report.charge_recovery(wasted, self.engine.config());
-                    report.breaker = breaker_delta(breaker.stats(), stats_base);
-                    self.note_breaker(&report.breaker);
-                    return Ok(report);
-                }
-                Err(SimError::FaultDetected { cycle, .. }) => {
-                    x.copy_from_slice(&saved);
-                    wasted = wasted.saturating_add(cycle);
-                    if attempt + 1 < attempts {
-                        wasted = wasted.saturating_add(breaker.backoff_cycles(attempt));
-                    }
-                }
-                Err(other) => return Err(other.into()),
-            }
-        }
-        if attempts > 0 {
-            breaker.record_failure();
-        }
-        x.copy_from_slice(&saved);
-        let csr = Csr::from_coo(&prog.alf.to_coo());
-        if forward {
-            alrescha_kernels::symgs::forward_sweep(&csr, b, x)?;
-        } else {
-            alrescha_kernels::symgs::symgs(&csr, b, x)?;
-        }
-        let mut report = self.degraded_report("symgs", &base, wasted);
-        report.breaker = breaker_delta(breaker.stats(), stats_base);
-        self.note_breaker(&report.breaker);
+        let ((), report) = self.failover(
+            "symgs",
+            x,
+            |engine, x| Ok(((), engine.run_symgs(&prog.alf, b, x)?)),
+            |x| Ok(symgs::symgs(&host_csr(prog), b, x)?),
+        )?;
         Ok(report)
     }
 
@@ -589,7 +518,7 @@ impl Alrescha {
     ///
     /// # Errors
     ///
-    /// Same as [`Alrescha::symgs`] (including the degraded fallback).
+    /// Same as [`Alrescha::symgs`] (including the failover).
     pub fn symgs_forward(
         &mut self,
         prog: &ProgrammedKernel,
@@ -597,29 +526,13 @@ impl Alrescha {
         x: &mut [f64],
     ) -> Result<ExecutionReport> {
         expect_kernel(prog, KernelType::SymGs)?;
-        if self.cpu_only {
-            let csr = Csr::from_coo(&prog.alf.to_coo());
-            alrescha_kernels::symgs::forward_sweep(&csr, b, x)?;
-            return Ok(self.cpu_only_report("symgs"));
-        }
-        if let Some(mut breaker) = self.breaker.take() {
-            let out = self.symgs_with_breaker(&mut breaker, prog, b, x, true);
-            self.breaker = Some(breaker);
-            return out;
-        }
-        let snapshot = self.degrades_to_cpu().then(|| x.to_vec());
-        let base = self.fault_counters();
-        match self.engine.run_symgs_forward(&prog.alf, b, x) {
-            Err(SimError::FaultDetected { cycle, .. }) if snapshot.is_some() => {
-                if let Some(saved) = snapshot {
-                    x.copy_from_slice(&saved);
-                }
-                let csr = Csr::from_coo(&prog.alf.to_coo());
-                alrescha_kernels::symgs::forward_sweep(&csr, b, x)?;
-                Ok(self.degraded_report("symgs", &base, cycle))
-            }
-            run => Ok(run?),
-        }
+        let ((), report) = self.failover(
+            "symgs",
+            x,
+            |engine, x| Ok(((), engine.run_symgs_forward(&prog.alf, b, x)?)),
+            |x| Ok(symgs::forward_sweep(&host_csr(prog), b, x)?),
+        )?;
+        Ok(report)
     }
 
     /// Runs BFS from `source`; returns hop levels (∞ where unreachable).
@@ -705,6 +618,11 @@ impl Alrescha {
         expect_kernel(prog, KernelType::ConnectedComponents)?;
         Ok(self.engine.run_connected_components(&prog.alf)?)
     }
+}
+
+/// The host reference kernels' view of a programmed matrix.
+fn host_csr(prog: &ProgrammedKernel) -> Csr {
+    Csr::from_coo(&prog.alf.to_coo())
 }
 
 /// Device attempts granted by a routing decision (0 ⇒ serve from the CPU).

@@ -39,6 +39,7 @@ use crate::rcu::{DataPathKind, Rcu};
 use crate::report::{CacheStats, DataPathCounts, ExecutionReport};
 use crate::runtime::ExecBudget;
 use crate::shift::ShiftRegister;
+use crate::trace::TraceEvent;
 
 /// Distance value marking an unreached vertex in graph kernels.
 pub const UNREACHED: f64 = f64::INFINITY;
@@ -293,6 +294,8 @@ impl EngineTelemetry {
 /// Per-run mutable accounting.
 #[derive(Debug)]
 struct RunState {
+    kernel: &'static str,
+    reduce: Reduce,
     cycles: u64,
     memory: MemoryStream,
     cache_busy: u64,
@@ -300,8 +303,6 @@ struct RunState {
     cache_base: (u64, u64, u64), // (hits, misses, writes) at run start
     reconfig_base: crate::rcu::ReconfigStats,
     breakdown: crate::report::CycleBreakdown,
-    link_stack_peak: usize,
-    operand_fifo_peak: usize,
     fault_base: FaultCounters,
     wall_start: std::time::Instant,
     /// Telemetry was attached and enabled when the run began; the trace
@@ -424,7 +425,7 @@ impl Engine {
     }
 
     /// Takes the recorded trace events (empty unless tracing is enabled).
-    pub fn take_trace(&mut self) -> Vec<crate::trace::TraceEvent> {
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.take()
     }
 
@@ -449,8 +450,7 @@ impl Engine {
     /// Records a solver checkpoint serialization against this engine's
     /// trace and metrics. Called by the host solver loop between runs.
     pub fn note_checkpoint_write(&mut self, bytes: u64) {
-        self.trace
-            .record(crate::trace::TraceEvent::CheckpointWrite { bytes });
+        self.trace.record(TraceEvent::CheckpointWrite { bytes });
         if let Some(et) = &self.telemetry {
             et.checkpoint_writes.inc();
             et.checkpoint_bytes.add(bytes);
@@ -460,24 +460,31 @@ impl Engine {
     /// Records a block completion: pairs the closest preceding `BlockBegin`
     /// and feeds the cycles-per-block histogram.
     fn note_block_end(&mut self, cycles: u64) {
-        self.trace
-            .record(crate::trace::TraceEvent::BlockEnd { cycles });
+        self.trace.record(TraceEvent::BlockEnd { cycles });
         if let Some(et) = &self.telemetry {
             et.cycles_per_block.observe(cycles);
         }
     }
 
-    fn trace_reconfigure(&mut self, to: DataPathKind, exposed: u64) {
-        self.trace
-            .record(crate::trace::TraceEvent::Reconfigure { to, exposed });
-    }
-
     fn trace_block(&mut self, block_row: usize, block_col: usize, kind: DataPathKind) {
-        self.trace.record(crate::trace::TraceEvent::BlockBegin {
+        self.trace.record(TraceEvent::BlockBegin {
             block_row,
             block_col,
             kind,
         });
+    }
+
+    /// Wires the RCU for `kind` inside the drain of the `reduce` tree and
+    /// traces the switch, if there was one (a data path already in place
+    /// costs nothing). Returns the drain cycles.
+    fn configure(&mut self, kind: DataPathKind, reduce: Reduce) -> u64 {
+        let drain = self.fcu.drain(reduce);
+        if self.rcu.current() != Some(kind) {
+            let exposed = self.rcu.configure(kind, drain);
+            self.trace
+                .record(TraceEvent::Reconfigure { to: kind, exposed });
+        }
+        drain
     }
 
     /// The engine's configuration.
@@ -485,7 +492,36 @@ impl Engine {
         &self.config
     }
 
-    fn begin(&mut self, reduce: Reduce) -> RunState {
+    /// Checks a kernel's operands: `a`'s layout, then each
+    /// `(expected, found)` length pair in order, then `a`'s block width
+    /// against the engine's ω lanes.
+    fn check_operands(&self, a: &Alf, layout: AlfLayout, dims: &[(usize, usize)]) -> Result<()> {
+        if a.layout() != layout {
+            let name = |l| match l {
+                AlfLayout::Streaming => "streaming",
+                AlfLayout::SymGs => "symgs",
+            };
+            return Err(SimError::LayoutMismatch {
+                expected: name(layout),
+                found: name(a.layout()),
+            });
+        }
+        if let Some(&(expected, found)) = dims.iter().find(|(e, f)| e != f) {
+            return Err(SimError::DimensionMismatch { expected, found });
+        }
+        if a.omega() != self.config.omega {
+            return Err(SimError::BlockWidthMismatch {
+                engine: self.config.omega,
+                matrix: a.omega(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Opens a run of `kernel` on a `reduce` tree: flushes the cache,
+    /// snapshots the counters the report takes deltas of, and traces the
+    /// kernel's start.
+    fn begin(&mut self, kernel: &'static str, reduce: Reduce) -> RunState {
         self.cache.flush();
         let telemetry_armed = self
             .telemetry
@@ -499,10 +535,13 @@ impl Engine {
             }
         }
         let trace_base = self.trace.events().len();
+        self.trace.record(TraceEvent::KernelBegin { kernel });
         let fill = self.fcu.fill_latency(reduce);
         let mut memory = MemoryStream::new(&self.config);
         memory.attach_injector(self.faults.clone());
         RunState {
+            kernel,
+            reduce,
             cycles: fill,
             memory,
             cache_busy: 0,
@@ -513,8 +552,6 @@ impl Engine {
                 drain_cycles: fill,
                 ..Default::default()
             },
-            link_stack_peak: 0,
-            operand_fifo_peak: 0,
             fault_base: self
                 .faults
                 .as_ref()
@@ -584,7 +621,7 @@ impl Engine {
         }
     }
 
-    fn finish(&mut self, kernel: &'static str, state: RunState, reduce: Reduce) -> ExecutionReport {
+    fn finish(&mut self, state: RunState) -> ExecutionReport {
         // Reconfiguration statistics are engine-lifetime totals; report the
         // delta accumulated by this run only.
         let totals = self.rcu.stats();
@@ -593,10 +630,10 @@ impl Engine {
             hidden_cycles: totals.hidden_cycles - state.reconfig_base.hidden_cycles,
             exposed_cycles: totals.exposed_cycles - state.reconfig_base.exposed_cycles,
         };
+        let drain = self.fcu.drain(state.reduce);
         let mut breakdown = state.breakdown;
-        breakdown.drain_cycles += self.fcu.drain(reduce) + reconfig.exposed_cycles;
-        let mut cycles = state.cycles + self.fcu.drain(reduce);
-        cycles += reconfig.exposed_cycles;
+        breakdown.drain_cycles += drain + reconfig.exposed_cycles;
+        let cycles = state.cycles + drain + reconfig.exposed_cycles;
         let mut energy = EnergyCounters::new();
         energy.merge(&self.fcu.take_counters());
         energy.merge(&self.rcu.take_counters());
@@ -609,8 +646,7 @@ impl Engine {
         };
         energy.cache_accesses = cache.accesses();
         energy.dram_bytes = state.memory.bytes_streamed();
-        self.trace
-            .record(crate::trace::TraceEvent::KernelEnd { cycles });
+        self.trace.record(TraceEvent::KernelEnd { cycles });
         let seconds = self.config.cycles_to_seconds(cycles);
         let faults = self
             .faults
@@ -618,7 +654,7 @@ impl Engine {
             .map(|inj| inj.counters().delta(&state.fault_base))
             .unwrap_or_default();
         let report = ExecutionReport {
-            kernel,
+            kernel: state.kernel,
             cycles,
             seconds,
             bytes_streamed: state.memory.bytes_streamed(),
@@ -725,43 +761,128 @@ impl Engine {
         out
     }
 
-    /// Computes the ω dot products of one GEMV block through the FCU into
-    /// `dots`.
+    /// The engine's one recovery loop, shared by every checked fault site
+    /// (the GEMV checksum, the link-stack push, the operand-FIFO fill).
+    ///
+    /// Each attempt opens a verification scope and runs `attempt`, which
+    /// returns `Some` when its check passes. A failed check confirms the
+    /// scope's faults as detected. While the [`RecoveryPolicy`] has retries
+    /// left, `rollback` undoes the attempt and returns its redo cycles; the
+    /// redo plus the policy's backoff stall is charged to the recovery
+    /// bucket, and `RecoveryBegin`/`RecoveryEnd` bracket the retries. Once
+    /// the retries are spent the fault surfaces as
+    /// [`SimError::FaultDetected`] at `site`. `ctx` is the state both
+    /// closures work on.
+    fn retry<C, T>(
+        &mut self,
+        state: &mut RunState,
+        site: FaultSite,
+        ctx: &mut C,
+        mut attempt: impl FnMut(&mut Self, &mut RunState, &mut C) -> Option<T>,
+        mut rollback: impl FnMut(&mut RunState, &mut C) -> u64,
+    ) -> Result<T> {
+        let mut retries = 0u32;
+        let mut caught = 0u64;
+        let mut redo_total = 0u64;
+        let outcome = loop {
+            if let Some(inj) = &self.faults {
+                inj.begin_scope();
+            }
+            if let Some(out) = attempt(self, state, ctx) {
+                break Ok(out);
+            }
+            let newly = self
+                .faults
+                .as_ref()
+                .map_or(0, FaultInjector::confirm_detected);
+            caught += newly;
+            if newly > 0 {
+                self.trace.record(TraceEvent::FaultInjected { site });
+            }
+            if retries >= self.recovery.max_retries() {
+                break Err(SimError::FaultDetected {
+                    site,
+                    cycle: state.cycles,
+                });
+            }
+            if retries == 0 {
+                self.trace.record(TraceEvent::RecoveryBegin { site });
+            }
+            retries += 1;
+            if let Some(inj) = &self.faults {
+                inj.note_retry();
+            }
+            let redo = rollback(state, ctx) + self.recovery.backoff_cycles();
+            state.cycles += redo;
+            state.breakdown.recovery_cycles += redo;
+            redo_total += redo;
+        };
+        if let (Ok(_), Some(inj)) = (&outcome, &self.faults) {
+            if caught > 0 {
+                inj.note_recovered(caught);
+            }
+        }
+        if retries > 0 {
+            self.trace.record(TraceEvent::RecoveryEnd {
+                recovered: outcome.is_ok(),
+                cycles: redo_total,
+            });
+        }
+        outcome
+    }
+
+    /// One GEMV block: traces it, charges its payload stream, its operand
+    /// chunk read and its ω compute cycles, and leaves its ω dot products
+    /// in `sc.dots`. Returns the block's cycles for its `BlockEnd`.
     ///
     /// With a fault injector armed, the partial sums are verified against
     /// the block's ABFT column-sum checksum — Σᵢ dotᵢ must equal
     /// (Σᵢ rowᵢ)·x up to rounding, with the checksum vector computed from
     /// the pristine payload at format-programming time — and the block is
-    /// re-executed (re-stream + recompute + backoff stall) under the
-    /// engine's [`RecoveryPolicy`] when the check trips. `stuck` is a
-    /// permanent payload corruption reported by the memory stream; it
-    /// re-applies on every retry, so it exhausts the retry budget and
-    /// surfaces as [`SimError::FaultDetected`] at [`FaultSite::Memory`].
+    /// re-executed (re-stream + recompute + backoff stall) through
+    /// [`Engine::retry`] when the check trips. A permanent stuck-at payload
+    /// corruption reported by the memory stream re-applies on every retry,
+    /// so it exhausts the retry budget and surfaces as
+    /// [`SimError::FaultDetected`] at [`FaultSite::Memory`].
     ///
     /// Without an injector this is a plain, checksum-free block execution
     /// that walks the streamed rows in place: a reversed row goes through
     /// the reversed-order MAC, which sums in the same logical lane order,
     /// so the result is bit-identical to multiplying the logical row.
-    fn gemv_block_checked(
+    fn gemv_block(
         &mut self,
+        sc: &mut Scratch,
         state: &mut RunState,
         block: AlfBlock<'_>,
-        operand: &[f64],
-        stuck: Option<(usize, u32)>,
-        dots: &mut Vec<f64>,
-    ) -> Result<()> {
+        x: &[f64],
+    ) -> Result<u64> {
         let omega = self.config.omega;
+        let col_base = block.block_col() * omega;
+        self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
+        let (mem, stuck) =
+            state
+                .memory
+                .stream_block(block.block_row(), block.block_col(), omega * omega);
+        self.read_chunk(state, REGION_X, col_base, x.len());
+        let block_cycles = mem.max(omega as u64);
+        state.cycles += block_cycles;
+        state.breakdown.gemv_cycles += block_cycles;
+        state.counts.gemv_blocks += 1;
+        self.publish_cycle(state);
+        load_operand(&mut sc.operand, x, col_base, omega);
+        let operand = &sc.operand;
+
         let Some(inj) = self.faults.clone() else {
-            dots.clear();
+            sc.dots.clear();
             for i in 0..omega {
                 let row = block.row(i);
-                dots.push(if block.reversed() {
+                sc.dots.push(if block.reversed() {
                     self.fcu.mac_row_reversed(row, operand)
                 } else {
                     self.fcu.mac_row(row, operand)
                 });
             }
-            return Ok(());
+            return Ok(block_cycles);
         };
 
         let mut chk = vec![0.0; omega];
@@ -783,85 +904,62 @@ impl Engine {
             });
         }
         let tol = 1e-9 * scale;
-
-        let max_retries = self.recovery.max_retries();
         let site = if stuck.is_some() {
             FaultSite::Memory
         } else {
             FaultSite::FcuLane
         };
-        let mut attempt = 0u32;
-        let mut caught = 0u64;
-        let mut recovering = false;
-        let mut redo_total = 0u64;
-        let outcome = loop {
-            inj.begin_scope();
-            if stuck.is_some() {
-                inj.note_stuck_applied();
-            }
-            inj.set_fcu_armed(true);
-            let mut dots = Vec::with_capacity(omega);
-            for i in 0..omega {
-                let mut logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
-                if let Some((word, bit)) = stuck {
-                    if word / omega == i {
-                        logical[word % omega] = fault::flip_bit(logical[word % omega], bit);
+        self.retry(
+            state,
+            site,
+            &mut sc.dots,
+            |eng, state, dots| {
+                // A retry runs at the cycle its redo advanced to.
+                eng.publish_cycle(state);
+                if stuck.is_some() {
+                    inj.note_stuck_applied();
+                }
+                inj.set_fcu_armed(true);
+                dots.clear();
+                for i in 0..omega {
+                    let mut logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
+                    if let Some((word, bit)) = stuck {
+                        if word / omega == i {
+                            logical[word % omega] = fault::flip_bit(logical[word % omega], bit);
+                        }
                     }
+                    dots.push(eng.fcu.mac_row(&logical, operand));
                 }
-                dots.push(self.fcu.mac_row(&logical, operand));
-            }
-            inj.set_fcu_armed(false);
-            let actual: f64 = dots.iter().sum();
-            if actual.is_finite() && (actual - expected).abs() <= tol {
-                if caught > 0 {
-                    inj.note_recovered(caught);
-                }
-                if recovering {
-                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                        recovered: true,
-                        cycles: redo_total,
-                    });
-                }
-                // Faults that slipped past the checksum stay injected-only.
-                inj.begin_scope();
-                break Ok(dots);
-            }
-            let newly = inj.confirm_detected();
-            caught += newly;
-            if newly > 0 {
-                self.trace
-                    .record(crate::trace::TraceEvent::FaultInjected { site });
-            }
-            if attempt >= max_retries {
-                if recovering {
-                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                        recovered: false,
-                        cycles: redo_total,
-                    });
-                }
-                break Err(SimError::FaultDetected {
-                    site,
-                    cycle: state.cycles,
-                });
-            }
-            if !recovering {
-                recovering = true;
-                self.trace
-                    .record(crate::trace::TraceEvent::RecoveryBegin { site });
-            }
-            attempt += 1;
-            inj.note_retry();
-            // Retry from checkpoint: re-stream the payload, re-run the ω
-            // rows, and pay the policy's backoff stall.
-            let re_mem = state.memory.stream_values(omega * omega);
-            let redo = re_mem.max(omega as u64) + self.recovery.backoff_cycles();
-            state.cycles += redo;
-            state.breakdown.recovery_cycles += redo;
-            redo_total += redo;
-            self.publish_cycle(state);
-        };
-        *dots = outcome?;
-        Ok(())
+                inj.set_fcu_armed(false);
+                let actual: f64 = dots.iter().sum();
+                (actual.is_finite() && (actual - expected).abs() <= tol).then_some(())
+            },
+            // Retry from checkpoint: re-stream the payload and re-run the
+            // ω rows.
+            |state, _| state.memory.stream_values(omega * omega).max(omega as u64),
+        )?;
+        Ok(block_cycles)
+    }
+
+    /// One graph-kernel block (D-BFS, D-SSSP, D-PR, CC): traces it and
+    /// charges its payload stream, its source-chunk read over the
+    /// `n`-vertex operand and its ω compute cycles.
+    fn graph_block(
+        &mut self,
+        state: &mut RunState,
+        block: AlfBlock<'_>,
+        kind: DataPathKind,
+        n: usize,
+    ) {
+        let omega = self.config.omega;
+        self.trace_block(block.block_row(), block.block_col(), kind);
+        let payload = state.memory.stream_values(omega * omega);
+        self.read_chunk(state, REGION_X, block.block_col() * omega, n);
+        let block_cycles = payload.max(omega as u64);
+        state.cycles += block_cycles;
+        state.breakdown.graph_cycles += block_cycles;
+        state.counts.graph_blocks += 1;
+        self.note_block_end(block_cycles);
     }
 
     /// Runs SpMV (`y = A·x`) over a [`AlfLayout::Streaming`] matrix.
@@ -871,34 +969,11 @@ impl Engine {
     /// * [`SimError::LayoutMismatch`] if `a` was built for SymGS.
     /// * [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
     pub fn run_spmv(&mut self, a: &Alf, x: &[f64]) -> Result<(Vec<f64>, ExecutionReport)> {
-        if a.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if x.len() != a.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.cols(),
-                found: x.len(),
-            });
-        }
+        self.check_operands(a, AlfLayout::Streaming, &[(a.cols(), x.len())])?;
         let omega = self.config.omega;
-        if a.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: a.omega(),
-            });
-        }
-
-        let mut state = self.begin(Reduce::Sum);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel: "spmv" });
+        let mut state = self.begin("spmv", Reduce::Sum);
         let mut y = vec![0.0; a.rows()];
-        let exposed = self
-            .rcu
-            .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-        self.trace_reconfigure(DataPathKind::Gemv, exposed);
+        self.configure(DataPathKind::Gemv, Reduce::Sum);
         self.with_scratch(|eng, sc| eng.spmv_blocks(sc, &mut state, a, x, &mut y))?;
 
         // Result write-back: one pass over y through the cache and out.
@@ -906,9 +981,7 @@ impl Engine {
             self.write_chunk(&mut state, REGION_X, chunk, a.rows());
         }
         state.memory.record_bytes(a.rows() as u64 * 8);
-
-        let report = self.finish("spmv", state, Reduce::Sum);
-        Ok((y, report))
+        Ok((y, self.finish(state)))
     }
 
     /// SpMV's block loop: one GEMV per block, its dots added into `y`.
@@ -920,26 +993,11 @@ impl Engine {
         x: &[f64],
         y: &mut [f64],
     ) -> Result<()> {
-        let omega = self.config.omega;
         for block in a.blocks() {
             self.check_budget(state)?;
-            let row_base = block.block_row() * omega;
-            let col_base = block.block_col() * omega;
-            self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-            let (mem, stuck) =
-                state
-                    .memory
-                    .stream_block(block.block_row(), block.block_col(), omega * omega);
-            self.read_chunk(state, REGION_X, col_base, a.cols());
-            let block_cycles = mem.max(omega as u64);
-            state.cycles += block_cycles;
-            state.breakdown.gemv_cycles += block_cycles;
-            state.counts.gemv_blocks += 1;
-            self.publish_cycle(state);
-
-            load_operand(&mut sc.operand, x, col_base, omega);
-            self.gemv_block_checked(state, block, &sc.operand, stuck, &mut sc.dots)?;
+            let block_cycles = self.gemv_block(sc, state, block, x)?;
             self.note_block_end(block_cycles);
+            let row_base = block.block_row() * self.config.omega;
             for (i, dot) in sc.dots.iter().enumerate() {
                 if let Some(yi) = y.get_mut(row_base + i) {
                     *yi += dot;
@@ -963,7 +1021,7 @@ impl Engine {
         b: &[f64],
         x: &mut [f64],
     ) -> Result<ExecutionReport> {
-        self.run_symgs_sweep(a, b, x, false)
+        self.run_sor_sweep(a, b, x, false, 1.0)
     }
 
     /// One backward Gauss-Seidel sweep (block rows and in-block rows in
@@ -978,31 +1036,47 @@ impl Engine {
         b: &[f64],
         x: &mut [f64],
     ) -> Result<ExecutionReport> {
-        self.run_symgs_sweep(a, b, x, true)
+        self.run_sor_sweep(a, b, x, true, 1.0)
     }
 
     /// One symmetric Gauss-Seidel application (forward then backward sweep),
-    /// the SymGS kernel of Table 1.
+    /// the SymGS kernel of Table 1: [`Engine::run_ssor`] at relaxation 1.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::run_symgs_forward`].
     pub fn run_symgs(&mut self, a: &Alf, b: &[f64], x: &mut [f64]) -> Result<ExecutionReport> {
-        let mut report = self.run_symgs_forward(a, b, x)?;
-        let back = self.run_symgs_backward(a, b, x)?;
-        report.merge(&back, &self.config.clone());
-        report.datapaths.iterations = 1;
-        Ok(report)
+        self.run_ssor(a, b, x, 1.0)
     }
 
-    fn run_symgs_sweep(
+    /// One symmetric SOR (SSOR) application on the device: a forward then
+    /// a backward sweep of the D-SymGS data path, with the RCU's PEs
+    /// additionally applying the relaxation blend
+    /// `x ← (1−ω_r)·x_old + ω_r·x_gs` (one extra PE operation per row —
+    /// the LUT-based PEs provide exactly these operations, §4.3).
+    /// `omega_relax = 1` is [`Engine::run_symgs`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RelaxationOutOfRange`] for a relaxation factor outside
+    /// `(0, 2)`, then the [`Engine::run_symgs_forward`] conditions.
+    pub fn run_ssor(
         &mut self,
         a: &Alf,
         b: &[f64],
         x: &mut [f64],
-        backward: bool,
+        omega_relax: f64,
     ) -> Result<ExecutionReport> {
-        self.run_sor_sweep(a, b, x, backward, 1.0)
+        if !(omega_relax > 0.0 && omega_relax < 2.0) {
+            return Err(SimError::RelaxationOutOfRange {
+                factor: omega_relax,
+            });
+        }
+        let mut report = self.run_sor_sweep(a, b, x, false, omega_relax)?;
+        let back = self.run_sor_sweep(a, b, x, true, omega_relax)?;
+        report.merge(&back, &self.config);
+        report.datapaths.iterations = 1;
+        Ok(report)
     }
 
     fn run_sor_sweep(
@@ -1013,40 +1087,17 @@ impl Engine {
         backward: bool,
         omega_relax: f64,
     ) -> Result<ExecutionReport> {
-        if a.layout() != AlfLayout::SymGs {
-            return Err(SimError::LayoutMismatch {
-                expected: "symgs",
-                found: "streaming",
-            });
-        }
-        if b.len() != a.rows() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.rows(),
-                found: b.len(),
-            });
-        }
-        if x.len() != a.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.cols(),
-                found: x.len(),
-            });
-        }
-        let omega = self.config.omega;
-        if a.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: a.omega(),
-            });
-        }
-
-        let mut state = self.begin(Reduce::Sum);
-        self.trace.record(crate::trace::TraceEvent::KernelBegin {
-            kernel: if backward {
-                "symgs-backward"
-            } else {
-                "symgs-forward"
-            },
-        });
+        self.check_operands(
+            a,
+            AlfLayout::SymGs,
+            &[(a.rows(), b.len()), (a.cols(), x.len())],
+        )?;
+        let kernel = if backward {
+            "symgs-backward"
+        } else {
+            "symgs-forward"
+        };
+        let mut state = self.begin(kernel, Reduce::Sum);
         // The extracted diagonal is loaded into the local cache once per
         // sweep (programming-time traffic, §4.5).
         state.memory.record_bytes(a.diagonal().len() as u64 * 8);
@@ -1060,17 +1111,7 @@ impl Engine {
         self.with_scratch(|eng, sc| eng.sor_block_rows(sc, &mut state, sweep, x))?;
 
         state.memory.record_bytes(a.rows() as u64 * 8); // x write-back
-        state.counts.link_stack_peak = state.link_stack_peak as u64;
-        state.counts.operand_fifo_peak = state.operand_fifo_peak as u64;
-        let mut report = self.finish(
-            if backward {
-                "symgs-backward"
-            } else {
-                "symgs-forward"
-            },
-            state,
-            Reduce::Sum,
-        );
+        let mut report = self.finish(state);
         report.datapaths.iterations = 1;
         Ok(report)
     }
@@ -1125,100 +1166,32 @@ impl Engine {
                 diag_block = Some(block);
                 continue;
             }
-            let switched = self.rcu.current() != Some(DataPathKind::Gemv);
-            let exposed = self
-                .rcu
-                .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-            if switched {
-                self.trace_reconfigure(DataPathKind::Gemv, exposed);
-            }
-            self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-            let col_base = block.block_col() * omega;
-            let (payload_cycles, stuck) =
-                state
-                    .memory
-                    .stream_block(block.block_row(), block.block_col(), omega * omega);
-            self.read_chunk(state, REGION_X, col_base, a.cols());
-            let block_cycles = payload_cycles.max(omega as u64);
-            state.cycles += block_cycles;
-            state.breakdown.gemv_cycles += block_cycles;
-            state.counts.gemv_blocks += 1;
-            self.publish_cycle(state);
-
-            load_operand(&mut sc.operand, x, col_base, omega);
-            self.gemv_block_checked(state, block, &sc.operand, stuck, &mut sc.dots)?;
+            self.configure(DataPathKind::Gemv, Reduce::Sum);
+            let block_cycles = self.gemv_block(sc, state, block, x)?;
             // The verified dots ride the link stack; entries can still be
-            // dropped in flight, which the occupancy check below catches
-            // (the stack grew by fewer than ω entries).
-            let link_stack = &mut sc.link_stack;
-            let mut push_attempt = 0u32;
-            let mut drops_caught = 0u64;
-            let mut push_recovering = false;
-            let mut push_redo = 0u64;
-            loop {
-                if let Some(inj) = &self.faults {
-                    inj.begin_scope();
-                }
-                let before = link_stack.len();
-                for (i, dot) in sc.dots.iter().enumerate() {
-                    if !self.rcu.link_push_event() {
-                        link_stack.push((i, *dot));
-                    }
-                }
-                if link_stack.len() - before == omega {
-                    if drops_caught > 0 {
-                        if let Some(inj) = &self.faults {
-                            inj.note_recovered(drops_caught);
+            // dropped in flight, which the occupancy check catches (the
+            // stack grew by fewer than ω entries).
+            let before = sc.link_stack.len();
+            self.retry(
+                state,
+                FaultSite::RcuLifo,
+                sc,
+                |eng, _, sc| {
+                    for (i, dot) in sc.dots.iter().enumerate() {
+                        if !eng.rcu.link_push_event() {
+                            sc.link_stack.push((i, *dot));
                         }
                     }
-                    if push_recovering {
-                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                            recovered: true,
-                            cycles: push_redo,
-                        });
-                    }
-                    break;
-                }
-                let newly = self
-                    .faults
-                    .as_ref()
-                    .map_or(0, FaultInjector::confirm_detected);
-                drops_caught += newly;
-                if newly > 0 {
-                    self.trace.record(crate::trace::TraceEvent::FaultInjected {
-                        site: FaultSite::RcuLifo,
-                    });
-                }
+                    (sc.link_stack.len() - before == omega).then_some(())
+                },
                 // Roll back this attempt's (LIFO-ordered) pushes.
-                while link_stack.len() > before {
-                    let _ = link_stack.pop();
-                }
-                if push_attempt >= self.recovery.max_retries() {
-                    if push_recovering {
-                        self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                            recovered: false,
-                            cycles: push_redo,
-                        });
+                |_, sc| {
+                    while sc.link_stack.len() > before {
+                        let _ = sc.link_stack.pop();
                     }
-                    return Err(SimError::FaultDetected {
-                        site: FaultSite::RcuLifo,
-                        cycle: state.cycles,
-                    });
-                }
-                if !push_recovering {
-                    push_recovering = true;
-                    self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
-                        site: FaultSite::RcuLifo,
-                    });
-                }
-                push_attempt += 1;
-                if let Some(inj) = &self.faults {
-                    inj.note_retry();
-                }
-                state.cycles += self.recovery.backoff_cycles();
-                state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
-                push_redo += self.recovery.backoff_cycles();
-            }
+                    0
+                },
+            )?;
             self.note_block_end(block_cycles);
         }
         Ok(diag_block)
@@ -1231,7 +1204,8 @@ impl Engine {
     fn drain_link_stack(&mut self, sc: &mut Scratch, state: &mut RunState) {
         sc.partial.clear();
         sc.partial.resize(self.config.omega, 0.0);
-        state.link_stack_peak = state.link_stack_peak.max(sc.link_stack.max_depth());
+        let peak = &mut state.counts.link_stack_peak;
+        *peak = (*peak).max(sc.link_stack.max_depth() as u64);
         while let Some((lane, value)) = sc.link_stack.pop() {
             sc.partial[lane] += value;
             self.rcu.buffer_event();
@@ -1248,12 +1222,7 @@ impl Engine {
                 return Err(self.scheduler_stall(state));
             }
         }
-        let drain = self.fcu.drain(Reduce::Sum);
-        let switched = self.rcu.current() != Some(DataPathKind::DSymGs);
-        let exposed = self.rcu.configure(DataPathKind::DSymGs, drain);
-        if switched {
-            self.trace_reconfigure(DataPathKind::DSymGs, exposed);
-        }
+        let drain = self.configure(DataPathKind::DSymGs, Reduce::Sum);
         self.trace_block(br, br, DataPathKind::DSymGs);
         if !self.config.overlap_drain {
             state.cycles += drain;
@@ -1276,85 +1245,37 @@ impl Engine {
         let row_base = br * omega;
         self.read_chunk(state, REGION_B, row_base, a.rows());
         self.read_chunk(state, REGION_DIAG, row_base, a.diagonal().len());
-        let (b_fifo, diag_fifo) = (&mut sc.b_fifo, &mut sc.diag_fifo);
-        b_fifo.reset();
-        diag_fifo.reset();
-        let mut fifo_attempt = 0u32;
-        let mut fifo_caught = 0u64;
-        let mut fifo_recovering = false;
-        let mut fifo_redo = 0u64;
-        loop {
-            if let Some(inj) = &self.faults {
-                inj.begin_scope();
-            }
-            let mut filled = 0usize;
-            for i in 0..omega {
-                let g = row_base + i;
-                if g < a.rows() {
-                    if !self.rcu.fifo_push_event() {
-                        b_fifo.push(b[g]);
+        sc.b_fifo.reset();
+        sc.diag_fifo.reset();
+        // The block row's valid lanes (the last row may be padded).
+        let lanes = row_base..(row_base + omega).min(a.rows());
+        let (b_lanes, diag_lanes) = (&b[lanes.clone()], &a.diagonal()[lanes]);
+        self.retry(
+            state,
+            FaultSite::RcuFifo,
+            sc,
+            |eng, state, sc| {
+                for (&bg, &dg) in b_lanes.iter().zip(diag_lanes) {
+                    if !eng.rcu.fifo_push_event() {
+                        sc.b_fifo.push(bg);
                     }
-                    if !self.rcu.fifo_push_event() {
-                        diag_fifo.push(a.diagonal()[g]);
-                    }
-                    filled += 1;
-                }
-            }
-            // Occupancy check: both FIFOs must hold exactly one entry per
-            // valid lane before the recurrence starts.
-            state.operand_fifo_peak = state.operand_fifo_peak.max(b_fifo.len());
-            if b_fifo.len() == filled && diag_fifo.len() == filled {
-                if fifo_caught > 0 {
-                    if let Some(inj) = &self.faults {
-                        inj.note_recovered(fifo_caught);
+                    if !eng.rcu.fifo_push_event() {
+                        sc.diag_fifo.push(dg);
                     }
                 }
-                if fifo_recovering {
-                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                        recovered: true,
-                        cycles: fifo_redo,
-                    });
-                }
-                return Ok(());
-            }
-            let newly = self
-                .faults
-                .as_ref()
-                .map_or(0, FaultInjector::confirm_detected);
-            fifo_caught += newly;
-            if newly > 0 {
-                self.trace.record(crate::trace::TraceEvent::FaultInjected {
-                    site: FaultSite::RcuFifo,
-                });
-            }
-            while b_fifo.pop().is_some() {}
-            while diag_fifo.pop().is_some() {}
-            if fifo_attempt >= self.recovery.max_retries() {
-                if fifo_recovering {
-                    self.trace.record(crate::trace::TraceEvent::RecoveryEnd {
-                        recovered: false,
-                        cycles: fifo_redo,
-                    });
-                }
-                return Err(SimError::FaultDetected {
-                    site: FaultSite::RcuFifo,
-                    cycle: state.cycles,
-                });
-            }
-            if !fifo_recovering {
-                fifo_recovering = true;
-                self.trace.record(crate::trace::TraceEvent::RecoveryBegin {
-                    site: FaultSite::RcuFifo,
-                });
-            }
-            fifo_attempt += 1;
-            if let Some(inj) = &self.faults {
-                inj.note_retry();
-            }
-            state.cycles += self.recovery.backoff_cycles();
-            state.breakdown.recovery_cycles += self.recovery.backoff_cycles();
-            fifo_redo += self.recovery.backoff_cycles();
-        }
+                let filled = b_lanes.len();
+                // Occupancy check: both FIFOs must hold exactly one entry
+                // per valid lane before the recurrence starts.
+                let peak = &mut state.counts.operand_fifo_peak;
+                *peak = (*peak).max(sc.b_fifo.len() as u64);
+                (sc.b_fifo.len() == filled && sc.diag_fifo.len() == filled).then_some(())
+            },
+            |_, sc| {
+                while sc.b_fifo.pop().is_some() {}
+                while sc.diag_fifo.pop().is_some() {}
+                0
+            },
+        )
     }
 
     /// Phase 4: the D-SymGS recurrence over block row `br` (Figure 10),
@@ -1480,7 +1401,7 @@ impl Engine {
     /// Layout/shape errors as in [`Engine::run_spmv`], plus a source bound
     /// check.
     pub fn run_bfs(&mut self, at: &Alf, source: usize) -> Result<(Vec<f64>, ExecutionReport)> {
-        self.run_minplus(at, source, "bfs", DataPathKind::DBfs, |_w| 1.0)
+        self.run_minplus(at, Some(source), "bfs", DataPathKind::DBfs, |_w, d| 1.0 + d)
     }
 
     /// Runs SSSP from `source` over the transposed adjacency `at` with the
@@ -1491,52 +1412,56 @@ impl Engine {
     ///
     /// Same as [`Engine::run_bfs`].
     pub fn run_sssp(&mut self, at: &Alf, source: usize) -> Result<(Vec<f64>, ExecutionReport)> {
-        self.run_minplus(at, source, "sssp", DataPathKind::DSssp, |w| w)
+        self.run_minplus(at, Some(source), "sssp", DataPathKind::DSssp, |w, d| w + d)
     }
 
+    /// Runs connected components by label propagation over `at`, the
+    /// [`AlfLayout::Streaming`] format of the *symmetrized, transposed*
+    /// adjacency (callers symmetrize; propagation needs both directions).
+    ///
+    /// This is the min-plus data path with a phase-1 pass-through of the
+    /// neighbor's vertex-id label in place of the edge-weight add —
+    /// demonstrating the §4.2 claim that Table 1's common phases make new
+    /// kernels cheap to add. Returns the per-vertex component labels.
+    ///
+    /// # Errors
+    ///
+    /// Layout/shape errors as in [`Engine::run_spmv`].
+    pub fn run_connected_components(&mut self, at: &Alf) -> Result<(Vec<usize>, ExecutionReport)> {
+        let (labels, report) = self.run_minplus(at, None, "cc", DataPathKind::DBfs, |_w, l| l)?;
+        Ok((labels.iter().map(|&l| l as usize).collect(), report))
+    }
+
+    /// The min-reduce graph kernels: rounds of `min` over `op(edge, value)`
+    /// gathered from each destination's in-neighbors, with a phase-3
+    /// compare-and-assign, until a round changes nothing. Values start at
+    /// [`UNREACHED`] except 0 at `source`, or, without a source, at each
+    /// vertex's own id.
     fn run_minplus(
         &mut self,
         at: &Alf,
-        source: usize,
+        source: Option<usize>,
         kernel: &'static str,
         kind: DataPathKind,
-        weight_of: impl Fn(f64) -> f64,
+        op: impl Fn(f64, f64) -> f64,
     ) -> Result<(Vec<f64>, ExecutionReport)> {
-        if at.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if at.rows() != at.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: at.cols(),
-            });
-        }
-        if source >= at.rows() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: source,
-            });
-        }
-        let omega = self.config.omega;
-        if at.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: at.omega(),
-            });
-        }
-
+        self.check_operands(at, AlfLayout::Streaming, &[(at.rows(), at.cols())])?;
         let n = at.rows();
-        let mut dist = vec![UNREACHED; n];
-        dist[source] = 0.0;
-
-        let mut state = self.begin(Reduce::Min);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel });
-        let exposed = self.rcu.configure(kind, self.fcu.drain(Reduce::Min));
-        self.trace_reconfigure(kind, exposed);
+        let mut dist: Vec<f64> = match source {
+            Some(s) if s >= n => {
+                return Err(SimError::DimensionMismatch {
+                    expected: n,
+                    found: s,
+                })
+            }
+            Some(s) => (0..n)
+                .map(|v| if v == s { 0.0 } else { UNREACHED })
+                .collect(),
+            None => (0..n).map(|v| v as f64).collect(),
+        };
+        let omega = self.config.omega;
+        let mut state = self.begin(kernel, Reduce::Min);
+        self.configure(kind, Reduce::Min);
         let mut rounds = 0u64;
 
         loop {
@@ -1545,18 +1470,14 @@ impl Engine {
             self.check_budget(&state)?;
             for block in at.blocks() {
                 // Block of Aᵀ: rows are destinations, columns sources.
+                self.graph_block(&mut state, block, kind, n);
                 let dst_base = block.block_row() * omega;
-                let src_base = block.block_col() * omega;
-                self.trace_block(block.block_row(), block.block_col(), kind);
-                let payload = state.memory.stream_values(omega * omega);
-                self.read_chunk(&mut state, REGION_X, src_base, n);
-                let block_cycles = payload.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.graph_cycles += block_cycles;
-                state.counts.graph_blocks += 1;
-                self.note_block_end(block_cycles);
-
-                load_operand(&mut self.scratch.operand, &dist, src_base, omega);
+                load_operand(
+                    &mut self.scratch.operand,
+                    &dist,
+                    block.block_col() * omega,
+                    omega,
+                );
                 let operand = &self.scratch.operand;
                 for i in 0..omega {
                     let d = dst_base + i;
@@ -1564,11 +1485,10 @@ impl Engine {
                         continue;
                     }
                     let row = block.row(i);
-                    let op = |w, dsrc| weight_of(w) + dsrc;
                     let cand = if block.reversed() {
-                        self.fcu.min_reduce_row_reversed(row, operand, op)
+                        self.fcu.min_reduce_row_reversed(row, operand, &op)
                     } else {
-                        self.fcu.min_reduce_row(row, operand, op)
+                        self.fcu.min_reduce_row(row, operand, &op)
                     };
                     if cand < dist[d] {
                         // Phase-3 assign: compare and update (Table 1).
@@ -1586,7 +1506,7 @@ impl Engine {
         }
 
         state.memory.record_bytes(n as u64 * 8);
-        let mut report = self.finish(kernel, state, Reduce::Min);
+        let mut report = self.finish(state);
         report.datapaths.iterations = rounds;
         Ok((dist, report))
     }
@@ -1606,41 +1526,15 @@ impl Engine {
         out_degrees: &[usize],
         opts: &PageRankConfig,
     ) -> Result<(Vec<f64>, ExecutionReport)> {
-        if at.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if at.rows() != at.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: at.cols(),
-            });
-        }
-        if out_degrees.len() != at.rows() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: out_degrees.len(),
-            });
-        }
+        self.check_operands(
+            at,
+            AlfLayout::Streaming,
+            &[(at.rows(), at.cols()), (at.rows(), out_degrees.len())],
+        )?;
         let omega = self.config.omega;
-        if at.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: at.omega(),
-            });
-        }
-
         let n = at.rows();
-        let mut state = self.begin(Reduce::Sum);
-        self.trace.record(crate::trace::TraceEvent::KernelBegin {
-            kernel: "pagerank",
-        });
-        let exposed = self
-            .rcu
-            .configure(DataPathKind::DPr, self.fcu.drain(Reduce::Sum));
-        self.trace_reconfigure(DataPathKind::DPr, exposed);
+        let mut state = self.begin("pagerank", Reduce::Sum);
+        self.configure(DataPathKind::DPr, Reduce::Sum);
         let mut rank = vec![1.0 / n as f64; n];
 
         for it in 1..=opts.max_iters {
@@ -1666,19 +1560,15 @@ impl Engine {
             self.scratch.next.clear();
             self.scratch.next.resize(n, base);
             for block in at.blocks() {
+                self.graph_block(&mut state, block, DataPathKind::DPr, n);
                 let dst_base = block.block_row() * omega;
-                let src_base = block.block_col() * omega;
-                self.trace_block(block.block_row(), block.block_col(), DataPathKind::DPr);
-                let payload = state.memory.stream_values(omega * omega);
-                self.read_chunk(&mut state, REGION_X, src_base, n);
-                let block_cycles = payload.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.graph_cycles += block_cycles;
-                state.counts.graph_blocks += 1;
-                self.note_block_end(block_cycles);
-
                 let sc = &mut self.scratch;
-                load_operand(&mut sc.operand, &sc.contrib, src_base, omega);
+                load_operand(
+                    &mut sc.operand,
+                    &sc.contrib,
+                    block.block_col() * omega,
+                    omega,
+                );
                 for i in 0..omega {
                     let d = dst_base + i;
                     if d >= n {
@@ -1706,7 +1596,7 @@ impl Engine {
             std::mem::swap(&mut rank, next);
             if delta < opts.tol {
                 state.memory.record_bytes(n as u64 * 8);
-                let mut report = self.finish("pagerank", state, Reduce::Sum);
+                let mut report = self.finish(state);
                 report.datapaths.iterations = it as u64;
                 return Ok((rank, report));
             }
@@ -1714,6 +1604,78 @@ impl Engine {
         Err(SimError::NoConvergence {
             iterations: opts.max_iters,
         })
+    }
+
+    /// Runs SpMV streaming the matrix in *CSR* instead of the locally-dense
+    /// format — the ALRESCHA-minus-its-format ablation.
+    ///
+    /// The same FCU/RCU hardware now pays for what the format otherwise
+    /// eliminates: column indices and row pointers stream alongside the
+    /// values (12 bytes per non-zero instead of dense 8-byte payload), the
+    /// vector operand is gathered per element through the cache with no
+    /// chunk locality, and rows shorter than ω leave ALU lanes idle. This
+    /// quantifies the paper's "NOT transferring meta-data" row of Table 2
+    /// on otherwise identical hardware.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
+    pub fn run_spmv_csr(
+        &mut self,
+        a: &alrescha_sparse::Csr,
+        x: &[f64],
+    ) -> Result<(Vec<f64>, ExecutionReport)> {
+        if x.len() != a.cols() {
+            return Err(SimError::DimensionMismatch {
+                expected: a.cols(),
+                found: x.len(),
+            });
+        }
+        let omega = self.config.omega;
+        let mut state = self.begin("spmv-csr", Reduce::Sum);
+        self.configure(DataPathKind::Gemv, Reduce::Sum);
+
+        let mut y = vec![0.0; a.rows()];
+        // Row pointers stream once (4 bytes each).
+        state.memory.record_bytes((a.rows() as u64 + 1) * 4);
+        for (r, yr) in y.iter_mut().enumerate() {
+            self.check_budget(&state)?;
+            let row: Vec<(usize, f64)> = a.row_entries(r).collect();
+            let mut acc = 0.0;
+            for chunk in row.chunks(omega) {
+                // Values (8 B) + column indices (4 B) per element, padded
+                // to the ω-lane issue width.
+                let payload_values = chunk.len() + chunk.len().div_ceil(2); // 12 B/nnz in 8 B units
+                let mem = state.memory.stream_values(payload_values.max(1));
+                // Irregular gather: every element is its own cache access,
+                // no chunk reuse guarantee.
+                let mut gather_cycles = 0u64;
+                for &(c, _) in chunk {
+                    let access = self.cache.read(c);
+                    if !access.hit {
+                        state.memory.stream_values(self.config.values_per_line());
+                    }
+                    gather_cycles += 1;
+                }
+                state.cache_busy += gather_cycles;
+                // One ω-wide FCU pass per chunk, lanes beyond the chunk idle.
+                let mut lanes = vec![0.0; omega];
+                let mut operand = vec![0.0; omega];
+                for (k, &(c, v)) in chunk.iter().enumerate() {
+                    lanes[k] = v;
+                    operand[k] = x[c];
+                }
+                acc += self.fcu.mac_row(&lanes, &operand);
+                let compute = 1u64.max(gather_cycles);
+                let cycles = mem.max(compute);
+                state.cycles += cycles;
+                state.breakdown.gemv_cycles += cycles;
+                state.counts.gemv_blocks += 1;
+            }
+            *yr = acc;
+        }
+        state.memory.record_bytes(a.rows() as u64 * 8);
+        Ok((y, self.finish(state)))
     }
 }
 
@@ -2305,19 +2267,56 @@ mod trace_tests {
 
     #[test]
     fn reconfigure_events_match_report_switches() {
+        type Run<'a> = &'a dyn Fn(&mut Engine) -> ExecutionReport;
+        // Every kernel, each run twice on one engine: the second run finds
+        // its data path already wired (zero switches for the single-path
+        // kernels) and must trace exactly as many switches as it reports.
         let coo = gen::stencil27(3);
-        let a = Alf::from_coo(&coo, 8, AlfLayout::SymGs).unwrap();
+        let a = Alf::from_coo(&coo, 8, AlfLayout::Streaming).unwrap();
+        let sg = Alf::from_coo(&coo, 8, AlfLayout::SymGs).unwrap();
+        let csr = alrescha_sparse::Csr::from_coo(&coo);
+        let at = Alf::from_coo(&coo.transpose(), 8, AlfLayout::Streaming).unwrap();
+        let out_deg: Vec<usize> = (0..csr.rows()).map(|u| csr.row_nnz(u)).collect();
+        let x = vec![1.0; coo.cols()];
         let b = vec![1.0; coo.rows()];
-        let mut x = vec![0.0; coo.cols()];
-        let mut engine = Engine::new(SimConfig::paper());
-        engine.enable_tracing();
-        let report = engine.run_symgs_forward(&a, &b, &mut x).unwrap();
-        let events = engine.take_trace();
-        let reconfigs = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Reconfigure { .. }))
-            .count() as u64;
-        assert_eq!(reconfigs, report.reconfig.switches);
+        let runs: [(&str, Run); 10] = [
+            ("spmv", &|e| e.run_spmv(&a, &x).unwrap().1),
+            ("spmv-csr", &|e| e.run_spmv_csr(&csr, &x).unwrap().1),
+            ("symgs-forward", &|e| {
+                e.run_symgs_forward(&sg, &b, &mut x.clone()).unwrap()
+            }),
+            ("symgs-backward", &|e| {
+                e.run_symgs_backward(&sg, &b, &mut x.clone()).unwrap()
+            }),
+            ("symgs", &|e| e.run_symgs(&sg, &b, &mut x.clone()).unwrap()),
+            ("ssor", &|e| {
+                e.run_ssor(&sg, &b, &mut x.clone(), 1.3).unwrap()
+            }),
+            ("bfs", &|e| e.run_bfs(&at, 0).unwrap().1),
+            ("sssp", &|e| e.run_sssp(&at, 0).unwrap().1),
+            ("cc", &|e| e.run_connected_components(&at).unwrap().1),
+            ("pagerank", &|e| {
+                e.run_pagerank(&at, &out_deg, &PageRankConfig::default())
+                    .unwrap()
+                    .1
+            }),
+        ];
+        for (kernel, run) in runs {
+            let mut engine = Engine::new(SimConfig::paper());
+            engine.enable_tracing();
+            for pass in ["first", "second"] {
+                let report = run(&mut engine);
+                let reconfigs = engine
+                    .take_trace()
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::Reconfigure { .. }))
+                    .count() as u64;
+                assert_eq!(
+                    reconfigs, report.reconfig.switches,
+                    "{kernel}, {pass} run on one engine"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2328,84 +2327,6 @@ mod trace_tests {
         let mut engine = Engine::new(SimConfig::paper());
         engine.run_spmv(&a, &x).unwrap();
         assert!(engine.take_trace().is_empty());
-    }
-}
-
-impl Engine {
-    /// Runs SpMV streaming the matrix in *CSR* instead of the locally-dense
-    /// format — the ALRESCHA-minus-its-format ablation.
-    ///
-    /// The same FCU/RCU hardware now pays for what the format otherwise
-    /// eliminates: column indices and row pointers stream alongside the
-    /// values (12 bytes per non-zero instead of dense 8-byte payload), the
-    /// vector operand is gathered per element through the cache with no
-    /// chunk locality, and rows shorter than ω leave ALU lanes idle. This
-    /// quantifies the paper's "NOT transferring meta-data" row of Table 2
-    /// on otherwise identical hardware.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
-    pub fn run_spmv_csr(
-        &mut self,
-        a: &alrescha_sparse::Csr,
-        x: &[f64],
-    ) -> Result<(Vec<f64>, ExecutionReport)> {
-        if x.len() != a.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: a.cols(),
-                found: x.len(),
-            });
-        }
-        let omega = self.config.omega;
-        let mut state = self.begin(Reduce::Sum);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel: "spmv-csr" });
-        self.rcu
-            .configure(DataPathKind::Gemv, self.fcu.drain(Reduce::Sum));
-
-        let mut y = vec![0.0; a.rows()];
-        // Row pointers stream once (4 bytes each).
-        state.memory.record_bytes((a.rows() as u64 + 1) * 4);
-        for (r, yr) in y.iter_mut().enumerate() {
-            self.check_budget(&state)?;
-            let row: Vec<(usize, f64)> = a.row_entries(r).collect();
-            let mut acc = 0.0;
-            for chunk in row.chunks(omega) {
-                // Values (8 B) + column indices (4 B) per element, padded
-                // to the ω-lane issue width.
-                let payload_values = chunk.len() + chunk.len().div_ceil(2); // 12 B/nnz in 8 B units
-                let mem = state.memory.stream_values(payload_values.max(1));
-                // Irregular gather: every element is its own cache access,
-                // no chunk reuse guarantee.
-                let mut gather_cycles = 0u64;
-                for &(c, _) in chunk {
-                    let access = self.cache.read(c);
-                    if !access.hit {
-                        state.memory.stream_values(self.config.values_per_line());
-                    }
-                    gather_cycles += 1;
-                }
-                state.cache_busy += gather_cycles;
-                // One ω-wide FCU pass per chunk, lanes beyond the chunk idle.
-                let mut lanes = vec![0.0; omega];
-                let mut operand = vec![0.0; omega];
-                for (k, &(c, v)) in chunk.iter().enumerate() {
-                    lanes[k] = v;
-                    operand[k] = x[c];
-                }
-                acc += self.fcu.mac_row(&lanes, &operand);
-                let compute = 1u64.max(gather_cycles);
-                let cycles = mem.max(compute);
-                state.cycles += cycles;
-                state.breakdown.gemv_cycles += cycles;
-                state.counts.gemv_blocks += 1;
-            }
-            *yr = acc;
-        }
-        state.memory.record_bytes(a.rows() as u64 * 8);
-        let report = self.finish("spmv-csr", state, Reduce::Sum);
-        Ok((y, report))
     }
 }
 
@@ -2466,102 +2387,6 @@ mod csr_mode_tests {
         assert!(Engine::new(SimConfig::paper())
             .run_spmv_csr(&csr, &[1.0])
             .is_err());
-    }
-}
-
-impl Engine {
-    /// Runs connected components by label propagation over `at`, the
-    /// [`AlfLayout::Streaming`] format of the *symmetrized, transposed*
-    /// adjacency (callers symmetrize; propagation needs both directions).
-    ///
-    /// A new dense data path built from the existing machinery: phase-1
-    /// pass-through of neighbor labels, `min` reduce, compare-and-assign —
-    /// demonstrating the §4.2 claim that Table 1's common phases make new
-    /// kernels cheap to add. Returns the per-vertex component labels.
-    ///
-    /// # Errors
-    ///
-    /// Layout/shape errors as in [`Engine::run_spmv`].
-    pub fn run_connected_components(&mut self, at: &Alf) -> Result<(Vec<usize>, ExecutionReport)> {
-        if at.layout() != AlfLayout::Streaming {
-            return Err(SimError::LayoutMismatch {
-                expected: "streaming",
-                found: "symgs",
-            });
-        }
-        if at.rows() != at.cols() {
-            return Err(SimError::DimensionMismatch {
-                expected: at.rows(),
-                found: at.cols(),
-            });
-        }
-        let omega = self.config.omega;
-        if at.omega() != omega {
-            return Err(SimError::BlockWidthMismatch {
-                engine: omega,
-                matrix: at.omega(),
-            });
-        }
-
-        let n = at.rows();
-        let mut label: Vec<f64> = (0..n).map(|v| v as f64).collect();
-        let mut state = self.begin(Reduce::Min);
-        self.trace
-            .record(crate::trace::TraceEvent::KernelBegin { kernel: "cc" });
-        let exposed = self
-            .rcu
-            .configure(DataPathKind::DBfs, self.fcu.drain(Reduce::Min));
-        self.trace_reconfigure(DataPathKind::DBfs, exposed);
-        let mut rounds = 0u64;
-
-        loop {
-            let mut changed = false;
-            rounds += 1;
-            self.check_budget(&state)?;
-            for block in at.blocks() {
-                let dst_base = block.block_row() * omega;
-                let src_base = block.block_col() * omega;
-                self.trace_block(block.block_row(), block.block_col(), DataPathKind::DBfs);
-                let payload = state.memory.stream_values(omega * omega);
-                self.read_chunk(&mut state, REGION_X, src_base, n);
-                let block_cycles = payload.max(omega as u64);
-                state.cycles += block_cycles;
-                state.breakdown.graph_cycles += block_cycles;
-                state.counts.graph_blocks += 1;
-                self.note_block_end(block_cycles);
-
-                load_operand(&mut self.scratch.operand, &label, src_base, omega);
-                let operand = &self.scratch.operand;
-                for i in 0..omega {
-                    let d = dst_base + i;
-                    if d >= n {
-                        continue;
-                    }
-                    let row = block.row(i);
-                    // Phase 1 passes the neighbor label through untouched.
-                    let cand = if block.reversed() {
-                        self.fcu.min_reduce_row_reversed(row, operand, |_w, l| l)
-                    } else {
-                        self.fcu.min_reduce_row(row, operand, |_w, l| l)
-                    };
-                    if cand < label[d] {
-                        let _ = self.rcu.pe_op();
-                        self.cache.write(REGION_X + d);
-                        state.cache_busy += 1;
-                        label[d] = cand;
-                        changed = true;
-                    }
-                }
-            }
-            if !changed || rounds as usize > n {
-                break;
-            }
-        }
-
-        state.memory.record_bytes(n as u64 * 8);
-        let mut report = self.finish("cc", state, Reduce::Min);
-        report.datapaths.iterations = rounds;
-        Ok((label.iter().map(|&l| l as usize).collect(), report))
     }
 }
 
@@ -2672,36 +2497,6 @@ mod edge_case_tests {
     }
 }
 
-impl Engine {
-    /// One forward SOR sweep on the device: the D-SymGS data path with the
-    /// RCU's PEs additionally applying the relaxation blend
-    /// `x ← (1−ω_r)·x_old + ω_r·x_gs` (one extra PE operation per row —
-    /// the LUT-based PEs provide exactly these operations, §4.3).
-    ///
-    /// `omega_relax = 1` is identical to [`Engine::run_symgs_forward`].
-    ///
-    /// # Errors
-    ///
-    /// The [`Engine::run_symgs_forward`] conditions, plus
-    /// [`SimError::DimensionMismatch`] for a relaxation factor outside
-    /// `(0, 2)`.
-    pub fn run_sor_forward(
-        &mut self,
-        a: &Alf,
-        b: &[f64],
-        x: &mut [f64],
-        omega_relax: f64,
-    ) -> Result<ExecutionReport> {
-        if !(omega_relax > 0.0 && omega_relax < 2.0) {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                found: 0,
-            });
-        }
-        self.run_sor_sweep(a, b, x, false, omega_relax)
-    }
-}
-
 #[cfg(test)]
 mod sor_tests {
     use super::*;
@@ -2717,7 +2512,7 @@ mod sor_tests {
         for omega_relax in [1.0f64, 1.3, 0.7] {
             let mut x_dev = vec![0.0; coo.cols()];
             Engine::new(SimConfig::paper())
-                .run_sor_forward(&a, &b, &mut x_dev, omega_relax)
+                .run_sor_sweep(&a, &b, &mut x_dev, false, omega_relax)
                 .unwrap();
             let mut x_ref = vec![0.0; coo.cols()];
             alrescha_kernels::smoothers::sor_forward(&csr, &b, &mut x_ref, omega_relax).unwrap();
@@ -2735,51 +2530,18 @@ mod sor_tests {
         let b = vec![1.0; coo.rows()];
         let mut x = vec![0.0; coo.cols()];
         let mut engine = Engine::new(SimConfig::paper());
-        assert!(engine.run_sor_forward(&a, &b, &mut x, 0.0).is_err());
-        assert!(engine.run_sor_forward(&a, &b, &mut x, 2.5).is_err());
-    }
-}
-
-impl Engine {
-    /// One backward SOR sweep on the device (rows descending).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run_sor_forward`].
-    pub fn run_sor_backward(
-        &mut self,
-        a: &Alf,
-        b: &[f64],
-        x: &mut [f64],
-        omega_relax: f64,
-    ) -> Result<ExecutionReport> {
-        if !(omega_relax > 0.0 && omega_relax < 2.0) {
-            return Err(SimError::DimensionMismatch {
-                expected: 1,
-                found: 0,
-            });
+        for factor in [0.0, 2.0, 2.5, -1.0] {
+            assert_eq!(
+                engine.run_ssor(&a, &b, &mut x, factor),
+                Err(SimError::RelaxationOutOfRange { factor })
+            );
         }
-        self.run_sor_sweep(a, b, x, true, omega_relax)
-    }
-
-    /// One symmetric SOR (SSOR) application on the device: forward then
-    /// backward sweep. `omega_relax = 1` is [`Engine::run_symgs`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run_sor_forward`].
-    pub fn run_ssor(
-        &mut self,
-        a: &Alf,
-        b: &[f64],
-        x: &mut [f64],
-        omega_relax: f64,
-    ) -> Result<ExecutionReport> {
-        let mut report = self.run_sor_forward(a, b, x, omega_relax)?;
-        let back = self.run_sor_backward(a, b, x, omega_relax)?;
-        report.merge(&back, &self.config.clone());
-        report.datapaths.iterations = 1;
-        Ok(report)
+        let nan = engine.run_ssor(&a, &b, &mut x, f64::NAN);
+        assert!(
+            matches!(nan, Err(SimError::RelaxationOutOfRange { factor }) if factor.is_nan()),
+            "{nan:?}"
+        );
+        assert_eq!(x, vec![0.0; coo.cols()], "a rejected factor runs nothing");
     }
 }
 

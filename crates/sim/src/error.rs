@@ -62,6 +62,11 @@ pub enum SimError {
         /// Engine cycle at which the budget expired.
         cycle: u64,
     },
+    /// An SOR relaxation factor outside the convergent range `(0, 2)`.
+    RelaxationOutOfRange {
+        /// The factor the caller passed.
+        factor: f64,
+    },
     /// The progress watchdog observed no forward progress for a full
     /// watchdog window (e.g. a wedged D-SymGS block scheduler).
     Stalled {
@@ -105,6 +110,9 @@ impl fmt::Display for SimError {
             }
             SimError::DeadlineExceeded { budget, cycle } => {
                 write!(f, "{budget} budget exceeded at cycle {cycle}")
+            }
+            SimError::RelaxationOutOfRange { factor } => {
+                write!(f, "SOR relaxation factor {factor} is outside (0, 2)")
             }
             SimError::Stalled {
                 site,
@@ -190,6 +198,12 @@ mod tests {
             e.to_string(),
             "stalled: d-symgs block scheduler made no progress for 65536 cycles (watchdog fired at cycle 65736)"
         );
+    }
+
+    #[test]
+    fn relaxation_variant_displays_the_factor() {
+        let e = SimError::RelaxationOutOfRange { factor: 2.5 };
+        assert_eq!(e.to_string(), "SOR relaxation factor 2.5 is outside (0, 2)");
     }
 
     #[test]

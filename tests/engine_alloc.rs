@@ -2,8 +2,9 @@
 //! neither does Algorithm-1 conversion.
 //!
 //! This binary installs a counting global allocator and runs warmed SpMV,
-//! SymGS and PageRank on `stencil27(4)` (8 block rows) and `stencil27(8)`
-//! (64 block rows, 8× the blocks). A run may allocate a fixed number of
+//! SymGS, SSOR, PageRank, BFS, SSSP and connected components on
+//! `stencil27(4)` (8 block rows) and `stencil27(8)` (64 block rows, 8× the
+//! blocks). A run may allocate a fixed number of
 //! times — its output vector, say — but the count must not depend on how
 //! many blocks it streams. The same holds for `Alf::from_coo` in both
 //! layouts: it sizes every buffer up front, so it allocates a fixed number
@@ -62,9 +63,11 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     after - before
 }
 
-/// Allocations of the second (warmed) run of each kernel on
-/// `stencil27(side)`, as `[spmv, symgs, pagerank]`, plus the block count.
-fn warmed_allocations(side: usize) -> ([u64; 3], usize) {
+const KERNELS: [&str; 7] = ["spmv", "symgs", "ssor", "pagerank", "bfs", "sssp", "cc"];
+
+/// Allocations of the second (warmed) run of each kernel of [`KERNELS`] on
+/// `stencil27(side)`, plus the block count.
+fn warmed_allocations(side: usize) -> ([u64; 7], usize) {
     let coo = gen::stencil27(side);
     let spmv = Alf::from_coo(&coo, 8, AlfLayout::Streaming).expect("spmv format");
     let symgs = Alf::from_coo(&coo, 8, AlfLayout::SymGs).expect("symgs format");
@@ -77,12 +80,18 @@ fn warmed_allocations(side: usize) -> ([u64; 3], usize) {
     let opts = PageRankConfig::default();
 
     let mut engine = Engine::new(SimConfig::paper());
-    let mut counts = [0; 3];
+    let mut counts = [0; 7];
     for _warm in 0..2 {
         counts = [
             allocations(|| engine.run_spmv(&spmv, &x).expect("spmv")),
             allocations(|| engine.run_symgs(&symgs, &b, &mut xs).expect("symgs")),
+            allocations(|| engine.run_ssor(&symgs, &b, &mut xs, 1.3).expect("ssor")),
             allocations(|| engine.run_pagerank(&at, &out_deg, &opts).expect("pagerank")),
+            allocations(|| engine.run_bfs(&at, 0).expect("bfs")),
+            allocations(|| engine.run_sssp(&at, 0).expect("sssp")),
+            // The stencil is symmetric, so its transpose is already the
+            // symmetrized adjacency label propagation needs.
+            allocations(|| engine.run_connected_components(&at).expect("cc")),
         ];
     }
     (counts, spmv.num_blocks())
@@ -93,10 +102,7 @@ fn fault_free_runs_allocate_independently_of_block_count() {
     let (small, small_blocks) = warmed_allocations(4);
     let (large, large_blocks) = warmed_allocations(8);
     assert!(large_blocks >= 8 * small_blocks);
-    for (kernel, (s, l)) in ["spmv", "symgs", "pagerank"]
-        .iter()
-        .zip(small.iter().zip(&large))
-    {
+    for (kernel, (s, l)) in KERNELS.iter().zip(small.iter().zip(&large)) {
         assert_eq!(
             s, l,
             "{kernel}: {s} allocations over {small_blocks} blocks but {l} over \
