@@ -90,12 +90,12 @@ impl AsmDiagnostic {
     /// Renders as a single JSON object with the line/column span.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"code":"{}","severity":"{}","line":{},"col":{},"message":"{}"}}"#,
+            r#"{{"code":"{}","severity":"{}","line":{},"col":{},"message":{}}}"#,
             self.code,
             self.severity.label(),
             self.span.line,
             self.span.col,
-            json_escape(&self.message)
+            alrescha_obs::json::escape(&self.message)
         )
     }
 }
@@ -117,24 +117,6 @@ impl fmt::Display for AsmDiagnostic {
 pub fn render_json(diagnostics: &[AsmDiagnostic]) -> String {
     let items: Vec<String> = diagnostics.iter().map(AsmDiagnostic::to_json).collect();
     format!("[{}]", items.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A parse or assembly failure: every finding, sorted in source order.

@@ -237,11 +237,10 @@ fn lock(m: &Mutex<SharedState>) -> MutexGuard<'_, SharedState> {
 /// the half-open window would hammer the possibly-still-broken device at
 /// once, defeating the point of probing.
 ///
-/// Probe verdicts are reported through [`SharedBreaker::record_probe`],
-/// which clears the in-flight flag; [`SharedBreaker::record_success`] /
-/// [`SharedBreaker::record_failure`] report ordinary (non-probe) verdicts
-/// and deliberately leave the flag alone, so a stale device verdict from an
-/// operation gated before the trip can never unlock a second probe.
+/// Every verdict goes through [`SharedBreaker::record`] with the choice
+/// [`SharedBreaker::gate`] returned: only a probe's verdict clears the
+/// in-flight flag, so a stale device verdict from an operation gated
+/// before the trip can never unlock a second probe.
 #[derive(Debug, Clone)]
 pub struct SharedBreaker {
     inner: Arc<Mutex<SharedState>>,
@@ -264,8 +263,8 @@ impl SharedBreaker {
         let mut s = lock(&self.inner);
         // While a probe is outstanding, everyone else goes to the CPU —
         // regardless of state, because a stale (non-probe) verdict may
-        // have moved the breaker under the in-flight probe, and only
-        // `record_probe` may free the single probe slot.
+        // have moved the breaker under the in-flight probe, and only a
+        // probe's verdict may free the single probe slot.
         if s.probe_inflight {
             s.breaker.stats.cpu_fallback_runs += 1;
             return BackendChoice::Cpu;
@@ -277,28 +276,24 @@ impl SharedBreaker {
         choice
     }
 
-    /// Reports the verdict of a probe issued by [`SharedBreaker::gate`]:
-    /// clears the in-flight flag, then heals (success) or re-opens
-    /// (failure) the breaker.
-    pub fn record_probe(&self, success: bool) {
+    /// Records the outcome of an operation routed by
+    /// [`SharedBreaker::gate`]. A [`BackendChoice::Probe`] verdict clears
+    /// the in-flight flag, then heals (success) or re-opens (failure) the
+    /// breaker; a [`BackendChoice::Device`] verdict is recorded and leaves
+    /// the flag alone; a [`BackendChoice::Cpu`] operation never touched
+    /// the device and records nothing.
+    pub fn record(&self, choice: BackendChoice, success: bool) {
         let mut s = lock(&self.inner);
-        s.probe_inflight = false;
+        match choice {
+            BackendChoice::Cpu => return,
+            BackendChoice::Probe => s.probe_inflight = false,
+            BackendChoice::Device { .. } => {}
+        }
         if success {
             s.breaker.record_success();
         } else {
             s.breaker.record_failure();
         }
-    }
-
-    /// Records an ordinary (non-probe) successful device operation.
-    pub fn record_success(&self) {
-        lock(&self.inner).breaker.record_success();
-    }
-
-    /// Records an ordinary (non-probe) failed device operation. Returns
-    /// `true` when this failure trips the breaker open.
-    pub fn record_failure(&self) -> bool {
-        lock(&self.inner).breaker.record_failure()
     }
 
     /// Current state.
@@ -418,6 +413,8 @@ mod shared_tests {
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
+    const DEVICE: BackendChoice = BackendChoice::Device { attempts: 1 };
+
     /// A shared breaker already tripped open with a zero cooldown, so the
     /// very next gate is the half-open probe.
     fn tripped_shared() -> SharedBreaker {
@@ -427,7 +424,7 @@ mod shared_tests {
             max_attempts: 1,
             ..BreakerConfig::default()
         });
-        sb.record_failure();
+        sb.record(DEVICE, false);
         sb
     }
 
@@ -441,10 +438,10 @@ mod shared_tests {
         assert_eq!(sb.gate(), BackendChoice::Cpu);
         assert_eq!(sb.gate(), BackendChoice::Cpu);
         // A failed probe re-opens; a healing probe then re-closes.
-        sb.record_probe(false);
+        sb.record(BackendChoice::Probe, false);
         assert_eq!(sb.state(), BreakerState::Open);
         assert_eq!(sb.gate(), BackendChoice::Probe);
-        sb.record_probe(true);
+        sb.record(BackendChoice::Probe, true);
         assert_eq!(sb.state(), BreakerState::Closed);
         assert!(matches!(sb.gate(), BackendChoice::Device { .. }));
     }
@@ -455,9 +452,12 @@ mod shared_tests {
         assert_eq!(sb.gate(), BackendChoice::Probe);
         // A worker gated before the trip reports its late failure: the
         // probe slot must stay occupied.
-        sb.record_failure();
+        sb.record(DEVICE, false);
         assert_eq!(sb.gate(), BackendChoice::Cpu, "probe still in flight");
-        sb.record_probe(true);
+        // A CPU-served op never touched the device: its verdict is ignored.
+        sb.record(BackendChoice::Cpu, true);
+        assert_eq!(sb.state(), BreakerState::Open);
+        sb.record(BackendChoice::Probe, true);
         assert_eq!(sb.state(), BreakerState::Closed);
     }
 
@@ -487,20 +487,18 @@ mod shared_tests {
                     scope.spawn(move || {
                         for op in 0..ops_per_worker {
                             match sb.gate() {
-                                BackendChoice::Probe => {
+                                choice @ BackendChoice::Probe => {
                                     if probes_on_device.fetch_add(1, Ordering::SeqCst) != 0 {
                                         violated.store(true, Ordering::SeqCst);
                                     }
                                     std::thread::yield_now();
                                     probes_on_device.fetch_sub(1, Ordering::SeqCst);
-                                    sb.record_probe(heal && op % 2 == 0);
+                                    sb.record(choice, heal && op % 2 == 0);
                                 }
-                                BackendChoice::Device { .. } => {
-                                    // Ordinary op while closed; fail it so
-                                    // the breaker trips again (threshold 1).
-                                    sb.record_failure();
-                                }
-                                BackendChoice::Cpu => {}
+                                // Ordinary op while closed: fail it so the
+                                // breaker trips again (threshold 1). A CPU
+                                // op's verdict is a no-op.
+                                choice => sb.record(choice, false),
                             }
                         }
                     });

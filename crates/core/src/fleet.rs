@@ -381,9 +381,10 @@ impl FleetConfig {
     /// the queue holds `capacity`: a deterministic linear ramp over how
     /// far past capacity the job landed.
     pub fn retry_after(&self, index: usize, capacity: usize) -> Duration {
-        let excess = index.saturating_sub(capacity).saturating_add(1);
-        self.retry_after_hint
-            .saturating_mul(u32::try_from(excess).unwrap_or(u32::MAX))
+        backpressure_ramp(
+            self.retry_after_hint,
+            index.saturating_sub(capacity).saturating_add(1),
+        )
     }
 
     fn resolved_workers(&self) -> usize {
@@ -394,6 +395,13 @@ impl FleetConfig {
                 .map_or(1, std::num::NonZeroUsize::get)
         }
     }
+}
+
+/// The linear backpressure ramp every admission limit shares: a request
+/// landing `excess` places past its limit (`1` = the first one over) is
+/// told to retry after `excess × hint`, saturating instead of overflowing.
+pub fn backpressure_ramp(hint: Duration, excess: usize) -> Duration {
+    hint.saturating_mul(u32::try_from(excess).unwrap_or(u32::MAX))
 }
 
 // ---------------------------------------------------------------------------

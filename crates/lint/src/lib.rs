@@ -318,8 +318,8 @@ impl Diagnostic {
         Diagnostic::new(code, severity, location, message)
     }
 
-    /// Renders as a single JSON object (no external serializer available in
-    /// this build environment, so the escaping is done by hand).
+    /// Renders as a single JSON object; the message is escaped by
+    /// [`alrescha_obs::json::escape`].
     pub fn to_json(&self) -> String {
         let loc = match self.location {
             Location::Format => r#"{"kind":"format"}"#.to_string(),
@@ -333,11 +333,11 @@ impl Diagnostic {
             Location::Field { name } => format!(r#"{{"kind":"field","name":"{name}"}}"#),
         };
         format!(
-            r#"{{"code":"{}","severity":"{}","location":{},"message":"{}"}}"#,
+            r#"{{"code":"{}","severity":"{}","location":{},"message":{}}}"#,
             self.code,
             self.severity.label(),
             loc,
-            json_escape(&self.message)
+            alrescha_obs::json::escape(&self.message)
         )
     }
 }
@@ -353,24 +353,6 @@ impl fmt::Display for Diagnostic {
             self.location
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a diagnostic list as a JSON array.
@@ -401,7 +383,10 @@ pub fn render_text(diagnostics: &[Diagnostic]) -> String {
 
 /// Number of diagnostics at exactly `severity`.
 pub fn count(diagnostics: &[Diagnostic], severity: Severity) -> usize {
-    diagnostics.iter().filter(|d| d.severity == severity).count()
+    diagnostics
+        .iter()
+        .filter(|d| d.severity == severity)
+        .count()
 }
 
 /// True when no diagnostic reaches [`Severity::Error`].

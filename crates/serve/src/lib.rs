@@ -44,5 +44,5 @@ pub use client::{Client, ClientError, JobStatus, RetryPolicy};
 pub use journal::{Journal, JournalError, JournalRecord, JournalStats, TerminalKind};
 pub use protocol::{Frame, JobPayload, ScrapeKind, SolveResult, TraceContext, WireError};
 pub use quota::{QuotaDecision, QuotaTable};
-pub use slo::{BurnWindow, SloHistogram, SloTable, TenantSlo, SLO_BUCKETS_US};
+pub use slo::{BurnWindow, SloTable};
 pub use server::{Bind, Server, ServerConfig, ServerError, ServerHandle};

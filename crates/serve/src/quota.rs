@@ -5,11 +5,13 @@
 //! the whole queue and starve the rest. Rejections are in-band and carry a
 //! structured `retry_after` that grows linearly with how far over quota
 //! the tenant is — the same worker-count-independent ramp the fleet uses
-//! for `QueueFull` ([`alrescha::fleet::FleetConfig::retry_after`]), so a
-//! client backs off proportionally to the pressure it is causing.
+//! for `QueueFull` ([`alrescha::fleet::backpressure_ramp`]), so a client
+//! backs off proportionally to the pressure it is causing.
 
 use std::collections::HashMap;
 use std::time::Duration;
+
+use alrescha::fleet::backpressure_ramp;
 
 /// Admission verdict for one submit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +55,9 @@ impl QuotaTable {
             self.rejections += 1;
             // Linear ramp in the overshoot, mirroring the fleet's queue
             // backpressure: 1 over cap → 1×hint, 2 over → 2×hint, …
-            let excess = count - self.per_tenant + 1;
-            let retry_after = self
-                .retry_after_hint
-                .saturating_mul(u32::try_from(excess).unwrap_or(u32::MAX));
-            return QuotaDecision::Reject { retry_after };
+            return QuotaDecision::Reject {
+                retry_after: backpressure_ramp(self.retry_after_hint, count - self.per_tenant + 1),
+            };
         }
         *self.inflight.entry(tenant.to_owned()).or_insert(0) += 1;
         QuotaDecision::Admit
@@ -84,6 +84,11 @@ impl QuotaTable {
     /// Current in-flight count for `tenant`.
     pub fn inflight(&self, tenant: &str) -> usize {
         self.inflight.get(tenant).copied().unwrap_or(0)
+    }
+
+    /// Tenants with at least one job in flight, in no particular order.
+    pub fn tenants(&self) -> impl Iterator<Item = &str> {
+        self.inflight.keys().map(String::as_str)
     }
 
     /// Total rejections since construction.

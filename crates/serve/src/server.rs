@@ -4,9 +4,9 @@
 //! # Life of a job
 //!
 //! ```text
-//!  Submit ──► quota? ──► queue room? ──► journal.accept (fsync) ──► Accepted
-//!                                                 │
-//!   worker dequeues ◄── queue ◄───────────────────┘
+//!  Submit ──► quota? ──► queue room? ──► storage ok? ──► journal.accept (fsync) ──► Accepted
+//!                                                                  │
+//!   worker dequeues ◄── queue ◄────────────────────────────────────┘
 //!        │
 //!        ├── breaker gate: Device → on-device │ Probe → one probe job
 //!        │                 Cpu → pinned to the host backend
@@ -30,9 +30,8 @@
 //! have gotten from an uninterrupted run.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -45,12 +44,14 @@ use std::time::{Duration, Instant};
 use alrescha::breaker::{BackendChoice, BreakerConfig, SharedBreaker};
 use alrescha::checkpoint::SolverCheckpoint;
 use alrescha::convert::{convert, KernelType};
-use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobOutput, JobSpec, Station};
+use alrescha::fleet::{
+    backpressure_ramp, Fleet, FleetConfig, JobKernel, JobOutput, JobSpec, Station,
+};
 use alrescha::storage::{RealStorage, StorageIo};
 use alrescha::SolverOptions;
 use alrescha_lint::analyze_table;
 use alrescha_obs::flight::{self, FlightRecorder};
-use alrescha_obs::{FrameError, Telemetry, MICROS_BUCKETS};
+use alrescha_obs::{json, FrameError, Telemetry, MICROS_BUCKETS};
 use alrescha_sim::SimConfig;
 
 use crate::journal::{Journal, JournalError, JournalRecord};
@@ -318,7 +319,7 @@ struct Inner {
     shutdown: AtomicBool,
     draining: AtomicBool,
     conns: Mutex<Vec<JoinHandle<()>>>,
-    /// Per-tenant SLO state (latency histograms + burn windows).
+    /// Per-tenant SLO state (burn windows + end-to-end counts).
     slo: Mutex<SloTable>,
     /// job_id → trace_id for in-flight jobs, so the checkpoint hook and
     /// terminal paths can stamp their spans with the submitting client's
@@ -368,8 +369,9 @@ impl Inner {
         self.started.elapsed().as_secs()
     }
 
-    /// Records per-tenant latency into both the SLO table and (when
-    /// telemetry is attached) the labelled Prometheus histograms.
+    /// Records per-tenant latency into the labelled Prometheus histograms
+    /// (when telemetry is attached) — the service's only latency
+    /// distributions.
     fn observe_latency(&self, kind: &str, tenant: &str, us: u64) {
         if let Some(tele) = self.tele() {
             tele.metrics()
@@ -396,6 +398,31 @@ impl Inner {
         if seen.1 != storage {
             self.fr(flight::EV_BREAKER, 1, 0, &format!("storage:{storage}"));
             seen.1 = storage;
+        }
+    }
+
+    /// Storage-pressure backpressure, shared by the open-breaker gate and a
+    /// failed journal append: frees the tenant's quota slot, counts and
+    /// flight-records the rejection as `event`, and hints 4× the base
+    /// unit so clients back off a failing disk harder than a full queue.
+    fn reject_storage(
+        &self,
+        tenant: &str,
+        event: u16,
+        trace_id: u64,
+        job_id: u64,
+        reason: String,
+    ) -> Frame {
+        lock(&self.quota).release(tenant);
+        self.count(
+            "alserve_storage_rejections_total",
+            "submissions rejected by storage-pressure admission control",
+        );
+        self.fr(event, trace_id, job_id, tenant);
+        self.note_breakers();
+        Frame::Rejected {
+            reason,
+            retry_after: Some(self.config.retry_after_hint.saturating_mul(4)),
         }
     }
 
@@ -546,13 +573,10 @@ impl Server {
         let hook_flight = Arc::clone(&config.flight);
         let hook_traces = Arc::clone(&trace_ids);
         let hook_tele = config.telemetry.clone();
-        let fleet = Fleet::new(
-            FleetConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(config.queue_capacity.max(1))
-                .with_retry_after_hint(config.retry_after_hint),
-        )
-        .with_checkpoint_hook(Arc::new(move |job_id, ckpt| {
+        // The daemon queues and admits jobs itself and drives the fleet one
+        // job at a time through `execute_on`, so no batch setting applies.
+        let fleet = Fleet::new(FleetConfig::default());
+        let fleet = fleet.with_checkpoint_hook(Arc::new(move |job_id, ckpt| {
             let iteration = ckpt.iteration as u64;
             // Checkpoint writes are part of the job's distributed trace:
             // stamp an instant with the submitting client's trace id so
@@ -840,7 +864,13 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener) {
             Ok(stream) => {
                 let conn_inner = Arc::clone(inner);
                 let h = std::thread::spawn(move || connection_loop(&conn_inner, stream));
-                lock(&inner.conns).push(h);
+                let mut conns = lock(&inner.conns);
+                // Join closed connections' threads here, so a long-lived
+                // daemon holds handles only for connections still open.
+                for done in conns.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
+                conns.push(h);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -978,8 +1008,9 @@ fn static_admission_reason(inner: &Arc<Inner>, job: &JobPayload) -> Option<Strin
     })
 }
 
-/// Admission: drain gate → job sanity → alprove static bound → per-tenant
-/// quota → queue room → durable journal append → `Accepted`. Every
+/// Admission: drain gate → job sanity → alprove static bound (when
+/// `admission_cycle_budget` is set) → per-tenant quota → queue room →
+/// storage-pressure gate → durable journal append → `Accepted`. Every
 /// decision lands in the flight recorder; the quota `retry_after` is
 /// additionally scaled by the tenant's SLO burn rate, so a tenant already
 /// torching its error budget is told to back off harder.
@@ -1045,11 +1076,8 @@ fn admit(inner: &Arc<Inner>, tenant: &str, job: JobPayload, trace: TraceContext)
         let capacity = inner.config.queue_capacity;
         if queue.len() >= capacity {
             lock(&inner.quota).release(tenant);
-            let excess = queue.len() - capacity + 1;
-            let retry_after = inner
-                .config
-                .retry_after_hint
-                .saturating_mul(u32::try_from(excess).unwrap_or(u32::MAX));
+            let retry_after =
+                backpressure_ramp(inner.config.retry_after_hint, queue.len() - capacity + 1);
             inner.count(
                 "alserve_queue_rejections_total",
                 "submissions rejected by the bounded queue",
@@ -1071,20 +1099,15 @@ fn admit(inner: &Arc<Inner>, tenant: &str, job: JobPayload, trace: TraceContext)
     // retry hint instead of hammering a failing disk. Half-open lets one
     // probe submission through to test recovery.
     let storage_choice = inner.storage_breaker.gate();
-    if matches!(storage_choice, BackendChoice::Cpu) {
-        lock(&inner.quota).release(tenant);
-        inner.count(
-            "alserve_storage_rejections_total",
-            "submissions rejected by storage-pressure admission control",
+    if storage_choice == BackendChoice::Cpu {
+        return inner.reject_storage(
+            tenant,
+            flight::EV_REJECT_STORAGE,
+            trace.trace_id,
+            0,
+            "storage pressure: journal writes are failing".to_owned(),
         );
-        inner.fr(flight::EV_REJECT_STORAGE, trace.trace_id, 0, tenant);
-        inner.note_breakers();
-        return Frame::Rejected {
-            reason: "storage pressure: journal writes are failing".to_owned(),
-            retry_after: Some(inner.config.retry_after_hint.saturating_mul(4)),
-        };
     }
-    let storage_probe = matches!(storage_choice, BackendChoice::Probe);
     let job_id = inner.next_id.fetch_add(1, Ordering::SeqCst);
     // Durability point: fsync the Accepted record BEFORE acknowledging.
     let accepted = {
@@ -1096,31 +1119,20 @@ fn admit(inner: &Arc<Inner>, tenant: &str, job: JobPayload, trace: TraceContext)
         });
         lock(&inner.journal).accept(job_id, tenant, &job)
     };
+    inner
+        .storage_breaker
+        .record(storage_choice, accepted.is_ok());
     if let Err(e) = accepted {
-        lock(&inner.quota).release(tenant);
-        if storage_probe {
-            inner.storage_breaker.record_probe(false);
-        } else {
-            inner.storage_breaker.record_failure();
-        }
-        inner.count(
-            "alserve_storage_rejections_total",
-            "submissions rejected by storage-pressure admission control",
-        );
-        inner.fr(flight::EV_FAULT_STORAGE, trace.trace_id, job_id, tenant);
-        inner.note_breakers();
         // In-band, transient: the client backs off and retries rather than
         // losing the connection. The job was never acknowledged, so no
         // durability promise is broken.
-        return Frame::Rejected {
-            reason: format!("storage pressure: journal append failed: {e}"),
-            retry_after: Some(inner.config.retry_after_hint.saturating_mul(4)),
-        };
-    }
-    if storage_probe {
-        inner.storage_breaker.record_probe(true);
-    } else {
-        inner.storage_breaker.record_success();
+        return inner.reject_storage(
+            tenant,
+            flight::EV_FAULT_STORAGE,
+            trace.trace_id,
+            job_id,
+            format!("storage pressure: journal append failed: {e}"),
+        );
     }
     inner.note_breakers();
     if trace.trace_id != 0 {
@@ -1149,25 +1161,6 @@ fn admit(inner: &Arc<Inner>, tenant: &str, job: JobPayload, trace: TraceContext)
     Frame::Accepted { job_id }
 }
 
-/// Minimal JSON string escaping for the hand-rolled scrape bodies.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one live-introspection body for a [`Frame::Scrape`].
 fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
     let queue_depth = lock(&inner.queue).len();
@@ -1189,7 +1182,7 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
             )
             .set(inner.config.flight.total() as f64);
             let slo = lock(&inner.slo);
-            for (tenant, _) in slo.tenants() {
+            for tenant in slo.tenants() {
                 m.gauge(
                     &format!("alserve_slo_burn_rate{{tenant=\"{tenant}\"}}"),
                     false,
@@ -1255,7 +1248,7 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
                             ),
                             JobState::Failed { error } => (
                                 "failed".to_owned(),
-                                format!(",\"error\":\"{}\"", json_escape(error)),
+                                format!(",\"error\":{}", json::escape(error)),
                             ),
                             JobState::Parked => ("parked".to_owned(), String::new()),
                         };
@@ -1268,30 +1261,21 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
         ScrapeKind::Top => {
             let slo = lock(&inner.slo);
             let quota = lock(&inner.quota);
-            // Tenants seen by either the quota table (in-flight now) or
-            // the SLO table (any history).
-            let mut tenants: Vec<String> = slo
-                .tenants()
-                .iter()
-                .map(|(name, _)| (*name).to_owned())
-                .collect();
-            tenants.sort();
+            // Tenants seen by either the quota table (in flight now:
+            // queued or running) or the SLO table (any finished job).
+            let tenants: BTreeSet<&str> = quota.tenants().chain(slo.tenants()).collect();
             let rows: Vec<String> = tenants
-                .iter()
+                .into_iter()
                 .map(|tenant| {
-                    let row = slo
-                        .tenants()
-                        .into_iter()
-                        .find(|(name, _)| name == tenant)
-                        .map_or(0, |(_, t)| t.e2e.count());
                     format!(
-                        "{{\"tenant\":\"{}\",\"inflight\":{},\"quota\":{},\
-                         \"burn_rate\":{:.4},\"retry_scale\":{},\"e2e_count\":{row}}}",
-                        json_escape(tenant),
+                        "{{\"tenant\":{},\"inflight\":{},\"quota\":{},\
+                         \"burn_rate\":{:.4},\"retry_scale\":{},\"e2e_count\":{}}}",
+                        json::escape(tenant),
                         quota.inflight(tenant),
                         quota.per_tenant(),
                         slo.burn_rate(tenant),
                         slo.retry_scale(tenant),
+                        slo.e2e_count(tenant),
                     )
                 })
                 .collect();
@@ -1390,13 +1374,6 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
         trace_id,
     } = job;
     let queue_wait = enqueued.elapsed();
-    {
-        let mut slo = lock(&inner.slo);
-        slo.observe_queue_wait(
-            &tenant,
-            u64::try_from(queue_wait.as_micros()).unwrap_or(u64::MAX),
-        );
-    }
     inner.observe_latency(
         "queue_wait",
         &tenant,
@@ -1406,8 +1383,7 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
     // pinned to the host backend; exactly one half-open probe runs
     // on-device at a time (SharedBreaker's single-probe invariant).
     let choice = inner.breaker.gate();
-    let cpu_only = matches!(choice, BackendChoice::Cpu);
-    let probe = matches!(choice, BackendChoice::Probe);
+    let cpu_only = choice == BackendChoice::Cpu;
     if cpu_only {
         inner.count(
             "alserve_cpu_degraded_jobs_total",
@@ -1447,13 +1423,9 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
         .execute_on(station, job_id as usize, &spec, queue_wait);
     let solve_us = u64::try_from(solve_started.elapsed().as_micros()).unwrap_or(u64::MAX);
 
+    inner.breaker.record(choice, record.result.is_ok());
     let (state, terminal) = match record.result {
         Ok(out) => {
-            if probe {
-                inner.breaker.record_probe(true);
-            } else if !cpu_only {
-                inner.breaker.record_success();
-            }
             let result = match &out {
                 JobOutput::Pcg { outcome } => SolveResult {
                     x: outcome.x.clone(),
@@ -1482,11 +1454,6 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
             (JobState::Done { result }, terminal)
         }
         Err(e) => {
-            if probe {
-                inner.breaker.record_probe(false);
-            } else if !cpu_only {
-                inner.breaker.record_failure();
-            }
             let error = e.to_string();
             // A solve fault is exactly the moment the flight recorder
             // exists for: capture it and flush the ring immediately.
@@ -1539,11 +1506,7 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
     // the terminal state is published, so a scrape issued the moment a
     // waiter's `Done` lands already reflects this job.
     let e2e_us = u64::try_from(enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
-    {
-        let mut slo = lock(&inner.slo);
-        slo.observe_solve(&tenant, solve_us);
-        slo.observe_e2e(&tenant, e2e_us, inner.slot());
-    }
+    lock(&inner.slo).observe_e2e(&tenant, e2e_us, inner.slot());
     inner.observe_latency("solve", &tenant, solve_us);
     inner.observe_latency("e2e", &tenant, e2e_us);
     inner.count(
@@ -1552,4 +1515,43 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
     );
     inner.status.set(job_id, state);
     inner.flight_sync();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, RetryPolicy};
+
+    #[test]
+    fn closed_connections_do_not_pin_thread_handles() {
+        let dir = std::env::temp_dir().join(format!("alserve-unit-conns-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::new(ServerConfig {
+            data_dir: dir.clone(),
+            ..ServerConfig::default()
+        })
+        .start()
+        .unwrap();
+        let ping = || {
+            Client::tcp(server.addr(), RetryPolicy::default())
+                .ping()
+                .unwrap();
+        };
+        for _ in 0..32 {
+            ping();
+        }
+        // Once every closed connection's thread has exited, the next
+        // accept must join them all, leaving at most its own handle.
+        while !lock(&server.inner.conns)
+            .iter()
+            .all(JoinHandle::is_finished)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ping();
+        let held = lock(&server.inner.conns).len();
+        assert!(held <= 1, "{held} thread handles held after 33 closed connections");
+        server.stop();
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -1,104 +1,22 @@
-//! Per-tenant SLO accounting: latency histograms and burn-rate windows.
+//! Per-tenant SLO accounting: burn-rate windows and end-to-end counts.
 //!
-//! alserve tracks three latencies per tenant — **queue wait** (accept →
-//! dequeue), **solve** (dequeue → terminal), and **end-to-end** (accept →
-//! terminal) — in fixed-bucket histograms, plus a sliding-window
-//! **burn rate** over the end-to-end SLO target. The burn rate feeds two
-//! consumers: the `alserve_slo_*` metric families on the scrape endpoint,
-//! and the quota `retry_after` ramp (a tenant burning its error budget is
-//! told to back off harder).
+//! alserve judges each tenant's **end-to-end** latency (accept →
+//! terminal) against the SLO target over a sliding-window **burn rate**.
+//! The burn rate feeds two consumers: the `alserve_slo_burn_rate` and
+//! `alserve_slo_retry_scale` gauges on the scrape endpoint, and the quota
+//! `retry_after` ramp (a tenant burning its error budget is told to back
+//! off harder). The latency distributions themselves live in the
+//! telemetry registry's `alserve_slo_{queue_wait,solve,e2e}_us`
+//! histograms, which the server writes on every job.
 //!
 //! # Determinism
 //!
-//! Everything here is a pure fold over `(value)` / `(slot, good)` events:
-//! histogram merge is bucket-wise addition (commutative, associative) and
-//! the burn window is keyed by a caller-supplied discrete slot index, so
-//! replaying the same observations in any order yields bit-identical
-//! state. The property tests below pin both.
+//! The burn window is a pure fold over `(slot, good)` events keyed by a
+//! caller-supplied discrete slot index, so replaying the same
+//! observations in any order yields bit-identical state. The property
+//! test below pins it.
 
 use std::collections::{BTreeMap, HashMap};
-
-/// Upper bounds (µs) of the SLO latency buckets; the implicit final
-/// bucket is `+Inf`. Geometric ×4 steps spanning 100 µs … ~1.6 s.
-pub const SLO_BUCKETS_US: [u64; 8] = [
-    100,
-    400,
-    1_600,
-    6_400,
-    25_600,
-    102_400,
-    409_600,
-    1_638_400,
-];
-
-/// A fixed-bucket latency histogram with order-independent merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SloHistogram {
-    counts: [u64; SLO_BUCKETS_US.len() + 1],
-    sum_us: u64,
-    count: u64,
-}
-
-impl Default for SloHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SloHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        SloHistogram {
-            counts: [0; SLO_BUCKETS_US.len() + 1],
-            sum_us: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one latency observation in microseconds.
-    pub fn observe(&mut self, us: u64) {
-        let idx = SLO_BUCKETS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(SLO_BUCKETS_US.len());
-        self.counts[idx] += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
-        self.count += 1;
-    }
-
-    /// Bucket-wise merge; commutative and associative, so shard-local
-    /// histograms can be combined in any order.
-    pub fn merge(&mut self, other: &SloHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-        self.count += other.count;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observed values (µs), saturating.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
-    }
-
-    /// Cumulative count at or below each bound in [`SLO_BUCKETS_US`],
-    /// ending with the `+Inf` total — the Prometheus bucket series.
-    pub fn cumulative(&self) -> Vec<u64> {
-        let mut acc = 0;
-        self.counts
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc
-            })
-            .collect()
-    }
-}
 
 /// A sliding window of good/total counts over discrete time slots.
 ///
@@ -162,15 +80,11 @@ impl BurnWindow {
 
 /// One tenant's SLO state.
 #[derive(Debug, Clone)]
-pub struct TenantSlo {
-    /// Accept → dequeue.
-    pub queue_wait: SloHistogram,
-    /// Dequeue → terminal.
-    pub solve: SloHistogram,
-    /// Accept → terminal.
-    pub e2e: SloHistogram,
+struct TenantSlo {
+    /// Jobs that reached a terminal state.
+    e2e_count: u64,
     /// Sliding-window burn over the end-to-end target.
-    pub burn: BurnWindow,
+    burn: BurnWindow,
 }
 
 /// Per-tenant SLO table; the server holds one behind its state mutex.
@@ -192,35 +106,25 @@ impl SloTable {
         }
     }
 
-    fn tenant(&mut self, tenant: &str) -> &mut TenantSlo {
-        let window = self.window_slots;
-        self.tenants
-            .entry(tenant.to_owned())
-            .or_insert_with(|| TenantSlo {
-                queue_wait: SloHistogram::new(),
-                solve: SloHistogram::new(),
-                e2e: SloHistogram::new(),
-                burn: BurnWindow::new(window),
-            })
-    }
-
-    /// Records a queue-wait latency.
-    pub fn observe_queue_wait(&mut self, tenant: &str, us: u64) {
-        self.tenant(tenant).queue_wait.observe(us);
-    }
-
-    /// Records a solve latency.
-    pub fn observe_solve(&mut self, tenant: &str, us: u64) {
-        self.tenant(tenant).solve.observe(us);
-    }
-
-    /// Records an end-to-end latency and charges the burn window for
+    /// Counts one end-to-end latency and charges the burn window for
     /// `slot` (good = under the configured target).
     pub fn observe_e2e(&mut self, tenant: &str, us: u64, slot: u64) {
-        let target = self.target_e2e_us;
-        let t = self.tenant(tenant);
-        t.e2e.observe(us);
-        t.burn.record(slot, us <= target);
+        let window = self.window_slots;
+        let t = self
+            .tenants
+            .entry(tenant.to_owned())
+            .or_insert_with(|| TenantSlo {
+                e2e_count: 0,
+                burn: BurnWindow::new(window),
+            });
+        t.e2e_count += 1;
+        t.burn.record(slot, us <= self.target_e2e_us);
+    }
+
+    /// Jobs of `tenant` that reached a terminal state (`0` for unknown
+    /// tenants).
+    pub fn e2e_count(&self, tenant: &str) -> u64 {
+        self.tenants.get(tenant).map_or(0, |t| t.e2e_count)
     }
 
     /// Current burn rate for `tenant` (`0.0` for unknown tenants).
@@ -230,20 +134,11 @@ impl SloTable {
             .map_or(0.0, |t| t.burn.burn_rate())
     }
 
-    /// The configured end-to-end target (µs).
-    pub fn target_e2e_us(&self) -> u64 {
-        self.target_e2e_us
-    }
-
     /// Tenants with recorded state, sorted for deterministic iteration.
-    pub fn tenants(&self) -> Vec<(&str, &TenantSlo)> {
-        let mut rows: Vec<_> = self
-            .tenants
-            .iter()
-            .map(|(name, slo)| (name.as_str(), slo))
-            .collect();
-        rows.sort_by_key(|&(name, _)| name);
-        rows
+    pub fn tenants(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self.tenants.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        names
     }
 
     /// Multiplier for the quota `retry_after` ramp: `1` when the tenant
@@ -261,20 +156,6 @@ impl SloTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn histogram_observe_and_cumulative() {
-        let mut h = SloHistogram::new();
-        h.observe(50); // bucket 0 (≤100)
-        h.observe(100); // bucket 0 boundary
-        h.observe(101); // bucket 1
-        h.observe(u64::MAX); // +Inf
-        assert_eq!(h.count(), 4);
-        let cum = h.cumulative();
-        assert_eq!(cum[0], 2);
-        assert_eq!(cum[1], 3);
-        assert_eq!(*cum.last().unwrap(), 4);
-    }
 
     #[test]
     fn burn_window_slides_and_prunes() {
@@ -296,35 +177,11 @@ mod tests {
         assert_eq!(t.retry_scale("hot"), 8);
         t.observe_e2e("cool", 10, 0); // hit
         assert_eq!(t.retry_scale("cool"), 1);
+        assert_eq!((t.e2e_count("hot"), t.e2e_count("ghost")), (1, 0));
+        assert_eq!(t.tenants(), ["cool", "hot"]);
     }
 
     proptest! {
-        /// Histogram merge is order-independent: folding observations one
-        /// by one equals observing a permutation directly, and merging
-        /// shard histograms in either order gives identical state.
-        #[test]
-        fn histogram_merge_is_order_independent(
-            values in proptest::collection::vec(0u64..3_000_000, 0..64),
-            split in 0usize..64,
-        ) {
-            let split = split.min(values.len());
-            let mut whole = SloHistogram::new();
-            for &v in &values {
-                whole.observe(v);
-            }
-            let (left, right) = values.split_at(split);
-            let mut a = SloHistogram::new();
-            let mut b = SloHistogram::new();
-            for &v in left { a.observe(v); }
-            for &v in right { b.observe(v); }
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ba = b.clone();
-            ba.merge(&a);
-            prop_assert_eq!(&ab, &ba);
-            prop_assert_eq!(&ab, &whole);
-        }
-
         /// Burn windows are a deterministic fold: any permutation of the
         /// same (slot, good) events yields the same burn rate and the
         /// same retained state.

@@ -3,9 +3,12 @@
 //! live `Scrape` introspection surface, the passive `Observe` frame, and
 //! the crash-surviving flight recorder.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+use alrescha::storage::{RealStorage, StorageFile, StorageIo};
 
 use alrescha_obs::flight::{self, FlightDump};
 use alrescha_obs::json::Value;
@@ -51,6 +54,63 @@ fn server_config(data_dir: PathBuf, telemetry: Option<Arc<Telemetry>>) -> Server
         retry_after_hint: Duration::from_millis(5),
         telemetry,
         ..ServerConfig::default()
+    }
+}
+
+/// The real filesystem, except that checkpoint writes wait while the gate
+/// is shut, so a test can hold a job in flight mid-solve.
+#[derive(Debug, Default)]
+struct GatedStorage {
+    /// (gate shut, checkpoint writers waiting at it)
+    state: Mutex<(bool, usize)>,
+    cv: Condvar,
+}
+
+impl GatedStorage {
+    fn shut(&self, shut: bool) {
+        self.state.lock().unwrap().0 = shut;
+        self.cv.notify_all();
+    }
+
+    fn wait_for_blocked_writer(&self) {
+        let state = self.state.lock().unwrap();
+        drop(self.cv.wait_while(state, |s| s.1 == 0).unwrap());
+    }
+}
+
+impl StorageIo for GatedStorage {
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        RealStorage.open_append(path)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        let checkpoint = path
+            .file_name()
+            .is_some_and(|n| n.to_string_lossy().starts_with("job-"));
+        if checkpoint {
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            self.cv.notify_all();
+            state = self.cv.wait_while(state, |s| s.0).unwrap();
+            state.1 -= 1;
+        }
+        RealStorage.create(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealStorage.read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealStorage.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealStorage.remove_file(path)
+    }
+
+    fn sync_parent_dir(&self, path: &Path) -> io::Result<()> {
+        RealStorage.sync_parent_dir(path)
     }
 }
 
@@ -292,6 +352,8 @@ fn burning_tenant_gets_scaled_retry_after() {
     config.slo_target_e2e = Duration::ZERO;
     config.per_tenant_quota = 1;
     config.workers = 1;
+    let storage = Arc::new(GatedStorage::default());
+    config.storage = Arc::clone(&storage) as Arc<dyn StorageIo>;
     let handle = Server::new(config).start().unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(6));
 
@@ -299,9 +361,11 @@ fn burning_tenant_gets_scaled_retry_after() {
     let first = client.submit("hot", &sample_job(3, 1)).unwrap();
     assert!(client.wait(first).unwrap().converged);
 
-    // Fill the quota slot, then probe with a raw frame so the in-band
-    // rejection's retry_after hint is directly observable: it must be
-    // the base hint scaled by the 8× burn ramp.
+    // Fill the quota slot — the shut gate holds the job in flight at its
+    // first checkpoint, however fast the solve — then probe with a raw
+    // frame so the in-band rejection's retry_after hint is directly
+    // observable: it must be the base hint scaled by the 8× burn ramp.
+    storage.shut(true);
     let parked = client.submit("hot", &sample_job(4, 2)).unwrap();
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
     Frame::Submit {
@@ -323,7 +387,43 @@ fn burning_tenant_gets_scaled_retry_after() {
         other => panic!("expected an in-band quota rejection, got {other:?}"),
     }
     drop(stream);
+    storage.shut(false);
     assert!(client.wait(parked).unwrap().converged);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Scrape Top` lists every tenant holding quota, not only tenants with a
+/// finished job: with one worker held mid-solve on alpha's job and beta's
+/// queued behind it, both tenants get a row.
+#[test]
+fn top_lists_running_and_queued_tenants() {
+    let dir = tempdir("top");
+    let storage = Arc::new(GatedStorage::default());
+    storage.shut(true);
+    let mut config = server_config(dir.clone(), None);
+    config.workers = 1;
+    config.checkpoint_every = 1;
+    config.storage = Arc::clone(&storage) as Arc<dyn StorageIo>;
+    let handle = Server::new(config).start().unwrap();
+    let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(7));
+    let alpha = client.submit("alpha", &sample_job(3, 1)).unwrap();
+    storage.wait_for_blocked_writer();
+    let beta = client.submit("beta", &sample_job(3, 2)).unwrap();
+    let top = client.scrape(ScrapeKind::Top).unwrap();
+    storage.shut(false);
+    let top = Value::parse(&top).unwrap();
+    assert_eq!(top.get("queue_depth").and_then(Value::as_f64), Some(1.0));
+    let tenants: Vec<&str> = top
+        .get("tenants")
+        .and_then(Value::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(|t| t.get("tenant").and_then(Value::as_str))
+        .collect();
+    assert_eq!(tenants, ["alpha", "beta"]);
+    assert!(client.wait(alpha).unwrap().converged);
+    assert!(client.wait(beta).unwrap().converged);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
