@@ -935,9 +935,6 @@ impl Fleet {
             let Some(local) = lock(&slots[me]).take() else {
                 return Vec::new();
             };
-            if let Some(tele) = &self.telemetry {
-                tele.name_thread(format!("worker-{me}"));
-            }
             let mut station = WorkerStation::new(me);
             let mut out = Vec::new();
             loop {
@@ -958,6 +955,13 @@ impl Fleet {
                     })
                 });
                 let Some(i) = next else { break };
+                // Name the track when its first job starts, so a worker
+                // that never gets one leaves no track.
+                if out.is_empty() {
+                    if let Some(tele) = &self.telemetry {
+                        tele.name_thread(format!("worker-{me}"));
+                    }
+                }
                 let queue_wait = submitted.elapsed();
                 out.push(self.execute(&mut station, i, &admitted[i], queue_wait, deadline));
             }

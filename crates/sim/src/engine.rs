@@ -103,13 +103,15 @@ pub struct Engine {
 /// their contents.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// The ω dot products of the GEMV block in flight.
+    /// The ω outputs of the block in flight: GEMV dot products, or
+    /// min-plus candidates for its valid rows.
     dots: Vec<f64>,
     /// The ω-chunk of the vector operand a block multiplies.
     operand: Vec<f64>,
-    /// One payload row rearranged into lane order: rotated onto the
-    /// D-SymGS shift register, or reduced to D-PR edge indicators.
-    lanes: Vec<f64>,
+    /// One ω-wide row in logical lane order, for the row kernel: a
+    /// checked GEMV attempt's (possibly stuck-at corrupted) payload row,
+    /// or a CSR chunk's values.
+    row: Vec<f64>,
     /// SymGS block-row index: the blocks of block row `r` are
     /// `row_blocks[row_start[r]..row_start[r + 1]]`, in stream order.
     row_start: Vec<usize>,
@@ -131,7 +133,7 @@ impl Scratch {
         for v in [
             &mut self.dots,
             &mut self.operand,
-            &mut self.lanes,
+            &mut self.row,
             &mut self.partial,
             &mut self.contrib,
             &mut self.next,
@@ -845,10 +847,10 @@ impl Engine {
     /// so it exhausts the retry budget and surfaces as
     /// [`SimError::FaultDetected`] at [`FaultSite::Memory`].
     ///
-    /// Without an injector this is a plain, checksum-free block execution
-    /// that walks the streamed rows in place: a reversed row goes through
-    /// the reversed-order MAC, which sums in the same logical lane order,
-    /// so the result is bit-identical to multiplying the logical row.
+    /// Without an injector this is a plain, checksum-free block execution:
+    /// one [`Fcu::gemv_block`] call over the streamed payload, which sums
+    /// every row in logical lane order, so the result is bit-identical to
+    /// multiplying the logical rows one by one.
     fn gemv_block(
         &mut self,
         sc: &mut Scratch,
@@ -859,10 +861,9 @@ impl Engine {
         let omega = self.config.omega;
         let col_base = block.block_col() * omega;
         self.trace_block(block.block_row(), block.block_col(), DataPathKind::Gemv);
-        let (mem, stuck) =
-            state
-                .memory
-                .stream_block(block.block_row(), block.block_col(), omega * omega);
+        let (mem, stuck) = state
+            .memory
+            .stream_block(block.block_row(), block.block_col());
         self.read_chunk(state, REGION_X, col_base, x.len());
         let block_cycles = mem.max(omega as u64);
         state.cycles += block_cycles;
@@ -873,29 +874,25 @@ impl Engine {
         let operand = &sc.operand;
 
         let Some(inj) = self.faults.clone() else {
-            sc.dots.clear();
-            for i in 0..omega {
-                let row = block.row(i);
-                sc.dots.push(if block.reversed() {
-                    self.fcu.mac_row_reversed(row, operand)
-                } else {
-                    self.fcu.mac_row(row, operand)
-                });
-            }
+            sc.dots.resize(omega, 0.0);
+            self.fcu
+                .gemv_block(block.payload(), block.reversed(), operand, &mut sc.dots);
             return Ok(block_cycles);
         };
 
-        let mut chk = vec![0.0; omega];
-        let mut chk_abs = vec![0.0; omega];
-        for i in 0..omega {
-            for j in 0..omega {
+        // Column j's checksum and absolute checksum, folded straight into
+        // Σⱼ chkⱼ·xⱼ and Σⱼ |chk|ⱼ·|xⱼ| in column order.
+        let (mut expected, mut scale) = (-0.0, -0.0);
+        for (j, &xj) in operand.iter().enumerate() {
+            let (mut chk, mut chk_abs) = (0.0, 0.0);
+            for i in 0..omega {
                 let v = block.get(i, j);
-                chk[j] += v;
-                chk_abs[j] += v.abs();
+                chk += v;
+                chk_abs += v.abs();
             }
+            expected += chk * xj;
+            scale += chk_abs * xj.abs();
         }
-        let expected: f64 = chk.iter().zip(operand).map(|(c, x)| c * x).sum();
-        let scale: f64 = chk_abs.iter().zip(operand).map(|(c, x)| c * x.abs()).sum();
         if !expected.is_finite() || !scale.is_finite() {
             // Non-finite inputs: retrying cannot help.
             return Err(SimError::NumericalBreakdown {
@@ -912,8 +909,8 @@ impl Engine {
         self.retry(
             state,
             site,
-            &mut sc.dots,
-            |eng, state, dots| {
+            &mut (&mut sc.dots, &mut sc.row),
+            |eng, state, (dots, logical)| {
                 // A retry runs at the cycle its redo advanced to.
                 eng.publish_cycle(state);
                 if stuck.is_some() {
@@ -922,13 +919,14 @@ impl Engine {
                 inj.set_fcu_armed(true);
                 dots.clear();
                 for i in 0..omega {
-                    let mut logical: Vec<f64> = (0..omega).map(|j| block.get(i, j)).collect();
+                    logical.clear();
+                    logical.extend((0..omega).map(|j| block.get(i, j)));
                     if let Some((word, bit)) = stuck {
                         if word / omega == i {
                             logical[word % omega] = fault::flip_bit(logical[word % omega], bit);
                         }
                     }
-                    dots.push(eng.fcu.mac_row(&logical, operand));
+                    dots.push(eng.fcu.mac_row(logical, operand));
                 }
                 inj.set_fcu_armed(false);
                 let actual: f64 = dots.iter().sum();
@@ -936,7 +934,7 @@ impl Engine {
             },
             // Retry from checkpoint: re-stream the payload and re-run the
             // ω rows.
-            |state, _| state.memory.stream_values(omega * omega).max(omega as u64),
+            |state, _| state.memory.stream_payload().max(omega as u64),
         )?;
         Ok(block_cycles)
     }
@@ -953,7 +951,7 @@ impl Engine {
     ) {
         let omega = self.config.omega;
         self.trace_block(block.block_row(), block.block_col(), kind);
-        let payload = state.memory.stream_values(omega * omega);
+        let payload = state.memory.stream_payload();
         self.read_chunk(state, REGION_X, block.block_col() * omega, n);
         let block_cycles = payload.max(omega as u64);
         state.cycles += block_cycles;
@@ -1304,7 +1302,11 @@ impl Engine {
         } = sweep;
         let omega = self.config.omega;
         let row_base = br * omega;
-        if !backward {
+        if backward {
+            // The backward step reads x's chunk through the cache; each
+            // step patches in the x_g it produced.
+            load_operand(&mut sc.operand, x, row_base, omega);
+        } else {
             sc.shift.reload(
                 (0..omega).map(|k| x.get(row_base + omega - 1 - k).copied().unwrap_or(0.0)),
             );
@@ -1335,21 +1337,18 @@ impl Engine {
                 // the recurrence; its diagonal slots are zero so the full
                 // ω-wide dot product is safe.
                 let streamed = block.row(i);
-                if backward {
-                    load_operand(&mut sc.operand, x, row_base, omega);
-                    sum -= if block.reversed() {
+                sum -= if backward {
+                    if block.reversed() {
                         self.fcu.mac_row_reversed(streamed, &sc.operand)
                     } else {
                         self.fcu.mac_row(streamed, &sc.operand)
-                    };
+                    }
                 } else {
                     // Lane k multiplies streamed slot (k + ω − i) mod ω
                     // ("rotating the inputs of the multipliers", §4.2).
-                    sc.lanes.clear();
-                    sc.lanes.extend_from_slice(&streamed[omega - i..]);
-                    sc.lanes.extend_from_slice(&streamed[..omega - i]);
-                    sum -= self.fcu.mac_row(&sc.lanes, sc.shift.lanes());
-                }
+                    self.fcu
+                        .mac_row_rotated(streamed, sc.shift.lanes(), omega - i)
+                };
                 // Link-stack pop feeding the recurrence.
                 self.rcu.buffer_event();
             }
@@ -1362,13 +1361,15 @@ impl Engine {
                 let _ = self.rcu.pe_op();
                 x[g] = (1.0 - omega_relax) * x[g] + omega_relax * sum / diag;
             }
-            if !backward {
+            if backward {
+                sc.operand[i] = x[g];
+            } else {
                 sc.shift.push(x[g]);
             }
             steps += 1;
         }
         let dsymgs_cycles = if diag_block.is_some() {
-            let payload_cycles = state.memory.stream_values(omega * omega);
+            let payload_cycles = state.memory.stream_payload();
             let compute = steps * self.config.dsymgs_step_latency();
             let block_cycles = payload_cycles.max(compute);
             state.cycles += block_cycles;
@@ -1472,24 +1473,15 @@ impl Engine {
                 // Block of Aᵀ: rows are destinations, columns sources.
                 self.graph_block(&mut state, block, kind, n);
                 let dst_base = block.block_row() * omega;
-                load_operand(
-                    &mut self.scratch.operand,
-                    &dist,
-                    block.block_col() * omega,
-                    omega,
-                );
-                let operand = &self.scratch.operand;
-                for i in 0..omega {
+                let valid = (n - dst_base).min(omega);
+                let sc = &mut self.scratch;
+                load_operand(&mut sc.operand, &dist, block.block_col() * omega, omega);
+                sc.dots.resize(omega, 0.0);
+                let cands = &mut sc.dots[..valid];
+                self.fcu
+                    .min_plus_block(block.payload(), block.reversed(), &sc.operand, &op, cands);
+                for (i, &cand) in cands.iter().enumerate() {
                     let d = dst_base + i;
-                    if d >= n {
-                        continue;
-                    }
-                    let row = block.row(i);
-                    let cand = if block.reversed() {
-                        self.fcu.min_reduce_row_reversed(row, operand, &op)
-                    } else {
-                        self.fcu.min_reduce_row(row, operand, &op)
-                    };
                     if cand < dist[d] {
                         // Phase-3 assign: compare and update (Table 1).
                         let _ = self.rcu.pe_op();
@@ -1562,6 +1554,7 @@ impl Engine {
             for block in at.blocks() {
                 self.graph_block(&mut state, block, DataPathKind::DPr, n);
                 let dst_base = block.block_row() * omega;
+                let valid = (n - dst_base).min(omega);
                 let sc = &mut self.scratch;
                 load_operand(
                     &mut sc.operand,
@@ -1569,23 +1562,14 @@ impl Engine {
                     block.block_col() * omega,
                     omega,
                 );
-                for i in 0..omega {
-                    let d = dst_base + i;
-                    if d >= n {
-                        continue;
-                    }
-                    // Structure-only gather: an edge contributes its
-                    // source's (already damped and divided) share.
-                    let indicator = |v: &f64| if *v == 0.0 { 0.0 } else { 1.0 };
-                    let row = block.row(i);
-                    sc.lanes.clear();
-                    if block.reversed() {
-                        sc.lanes.extend(row.iter().rev().map(indicator));
-                    } else {
-                        sc.lanes.extend(row.iter().map(indicator));
-                    }
-                    sc.next[d] += self.fcu.mac_row(&sc.lanes, &sc.operand);
-                }
+                // Structure-only gather: an edge contributes its source's
+                // (already damped and divided) share.
+                self.fcu.pagerank_block(
+                    block.payload(),
+                    block.reversed(),
+                    &sc.operand,
+                    &mut sc.next[dst_base..dst_base + valid],
+                );
             }
             for chunk in (0..n).step_by(omega) {
                 self.write_chunk(&mut state, REGION_X, chunk, n);
@@ -1631,26 +1615,43 @@ impl Engine {
                 found: x.len(),
             });
         }
-        let omega = self.config.omega;
         let mut state = self.begin("spmv-csr", Reduce::Sum);
         self.configure(DataPathKind::Gemv, Reduce::Sum);
 
         let mut y = vec![0.0; a.rows()];
         // Row pointers stream once (4 bytes each).
         state.memory.record_bytes((a.rows() as u64 + 1) * 4);
+        self.with_scratch(|eng, sc| eng.csr_rows(sc, &mut state, a, x, &mut y))?;
+        state.memory.record_bytes(a.rows() as u64 * 8);
+        Ok((y, self.finish(state)))
+    }
+
+    /// CSR SpMV's row loop: each row in ω-element chunks, one FCU pass per
+    /// chunk with the lanes beyond the chunk idle.
+    fn csr_rows(
+        &mut self,
+        sc: &mut Scratch,
+        state: &mut RunState,
+        a: &alrescha_sparse::Csr,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<()> {
+        let omega = self.config.omega;
+        let row_ptr = a.row_ptr();
         for (r, yr) in y.iter_mut().enumerate() {
-            self.check_budget(&state)?;
-            let row: Vec<(usize, f64)> = a.row_entries(r).collect();
+            self.check_budget(state)?;
+            let span = row_ptr[r]..row_ptr[r + 1];
+            let (cols, vals) = (&a.col_idx()[span.clone()], &a.values()[span]);
             let mut acc = 0.0;
-            for chunk in row.chunks(omega) {
+            for (cols, vals) in cols.chunks(omega).zip(vals.chunks(omega)) {
                 // Values (8 B) + column indices (4 B) per element, padded
                 // to the ω-lane issue width.
-                let payload_values = chunk.len() + chunk.len().div_ceil(2); // 12 B/nnz in 8 B units
+                let payload_values = cols.len() + cols.len().div_ceil(2); // 12 B/nnz in 8 B units
                 let mem = state.memory.stream_values(payload_values.max(1));
                 // Irregular gather: every element is its own cache access,
                 // no chunk reuse guarantee.
                 let mut gather_cycles = 0u64;
-                for &(c, _) in chunk {
+                for &c in cols {
                     let access = self.cache.read(c);
                     if !access.hit {
                         state.memory.stream_values(self.config.values_per_line());
@@ -1658,14 +1659,13 @@ impl Engine {
                     gather_cycles += 1;
                 }
                 state.cache_busy += gather_cycles;
-                // One ω-wide FCU pass per chunk, lanes beyond the chunk idle.
-                let mut lanes = vec![0.0; omega];
-                let mut operand = vec![0.0; omega];
-                for (k, &(c, v)) in chunk.iter().enumerate() {
-                    lanes[k] = v;
-                    operand[k] = x[c];
-                }
-                acc += self.fcu.mac_row(&lanes, &operand);
+                sc.row.clear();
+                sc.row.extend_from_slice(vals);
+                sc.row.resize(omega, 0.0);
+                sc.operand.clear();
+                sc.operand.extend(cols.iter().map(|&c| x[c]));
+                sc.operand.resize(omega, 0.0);
+                acc += self.fcu.mac_row(&sc.row, &sc.operand);
                 let compute = 1u64.max(gather_cycles);
                 let cycles = mem.max(compute);
                 state.cycles += cycles;
@@ -1674,8 +1674,7 @@ impl Engine {
             }
             *yr = acc;
         }
-        state.memory.record_bytes(a.rows() as u64 * 8);
-        Ok((y, self.finish(state)))
+        Ok(())
     }
 }
 

@@ -5,7 +5,10 @@
 //! tree reduces with (`sum` for GEMV/D-SymGS/D-PR, `min` for D-BFS/D-SSSP)
 //! and where its inputs come from (the RCU). It is fully pipelined: one
 //! ω-element row enters per cycle, so throughput tracks the memory stream
-//! and only the first row of a data path pays the fill latency.
+//! and only the first row of a data path pays the fill latency. The model
+//! likewise takes a whole ω×ω block per call ([`Fcu::gemv_block`],
+//! [`Fcu::pagerank_block`], [`Fcu::min_plus_block`]); the row kernels
+//! serve the paths that must go one row at a time.
 
 use crate::config::SimConfig;
 use crate::energy::EnergyCounters;
@@ -78,11 +81,15 @@ impl Fcu {
     /// One pipelined pass: multiplies `row` by `operand` element-wise and
     /// reduces with `Sum`. Counts ω ALU ops and ω−1 reduce ops.
     ///
+    /// This row kernel, the fault injector's target, serves the checked
+    /// GEMV attempt, the D-SymGS recurrence and CSR streaming; the block
+    /// kernels ([`Fcu::gemv_block`] and its kin) serve everything else.
+    ///
     /// # Panics
     ///
     /// Panics if the slices are not ω long.
     pub fn mac_row(&mut self, row: &[f64], operand: &[f64]) -> f64 {
-        self.mac(row, operand, false)
+        self.mac(row, operand, false, 0)
     }
 
     /// [`Fcu::mac_row`] over a row streamed right-to-left: lane `j`
@@ -94,18 +101,34 @@ impl Fcu {
     ///
     /// Panics if the slices are not ω long.
     pub fn mac_row_reversed(&mut self, row: &[f64], operand: &[f64]) -> f64 {
-        self.mac(row, operand, true)
+        self.mac(row, operand, true, 0)
     }
 
-    fn mac(&mut self, row: &[f64], operand: &[f64], reversed: bool) -> f64 {
+    /// [`Fcu::mac_row`] with the multiplier inputs rotated ("rotating the
+    /// inputs of the multipliers", §4.2): lane `j` multiplies
+    /// `row[(j + by) mod ω]` by `operand[j]`, bit-identical to `mac_row`
+    /// on the rotated copy of `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices are not ω long.
+    pub fn mac_row_rotated(&mut self, row: &[f64], operand: &[f64], by: usize) -> f64 {
+        self.mac(row, operand, false, by % self.omega)
+    }
+
+    fn mac(&mut self, row: &[f64], operand: &[f64], reversed: bool, by: usize) -> f64 {
         assert_eq!(row.len(), self.omega, "row width must be omega");
         assert_eq!(operand.len(), self.omega, "operand width must be omega");
-        self.counters.alu_ops += self.omega as u64;
-        self.counters.re_ops += (self.omega - 1) as u64;
+        self.count(1);
         let mut sum: f64 = if reversed {
             row.iter().rev().zip(operand).map(|(a, b)| a * b).sum()
         } else {
-            row.iter().zip(operand).map(|(a, b)| a * b).sum()
+            let (head, tail) = row.split_at(by);
+            tail.iter()
+                .chain(head)
+                .zip(operand)
+                .map(|(a, b)| a * b)
+                .sum()
         };
         if let Some(inj) = &self.faults {
             if let Some((lane, bit)) = inj.lane_fault(self.omega) {
@@ -113,7 +136,7 @@ impl Fcu {
                 let value = if reversed {
                     row[self.omega - 1 - lane]
                 } else {
-                    row[lane]
+                    row[(lane + by) % self.omega]
                 };
                 let clean = value * operand[lane];
                 sum = sum - clean + fault::flip_bit(clean, bit);
@@ -125,56 +148,114 @@ impl Fcu {
         sum
     }
 
-    /// One pipelined pass with an element-wise `op` and a `min` reduction
-    /// (the D-BFS/D-SSSP shape of Table 1: operation `sum`, reduce `min`).
-    /// Lanes whose matrix value is exactly zero carry no edge and are
-    /// excluded from the reduction.
-    ///
-    /// Returns `f64::INFINITY` when every lane is inactive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices are not ω long.
-    pub fn min_reduce_row(
-        &mut self,
-        row: &[f64],
-        operand: &[f64],
-        op: impl Fn(f64, f64) -> f64,
-    ) -> f64 {
-        self.min_reduce(row, operand, false, op)
-    }
-
-    /// [`Fcu::min_reduce_row`] over a row streamed right-to-left, reduced
-    /// in the same logical lane order (see [`Fcu::mac_row_reversed`]).
+    /// One GEMV block (§4.3): the ω rows of the ω×ω `payload`, streamed
+    /// right-to-left when `reversed`, each dotted with `operand` into
+    /// `dots`. Bit-identical, counters included, to ω calls of
+    /// [`Fcu::mac_row`] (or [`Fcu::mac_row_reversed`]): rows run side by
+    /// side, each in its own accumulator that adds its lanes in lane order
+    /// from `-0.0`, the seed of `mac_row`'s `Sum`. Block kernels never
+    /// consult the fault injector.
     ///
     /// # Panics
     ///
-    /// Panics if the slices are not ω long.
-    pub fn min_reduce_row_reversed(
+    /// Panics unless `payload` is ω² long and `operand` and `dots` are ω
+    /// long.
+    pub fn gemv_block(
         &mut self,
-        row: &[f64],
-        operand: &[f64],
-        op: impl Fn(f64, f64) -> f64,
-    ) -> f64 {
-        self.min_reduce(row, operand, true, op)
-    }
-
-    fn min_reduce(
-        &mut self,
-        row: &[f64],
-        operand: &[f64],
+        payload: &[f64],
         reversed: bool,
+        operand: &[f64],
+        dots: &mut [f64],
+    ) {
+        assert_eq!(dots.len(), self.omega, "a GEMV block has omega dots");
+        self.begin_block(payload, operand, dots.len());
+        reduce_rows(
+            payload,
+            reversed,
+            operand,
+            dots.len(),
+            -0.0,
+            |acc, a, b| acc + a * b,
+            |i, dot| dots[i] = dot,
+        );
+    }
+
+    /// One D-PR block: PageRank's structure-only gather. Each of the first
+    /// `next.len()` rows of `payload` — the block's valid destinations —
+    /// adds its lane-order dot of edge indicators (`[a ≠ 0]`) with
+    /// `operand` into its slot of `next`. Padded rows are skipped and
+    /// count no ALU or reduce events. Bit-identical to [`Fcu::mac_row`] on
+    /// each valid row's indicators, then `+=`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `payload` is ω² long, `operand` ω long and `next` at
+    /// most ω long.
+    pub fn pagerank_block(
+        &mut self,
+        payload: &[f64],
+        reversed: bool,
+        operand: &[f64],
+        next: &mut [f64],
+    ) {
+        self.begin_block(payload, operand, next.len());
+        reduce_rows(
+            payload,
+            reversed,
+            operand,
+            next.len(),
+            -0.0,
+            |acc, a, b| acc + if a == 0.0 { 0.0 } else { 1.0 } * b,
+            |i, dot| next[i] += dot,
+        );
+    }
+
+    /// One min-plus block (the D-BFS/D-SSSP shape of Table 1: operation
+    /// `op`, reduce `min`). Each of the first `cands.len()` rows of
+    /// `payload` — the block's valid destinations — gets the `min`, in
+    /// lane order, of `op(a, operand[j])` over its active lanes: lanes
+    /// whose matrix value `a` is exactly zero carry no edge. A row with no
+    /// active lane gets `f64::INFINITY`. Padded rows are skipped and count
+    /// no ALU or reduce events.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `payload` is ω² long, `operand` ω long and `cands` at
+    /// most ω long.
+    pub fn min_plus_block(
+        &mut self,
+        payload: &[f64],
+        reversed: bool,
+        operand: &[f64],
         op: impl Fn(f64, f64) -> f64,
-    ) -> f64 {
-        assert_eq!(row.len(), self.omega, "row width must be omega");
-        assert_eq!(operand.len(), self.omega, "operand width must be omega");
-        self.counters.alu_ops += self.omega as u64;
-        self.counters.re_ops += (self.omega - 1) as u64;
-        if reversed {
-            min_fold(row.iter().rev().zip(operand), op)
-        } else {
-            min_fold(row.iter().zip(operand), op)
-        }
+        cands: &mut [f64],
+    ) {
+        self.begin_block(payload, operand, cands.len());
+        reduce_rows(
+            payload,
+            reversed,
+            operand,
+            cands.len(),
+            f64::INFINITY,
+            |acc, a, b| if a == 0.0 { acc } else { acc.min(op(a, b)) },
+            |i, cand| cands[i] = cand,
+        );
+    }
+
+    /// Checks a block kernel's widths and counts ω ALU and ω−1 reduce
+    /// events for each of the `rows` rows it reduces.
+    fn begin_block(&mut self, payload: &[f64], operand: &[f64], rows: usize) {
+        let w = self.omega;
+        assert_eq!(payload.len(), w * w, "payload must be omega x omega");
+        assert_eq!(operand.len(), w, "operand width must be omega");
+        assert!(rows <= w, "a block has at most omega rows");
+        self.count(rows);
+    }
+
+    /// Counts ω ALU and ω−1 reduce events for each of `rows` rows.
+    fn count(&mut self, rows: usize) {
+        self.counters.alu_ops += (rows * self.omega) as u64;
+        self.counters.re_ops += (rows * (self.omega - 1)) as u64;
     }
 
     /// Drains the pipeline — the window during which the RCU switch is
@@ -194,23 +275,95 @@ impl Fcu {
     }
 }
 
-/// `min` over the active lanes (non-zero matrix value) of `op(a, b)`.
-fn min_fold<'a>(
-    lanes: impl Iterator<Item = (&'a f64, &'a f64)>,
-    op: impl Fn(f64, f64) -> f64,
-) -> f64 {
-    lanes
-        .filter(|(a, _)| **a != 0.0)
-        .map(|(a, b)| op(*a, *b))
-        .fold(f64::INFINITY, f64::min)
+/// Rows a block kernel reduces side by side, each in its own accumulator:
+/// independent chains the host overlaps, while each row keeps its lane order.
+const ROWS_IN_FLIGHT: usize = 4;
+
+/// The block kernels' walk: folds each of the first `rows` rows of the ω×ω
+/// `payload` (ω = `operand.len()`, rows streamed right-to-left when
+/// `reversed`) with `step(acc, a, b)` over its lanes `(a, b)` in lane
+/// order, starting from `seed`, and hands row `i`'s result to `emit(i, _)`.
+fn reduce_rows(
+    payload: &[f64],
+    reversed: bool,
+    operand: &[f64],
+    rows: usize,
+    seed: f64,
+    step: impl Fn(f64, f64, f64) -> f64,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let w = operand.len();
+    let grouped = rows - rows % ROWS_IN_FLIGHT;
+    for (g, group) in payload[..grouped * w]
+        .chunks_exact(ROWS_IN_FLIGHT * w)
+        .enumerate()
+    {
+        let acc: [f64; ROWS_IN_FLIGHT] = reduce_group(group, reversed, operand, seed, &step);
+        for (r, value) in acc.into_iter().enumerate() {
+            emit(g * ROWS_IN_FLIGHT + r, value);
+        }
+    }
+    for i in grouped..rows {
+        let [value] = reduce_group(&payload[i * w..(i + 1) * w], reversed, operand, seed, &step);
+        emit(i, value);
+    }
+}
+
+/// Folds the `R` consecutive ω-wide rows of `group` against `operand`, one
+/// accumulator per row (see [`reduce_rows`]).
+fn reduce_group<const R: usize>(
+    group: &[f64],
+    reversed: bool,
+    operand: &[f64],
+    seed: f64,
+    step: &impl Fn(f64, f64, f64) -> f64,
+) -> [f64; R] {
+    let w = operand.len();
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &group[r * w..(r + 1) * w]);
+    let mut acc = [seed; R];
+    if reversed {
+        for (j, &b) in operand.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc = step(*acc, row[w - 1 - j], b);
+            }
+        }
+    } else {
+        for (j, &b) in operand.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc = step(*acc, row[j], b);
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fcu() -> Fcu {
         Fcu::new(&SimConfig::paper())
+    }
+
+    impl Fcu {
+        /// The min-plus row kernel [`Fcu::min_plus_block`] replaced, kept
+        /// as its reference: `min` over the active lanes of `op(a, b)`.
+        fn min_reduce_row(
+            &mut self,
+            row: &[f64],
+            operand: &[f64],
+            op: impl Fn(f64, f64) -> f64,
+        ) -> f64 {
+            assert_eq!(row.len(), self.omega, "row width must be omega");
+            assert_eq!(operand.len(), self.omega, "operand width must be omega");
+            self.count(1);
+            row.iter()
+                .zip(operand)
+                .filter(|(a, _)| **a != 0.0)
+                .map(|(a, b)| op(*a, *b))
+                .fold(f64::INFINITY, f64::min)
+        }
     }
 
     #[test]
@@ -224,13 +377,17 @@ mod tests {
     }
 
     #[test]
-    fn min_reduce_ignores_structural_zeros() {
+    fn min_plus_ignores_structural_zeros() {
         let mut f = fcu();
-        let weights = [0.0, 2.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0];
+        let mut payload = [0.0; 64];
+        payload[..8].copy_from_slice(&[0.0, 2.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0]);
         let dist = [0.0, 1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0];
-        // Active lanes: 2.0+1.0 = 3.0 and 5.0+0.5 = 5.5 -> min 3.0.
-        let got = f.min_reduce_row(&weights, &dist, |w, d| w + d);
-        assert_eq!(got, 3.0);
+        // Row 0's active lanes: 2.0+1.0 = 3.0 and 5.0+0.5 = 5.5 -> min 3.0;
+        // row 1 has none.
+        let mut cands = [0.0; 2];
+        f.min_plus_block(&payload, false, &dist, |w, d| w + d, &mut cands);
+        assert_eq!(cands, [3.0, f64::INFINITY]);
+        assert_eq!(f.counters().alu_ops, 16);
     }
 
     #[test]
@@ -242,19 +399,14 @@ mod tests {
         streamed.reverse();
         let plain = f.mac_row(&row, &x);
         assert_eq!(f.mac_row_reversed(&streamed, &x).to_bits(), plain.to_bits());
-        let op = |w: f64, d: f64| w + d;
+        let mut rotated = row;
+        rotated.rotate_left(3);
         assert_eq!(
-            f.min_reduce_row_reversed(&streamed, &x, op).to_bits(),
-            f.min_reduce_row(&row, &x, op).to_bits()
+            f.mac_row_rotated(&row, &x, 3).to_bits(),
+            f.mac_row(&rotated, &x).to_bits()
         );
-        assert_eq!(f.counters().alu_ops, 32);
-    }
-
-    #[test]
-    fn min_reduce_of_empty_row_is_infinite() {
-        let mut f = fcu();
-        let got = f.min_reduce_row(&[0.0; 8], &[1.0; 8], |w, d| w + d);
-        assert_eq!(got, f64::INFINITY);
+        assert_eq!(f.mac_row_rotated(&row, &x, 8).to_bits(), plain.to_bits());
+        assert_eq!(f.counters().alu_ops, 40);
     }
 
     #[test]
@@ -269,6 +421,12 @@ mod tests {
     #[should_panic(expected = "row width must be omega")]
     fn wrong_width_panics() {
         fcu().mac_row(&[1.0; 4], &[1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload must be omega x omega")]
+    fn wrong_payload_panics() {
+        fcu().gemv_block(&[1.0; 8], false, &[1.0; 8], &mut [0.0; 8]);
     }
 
     #[test]
@@ -294,5 +452,151 @@ mod tests {
         let c = f.take_counters();
         assert_eq!(c.alu_ops, 8);
         assert_eq!(f.counters().alu_ops, 0);
+    }
+
+    /// The block widths the equivalence properties cover.
+    const OMEGAS: [usize; 6] = [1, 3, 4, 8, 16, 32];
+
+    /// A payload or operand value: mostly special (±0.0, subnormals, ±inf,
+    /// NaN, huge, ±1), else uniform in ±1e3.
+    fn value() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 12] = [
+            0.0,
+            -0.0,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            5e-324,
+            -2.2e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.7e308,
+        ];
+        (0usize..24, -1e3f64..1e3).prop_map(|(k, x)| SPECIAL.get(k).copied().unwrap_or(x))
+    }
+
+    /// A block case: ω, the reversal flag, the valid-row count (1..=ω), the
+    /// streamed ω×ω payload and the ω-wide operand.
+    fn block_case() -> impl Strategy<Value = (usize, bool, usize, Vec<f64>, Vec<f64>)> {
+        (0..OMEGAS.len(), 0u8..2).prop_flat_map(|(k, rev)| {
+            let w = OMEGAS[k];
+            (
+                Just(w),
+                Just(rev == 1),
+                1..=w,
+                proptest::collection::vec(value(), w * w),
+                proptest::collection::vec(value(), w),
+            )
+        })
+    }
+
+    /// Row `i` of a streamed payload in logical lane order.
+    fn logical_row(payload: &[f64], w: usize, i: usize, reversed: bool) -> Vec<f64> {
+        let mut row = payload[i * w..(i + 1) * w].to_vec();
+        if reversed {
+            row.reverse();
+        }
+        row
+    }
+
+    /// Each value's bits, with every NaN mapped to one canonical NaN. Rust
+    /// leaves the sign and payload of an arithmetic NaN unspecified, and
+    /// they do differ between debug and release builds of the same sum
+    /// (x86 propagates whichever NaN operand the compiler put first), so
+    /// only NaN-ness is comparable; every other value, ±0.0 and ±inf
+    /// included, is compared bit for bit.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    fn counts(f: &Fcu) -> (u64, u64) {
+        (f.counters().alu_ops, f.counters().re_ops)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gemv_block_equals_omega_mac_rows(case in block_case()) {
+            let (w, reversed, _, payload, operand) = case;
+            let config = SimConfig::paper().with_omega(w);
+            let (mut block, mut rows) = (Fcu::new(&config), Fcu::new(&config));
+            let mut dots = vec![0.0; w];
+            block.gemv_block(&payload, reversed, &operand, &mut dots);
+            let want: Vec<f64> = (0..w)
+                .map(|i| {
+                    let row = &payload[i * w..(i + 1) * w];
+                    if reversed {
+                        rows.mac_row_reversed(row, &operand)
+                    } else {
+                        rows.mac_row(row, &operand)
+                    }
+                })
+                .collect();
+            prop_assert_eq!(bits(&dots), bits(&want));
+            prop_assert_eq!(counts(&block), counts(&rows));
+        }
+
+        #[test]
+        fn pagerank_block_equals_indicator_mac_rows(case in block_case()) {
+            let (w, reversed, valid, payload, operand) = case;
+            let config = SimConfig::paper().with_omega(w);
+            let (mut block, mut rows) = (Fcu::new(&config), Fcu::new(&config));
+            let seed: Vec<f64> = (0..valid).map(|i| [-0.0, 0.0, 0.5][i % 3]).collect();
+            let mut next = seed.clone();
+            block.pagerank_block(&payload, reversed, &operand, &mut next);
+            let mut want = seed;
+            for (i, slot) in want.iter_mut().enumerate() {
+                let lanes: Vec<f64> = logical_row(&payload, w, i, reversed)
+                    .iter()
+                    .map(|&a| if a == 0.0 { 0.0 } else { 1.0 })
+                    .collect();
+                *slot += rows.mac_row(&lanes, &operand);
+            }
+            prop_assert_eq!(bits(&next), bits(&want));
+            prop_assert_eq!(counts(&block), counts(&rows));
+        }
+
+        #[test]
+        fn min_plus_block_equals_min_reduce_rows(case in block_case()) {
+            let (w, reversed, valid, payload, operand) = case;
+            let config = SimConfig::paper().with_omega(w);
+            let (mut block, mut rows) = (Fcu::new(&config), Fcu::new(&config));
+            let op = |a: f64, d: f64| a + d;
+            let mut cands = vec![0.0; valid];
+            block.min_plus_block(&payload, reversed, &operand, op, &mut cands);
+            let want: Vec<f64> = (0..valid)
+                .map(|i| rows.min_reduce_row(&logical_row(&payload, w, i, reversed), &operand, op))
+                .collect();
+            prop_assert_eq!(bits(&cands), bits(&want));
+            prop_assert_eq!(counts(&block), counts(&rows));
+        }
+    }
+
+    /// Rows whose every product is −0.0 sum to −0.0 only from a −0.0 seed,
+    /// the seed of `mac_row`'s `Sum`.
+    #[test]
+    fn negative_zero_rows_keep_their_sign() {
+        for w in OMEGAS {
+            let mut f = Fcu::new(&SimConfig::paper().with_omega(w));
+            let (payload, operand) = (vec![-0.0; w * w], vec![1.0; w]);
+            let mut dots = vec![1.0; w];
+            f.gemv_block(&payload, false, &operand, &mut dots);
+            assert_eq!(
+                f.mac_row(&payload[..w], &operand).to_bits(),
+                (-0.0f64).to_bits()
+            );
+            assert_eq!(bits(&dots), bits(&vec![-0.0; w]), "gemv, omega {w}");
+            // Indicators of empty lanes are +0.0; a negative operand makes
+            // each product −0.0, and −0.0 + −0.0 keeps a −0.0 slot.
+            let mut next = vec![-0.0; w];
+            f.pagerank_block(&vec![0.0; w * w], true, &vec![-2.0; w], &mut next);
+            assert_eq!(bits(&next), bits(&vec![-0.0; w]), "d-pr, omega {w}");
+        }
     }
 }

@@ -13,6 +13,10 @@ use crate::fault::FaultInjector;
 #[derive(Debug, Clone)]
 pub struct MemoryStream {
     values_per_cycle: f64,
+    /// Values in one ω×ω block payload, and the cycles streaming them takes
+    /// ([`SimConfig::stream_cycles`], computed once at construction).
+    payload_values: usize,
+    payload_cycles: u64,
     bytes_streamed: u64,
     busy_cycles: u64,
     faults: Option<FaultInjector>,
@@ -21,8 +25,11 @@ pub struct MemoryStream {
 impl MemoryStream {
     /// Builds the stream model from a configuration.
     pub fn new(config: &SimConfig) -> Self {
+        let payload_values = config.omega * config.omega;
         MemoryStream {
             values_per_cycle: config.values_per_cycle(),
+            payload_values,
+            payload_cycles: config.stream_cycles(payload_values),
             bytes_streamed: 0,
             busy_cycles: 0,
             faults: None,
@@ -34,23 +41,29 @@ impl MemoryStream {
         self.faults = injector;
     }
 
-    /// Streams one ω×ω block payload (`values` doubles) addressed by its
-    /// block coordinates. Returns the transfer cycles plus any permanent
-    /// stuck-at fault afflicting the payload, as `(word_index, bit)` — the
-    /// same block address yields the same fault on every stream, so retries
-    /// cannot mask it.
+    /// Streams one ω×ω block payload addressed by its block coordinates.
+    /// Returns the transfer cycles plus any permanent stuck-at fault
+    /// afflicting the payload, as `(word_index, bit)` — the same block
+    /// address yields the same fault on every stream, so retries cannot
+    /// mask it.
     pub fn stream_block(
         &mut self,
         block_row: usize,
         block_col: usize,
-        values: usize,
     ) -> (u64, Option<(usize, u32)>) {
-        let cycles = self.stream_values(values);
         let stuck = self
             .faults
             .as_ref()
-            .and_then(|inj| inj.memory_stuck(block_row, block_col, values));
-        (cycles, stuck)
+            .and_then(|inj| inj.memory_stuck(block_row, block_col, self.payload_values));
+        (self.stream_payload(), stuck)
+    }
+
+    /// Streams one ω×ω block payload; returns its cycles, the same as
+    /// [`MemoryStream::stream_values`] of ω² values.
+    pub fn stream_payload(&mut self) -> u64 {
+        self.bytes_streamed += self.payload_values as u64 * 8;
+        self.busy_cycles += self.payload_cycles;
+        self.payload_cycles
     }
 
     /// Streams `values` doubles; returns the cycles the transfer occupies
@@ -120,6 +133,26 @@ mod tests {
         let cycles = m.stream_values(1440);
         let util = m.utilization(cycles * 2);
         assert!((util - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn memoised_payload_cycles_match_the_float_formula() {
+        let mut off_paper = SimConfig::paper();
+        off_paper.mem_bandwidth_gbps = 100.0;
+        off_paper.clock_ghz = 1.3;
+        for base in [SimConfig::paper(), off_paper] {
+            for omega in [1, 3, 4, 8, 16, 32] {
+                let config = base.clone().with_omega(omega);
+                let values = omega * omega;
+                let formula = (values as f64 / config.values_per_cycle()).ceil().max(1.0) as u64;
+                let mut m = MemoryStream::new(&config);
+                assert_eq!(m.stream_payload(), formula, "omega {omega}");
+                assert_eq!(m.stream_block(0, 0).0, formula, "omega {omega}");
+                assert_eq!(m.stream_values(values), formula, "omega {omega}");
+                assert_eq!(m.bytes_streamed(), 3 * values as u64 * 8);
+                assert_eq!(m.busy_cycles(), 3 * formula);
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! neither does Algorithm-1 conversion.
 //!
 //! This binary installs a counting global allocator and runs warmed SpMV,
-//! SymGS, SSOR, PageRank, BFS, SSSP and connected components on
-//! `stencil27(4)` (8 block rows) and `stencil27(8)` (64 block rows, 8× the
-//! blocks). A run may allocate a fixed number of
+//! SymGS, SSOR, PageRank, BFS, SSSP, connected components, CSR-streamed
+//! SpMV and SpMV under an inert fault plan (the checksum-verified GEMV
+//! path) on `stencil27(4)` (8 block rows) and `stencil27(8)` (64 block
+//! rows, 8× the blocks). A run may allocate a fixed number of
 //! times — its output vector, say — but the count must not depend on how
 //! many blocks it streams. The same holds for `Alf::from_coo` in both
 //! layouts: it sizes every buffer up front, so it allocates a fixed number
@@ -13,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use alrescha_sim::{Engine, PageRankConfig, SimConfig};
+use alrescha_sim::{Engine, FaultPlan, PageRankConfig, SimConfig};
 use alrescha_sparse::{alf::AlfLayout, gen, Alf, Csr};
 
 /// Counts allocation requests (fresh, zeroed and growing reallocations)
@@ -63,11 +64,21 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     after - before
 }
 
-const KERNELS: [&str; 7] = ["spmv", "symgs", "ssor", "pagerank", "bfs", "sssp", "cc"];
+const KERNELS: [&str; 9] = [
+    "spmv",
+    "symgs",
+    "ssor",
+    "pagerank",
+    "bfs",
+    "sssp",
+    "cc",
+    "spmv-csr",
+    "spmv-inert",
+];
 
 /// Allocations of the second (warmed) run of each kernel of [`KERNELS`] on
 /// `stencil27(side)`, plus the block count.
-fn warmed_allocations(side: usize) -> ([u64; 7], usize) {
+fn warmed_allocations(side: usize) -> ([u64; 9], usize) {
     let coo = gen::stencil27(side);
     let spmv = Alf::from_coo(&coo, 8, AlfLayout::Streaming).expect("spmv format");
     let symgs = Alf::from_coo(&coo, 8, AlfLayout::SymGs).expect("symgs format");
@@ -80,7 +91,9 @@ fn warmed_allocations(side: usize) -> ([u64; 7], usize) {
     let opts = PageRankConfig::default();
 
     let mut engine = Engine::new(SimConfig::paper());
-    let mut counts = [0; 7];
+    let mut checked = Engine::new(SimConfig::paper());
+    checked.set_fault_plan(Some(FaultPlan::inert(7)));
+    let mut counts = [0; 9];
     for _warm in 0..2 {
         counts = [
             allocations(|| engine.run_spmv(&spmv, &x).expect("spmv")),
@@ -92,6 +105,8 @@ fn warmed_allocations(side: usize) -> ([u64; 7], usize) {
             // The stencil is symmetric, so its transpose is already the
             // symmetrized adjacency label propagation needs.
             allocations(|| engine.run_connected_components(&at).expect("cc")),
+            allocations(|| engine.run_spmv_csr(&csr, &x).expect("spmv-csr")),
+            allocations(|| checked.run_spmv(&spmv, &x).expect("spmv-inert")),
         ];
     }
     (counts, spmv.num_blocks())
