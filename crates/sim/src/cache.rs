@@ -30,6 +30,11 @@ pub struct CacheAccess {
 pub struct LocalCache {
     values_per_line: usize,
     num_sets: usize,
+    /// `log2(values_per_line)` and `num_sets - 1` when those are powers of
+    /// two, so that a word's line and a line's set are a shift and a mask;
+    /// other geometries divide.
+    line_shift: Option<u32>,
+    set_mask: Option<usize>,
     ways: usize,
     hit_latency: u64,
     miss_latency: u64,
@@ -47,9 +52,15 @@ impl LocalCache {
     pub fn new(config: &SimConfig) -> Self {
         let lines = config.cache_lines();
         let ways = config.cache_ways.clamp(1, lines);
+        let values_per_line = config.values_per_line();
+        let num_sets = (lines / ways).max(1);
         LocalCache {
-            values_per_line: config.values_per_line(),
-            num_sets: (lines / ways).max(1),
+            values_per_line,
+            num_sets,
+            line_shift: values_per_line
+                .is_power_of_two()
+                .then(|| values_per_line.trailing_zeros()),
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
             ways,
             hit_latency: config.cache_latency,
             miss_latency: config.cache_latency + config.mem_latency_cycles,
@@ -66,10 +77,38 @@ impl LocalCache {
         self.faults = injector;
     }
 
+    /// The line holding word `word_addr`.
+    #[inline]
+    fn line_of(&self, word_addr: usize) -> usize {
+        match self.line_shift {
+            Some(shift) => word_addr >> shift,
+            None => word_addr / self.values_per_line,
+        }
+    }
+
     /// Probes a line address; returns hit/miss and makes the line resident
     /// and most-recently-used.
+    #[inline]
     fn touch(&mut self, line_addr: usize) -> bool {
-        let set = line_addr % self.num_sets;
+        let set = match self.set_mask {
+            Some(mask) => line_addr & mask,
+            None => line_addr % self.num_sets,
+        };
+        if self.ways == 1 {
+            let tag = &mut self.tags[set];
+            let hit = *tag == line_addr;
+            *tag = line_addr;
+            hit
+        } else {
+            self.touch_ways(set, line_addr)
+        }
+    }
+
+    /// [`LocalCache::touch`] in a set of more than one way: a linear tag
+    /// search, then an LRU rotate. Kept out of line, so that the
+    /// direct-mapped probe inlines into its callers.
+    #[inline(never)]
+    fn touch_ways(&mut self, set: usize, line_addr: usize) -> bool {
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
         if let Some(pos) = slots.iter().position(|&t| t == line_addr) {
@@ -88,7 +127,7 @@ impl LocalCache {
     /// detection is transparent and the line is refetched, so the access is
     /// accounted (and billed) as a miss.
     pub fn read(&mut self, word_addr: usize) -> CacheAccess {
-        let hit = self.touch(word_addr / self.values_per_line);
+        let hit = self.touch(self.line_of(word_addr));
         if hit {
             if let Some(inj) = &self.faults {
                 if inj.cache_parity_on_hit() {
@@ -134,7 +173,7 @@ impl LocalCache {
         let end = word_addr + len;
         let mut w = word_addr;
         while w < end {
-            let line = w / self.values_per_line;
+            let line = self.line_of(w);
             let next = ((line + 1) * self.values_per_line).min(end);
             let words = (next - w) as u64;
             if self.touch(line) {
@@ -156,7 +195,7 @@ impl LocalCache {
         let end = word_addr + len;
         let mut w = word_addr;
         while w < end {
-            let line = w / self.values_per_line;
+            let line = self.line_of(w);
             let next = ((line + 1) * self.values_per_line).min(end);
             self.touch(line);
             self.writes += (next - w) as u64;
@@ -166,7 +205,7 @@ impl LocalCache {
 
     /// Writes one word (write-allocate: the line becomes resident).
     pub fn write(&mut self, word_addr: usize) -> CacheAccess {
-        let hit = self.touch(word_addr / self.values_per_line);
+        let hit = self.touch(self.line_of(word_addr));
         self.writes += 1;
         CacheAccess {
             hit,
@@ -224,6 +263,7 @@ impl LocalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cache() -> LocalCache {
         LocalCache::new(&SimConfig::paper())
@@ -245,39 +285,102 @@ mod tests {
         assert_eq!(c.misses(), 1);
     }
 
-    #[test]
-    fn runs_count_exactly_like_single_word_accesses() {
-        // Unaligned, line-crossing, conflicting and repeated runs on a
-        // direct-mapped and a 2-way cache: per-line accounting must match
-        // the per-word model counter for counter and line for line.
-        let runs = [
-            (3, 8),
-            (0, 16),
-            (1021, 9),
-            (5, 3),
-            (128, 1),
-            (1024, 8),
-            (3, 8),
-        ];
-        for ways in [1, 2] {
-            let config = SimConfig::paper().with_cache_ways(ways);
+    /// Independent reference: per-set MRU-first line lists, indexed with
+    /// `/` and `%` whatever the geometry.
+    struct Model {
+        values_per_line: usize,
+        ways: usize,
+        sets: Vec<Vec<usize>>,
+    }
+
+    impl Model {
+        fn access(&mut self, word: usize) -> bool {
+            let line = word / self.values_per_line;
+            let num_sets = self.sets.len();
+            let set = &mut self.sets[line % num_sets];
+            let hit = set
+                .iter()
+                .position(|&t| t == line)
+                .map(|pos| set.remove(pos));
+            set.insert(0, line);
+            set.truncate(self.ways);
+            hit.is_some()
+        }
+
+        /// The cache's tag array: each set's lines, MRU first, padded with
+        /// invalid tags; slots past the last set stay invalid.
+        fn tags(&self, slots: usize) -> Vec<usize> {
+            let mut tags: Vec<usize> = self
+                .sets
+                .iter()
+                .flat_map(|set| {
+                    let pad = self.ways - set.len();
+                    set.iter()
+                        .copied()
+                        .chain(std::iter::repeat_n(usize::MAX, pad))
+                })
+                .collect();
+            tags.resize(slots, usize::MAX);
+            tags
+        }
+    }
+
+    /// A cache geometry: words per line, line count and ways (1, 2, 3, 4
+    /// or all), covering power-of-two and other line sizes and set counts.
+    fn geometry() -> impl Strategy<Value = SimConfig> {
+        const WORDS: [usize; 7] = [1, 2, 3, 4, 5, 8, 16];
+        const WAYS: [usize; 5] = [1, 2, 3, 4, usize::MAX];
+        (0..WORDS.len(), 1usize..=40, 0..WAYS.len()).prop_map(|(w, lines, k)| {
+            let mut config = SimConfig::paper();
+            config.cache_line_bytes = WORDS[w] * 8;
+            config.cache_bytes = lines * WORDS[w] * 8;
+            config.with_cache_ways(WAYS[k].min(lines))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Runs count exactly like single-word accesses, and both match the
+        /// reference model counter for counter and tag for tag.
+        #[test]
+        fn runs_count_exactly_like_single_word_accesses(
+            config in geometry(),
+            runs in proptest::collection::vec((0usize..600, 0usize..40, 0u8..2), 1..40),
+        ) {
             let mut per_line = LocalCache::new(&config);
             let mut per_word = LocalCache::new(&config);
-            for (start, len) in runs {
-                let mut missed = false;
-                for w in start..start + len {
-                    missed |= !per_word.read(w).hit;
+            let lines = config.cache_lines();
+            let ways = config.cache_ways;
+            let mut model = Model {
+                values_per_line: config.values_per_line(),
+                ways,
+                sets: vec![Vec::new(); (lines / ways).max(1)],
+            };
+            let (mut hits, mut misses, mut writes) = (0u64, 0u64, 0u64);
+            for (k, &(start, len, write)) in runs.iter().enumerate() {
+                if write == 1 {
+                    per_line.write_run(start, len);
+                    for w in start..start + len {
+                        per_word.write(w);
+                        model.access(w);
+                        writes += 1;
+                    }
+                } else {
+                    let mut missed = false;
+                    for w in start..start + len {
+                        let hit = per_word.read(w).hit;
+                        prop_assert_eq!(hit, model.access(w), "run {}, word {}", k, w);
+                        missed |= !hit;
+                        if hit { hits += 1 } else { misses += 1 }
+                    }
+                    prop_assert_eq!(per_line.read_run(start, len), missed, "run {}", k);
                 }
-                assert_eq!(per_line.read_run(start, len), missed, "run {start}+{len}");
-                per_line.write_run(start + 40, len);
-                for w in start + 40..start + 40 + len {
-                    per_word.write(w);
-                }
-                assert_eq!(per_line.tags, per_word.tags);
-                assert_eq!(
-                    (per_line.hits(), per_line.misses(), per_line.writes()),
-                    (per_word.hits(), per_word.misses(), per_word.writes())
-                );
+                prop_assert_eq!(&per_line.tags, &per_word.tags, "run {}", k);
+                prop_assert_eq!(&per_word.tags, &model.tags(lines), "run {}", k);
+                let counts = (hits, misses, writes);
+                prop_assert_eq!((per_line.hits(), per_line.misses(), per_line.writes()), counts);
+                prop_assert_eq!((per_word.hits(), per_word.misses(), per_word.writes()), counts);
             }
         }
     }

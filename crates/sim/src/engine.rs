@@ -88,6 +88,8 @@ pub struct Engine {
     fcu: Fcu,
     rcu: Rcu,
     cache: LocalCache,
+    /// Cache-port cycles of one full ω-chunk, ⌈ω / values per line⌉.
+    chunk_lines: u64,
     trace: crate::trace::Trace,
     faults: Option<FaultInjector>,
     recovery: RecoveryPolicy,
@@ -154,8 +156,9 @@ impl Scratch {
         let rows = a.block_rows();
         self.row_start.clear();
         self.row_start.resize(rows + 1, 0);
-        for block in a.blocks() {
-            self.row_start[block.block_row() + 1] += 1;
+        let headers = a.block_row_headers();
+        for &br in headers {
+            self.row_start[br + 1] += 1;
         }
         for r in 0..rows {
             self.row_start[r + 1] += self.row_start[r];
@@ -163,9 +166,9 @@ impl Scratch {
         // Fill using row_start[r] as row r's cursor, which leaves it at the
         // start of row r + 1; shifting right restores the starts.
         self.row_blocks.clear();
-        self.row_blocks.resize(a.num_blocks(), 0);
-        for (k, block) in a.blocks().iter().enumerate() {
-            let cursor = &mut self.row_start[block.block_row()];
+        self.row_blocks.resize(headers.len(), 0);
+        for (k, &br) in headers.iter().enumerate() {
+            let cursor = &mut self.row_start[br];
             self.row_blocks[*cursor] = k;
             *cursor += 1;
         }
@@ -190,6 +193,18 @@ fn load_operand(buf: &mut Vec<f64>, x: &[f64], start: usize, omega: usize) {
     buf.clear();
     buf.extend_from_slice(&x[start.min(end)..end]);
     buf.resize(omega, 0.0);
+}
+
+/// The ω-chunk of `x` starting at `start`, read in place when it lies
+/// wholly inside `x`; a chunk running past the end is loaded into `buf`
+/// and padded (see [`load_operand`]).
+fn operand_chunk<'a>(buf: &'a mut Vec<f64>, x: &'a [f64], start: usize, omega: usize) -> &'a [f64] {
+    if let Some(chunk) = x.get(start..start + omega) {
+        chunk
+    } else {
+        load_operand(buf, x, start, omega);
+        buf
+    }
 }
 
 /// Cached alobs handles: registered once at [`Engine::set_telemetry`] so
@@ -325,11 +340,13 @@ impl Engine {
         let fcu = Fcu::new(&config);
         let rcu = Rcu::new(&config);
         let cache = LocalCache::new(&config);
+        let chunk_lines = config.omega.div_ceil(config.values_per_line()) as u64;
         Engine {
             config,
             fcu,
             rcu,
             cache,
+            chunk_lines,
             trace: crate::trace::Trace::new(),
             faults: None,
             recovery: RecoveryPolicy::default(),
@@ -738,7 +755,7 @@ impl Engine {
             return;
         }
         let missed = self.cache.read_run(region + chunk_start, valid);
-        state.cache_busy += valid.div_ceil(self.config.values_per_line()) as u64;
+        state.cache_busy += self.chunk_lines(valid);
         if missed {
             state.memory.stream_values(valid);
         }
@@ -752,7 +769,16 @@ impl Engine {
             return;
         }
         self.cache.write_run(region + chunk_start, valid);
-        state.cache_busy += valid.div_ceil(self.config.values_per_line()) as u64;
+        state.cache_busy += self.chunk_lines(valid);
+    }
+
+    /// Cache-port cycles of a `valid`-word chunk: one per line it spans.
+    fn chunk_lines(&self, valid: usize) -> u64 {
+        if valid == self.config.omega {
+            self.chunk_lines
+        } else {
+            valid.div_ceil(self.config.values_per_line()) as u64
+        }
     }
 
     /// Runs `f` with the engine's scratch buffers lent out beside `self`.
@@ -870,8 +896,7 @@ impl Engine {
         state.breakdown.gemv_cycles += block_cycles;
         state.counts.gemv_blocks += 1;
         self.publish_cycle(state);
-        load_operand(&mut sc.operand, x, col_base, omega);
-        let operand = &sc.operand;
+        let operand = operand_chunk(&mut sc.operand, x, col_base, omega);
 
         let Some(inj) = self.faults.clone() else {
             sc.dots.resize(omega, 0.0);
@@ -1166,20 +1191,23 @@ impl Engine {
             }
             self.configure(DataPathKind::Gemv, Reduce::Sum);
             let block_cycles = self.gemv_block(sc, state, block, x)?;
-            // The verified dots ride the link stack; entries can still be
-            // dropped in flight, which the occupancy check catches (the
-            // stack grew by fewer than ω entries).
+            // The verified dots ride the link stack as one ω-frame; the RCU
+            // draws each entry's in-flight drop, which the occupancy check
+            // catches (the stack grew by fewer than ω entries).
             let before = sc.link_stack.len();
             self.retry(
                 state,
                 FaultSite::RcuLifo,
                 sc,
                 |eng, _, sc| {
-                    for (i, dot) in sc.dots.iter().enumerate() {
-                        if !eng.rcu.link_push_event() {
-                            sc.link_stack.push((i, *dot));
-                        }
-                    }
+                    let rcu = &mut eng.rcu;
+                    sc.link_stack.push_frame(
+                        sc.dots
+                            .iter()
+                            .copied()
+                            .enumerate()
+                            .filter(|_| !rcu.link_push_event()),
+                    );
                     (sc.link_stack.len() - before == omega).then_some(())
                 },
                 // Roll back this attempt's (LIFO-ordered) pushes.
@@ -1196,17 +1224,17 @@ impl Engine {
     }
 
     /// Phase 2: the successive D-SymGS pops the GEMV results off the stack
-    /// and reduces them per lane into `sc.partial` (the pops happen in LIFO
-    /// order — the reverse of the push order, which the reduction is
-    /// insensitive to because addition commutes).
+    /// and reduces them per lane into `sc.partial`. The stack drains in one
+    /// go, in LIFO order — the reverse of the push order, and the order each
+    /// lane's partial sum adds in.
     fn drain_link_stack(&mut self, sc: &mut Scratch, state: &mut RunState) {
         sc.partial.clear();
         sc.partial.resize(self.config.omega, 0.0);
         let peak = &mut state.counts.link_stack_peak;
         *peak = (*peak).max(sc.link_stack.max_depth() as u64);
-        while let Some((lane, value)) = sc.link_stack.pop() {
+        self.rcu.buffer_events(sc.link_stack.len() as u64);
+        for (lane, value) in sc.link_stack.pop_all() {
             sc.partial[lane] += value;
-            self.rcu.buffer_event();
         }
     }
 
@@ -1350,7 +1378,7 @@ impl Engine {
                         .mac_row_rotated(streamed, sc.shift.lanes(), omega - i)
                 };
                 // Link-stack pop feeding the recurrence.
-                self.rcu.buffer_event();
+                self.rcu.buffer_events(1);
             }
             // PE: subtract/divide producing x_g, with the SOR blend (a
             // second PE op) when the relaxation factor is not 1.
@@ -1475,11 +1503,12 @@ impl Engine {
                 let dst_base = block.block_row() * omega;
                 let valid = (n - dst_base).min(omega);
                 let sc = &mut self.scratch;
-                load_operand(&mut sc.operand, &dist, block.block_col() * omega, omega);
+                let operand =
+                    operand_chunk(&mut sc.operand, &dist, block.block_col() * omega, omega);
                 sc.dots.resize(omega, 0.0);
                 let cands = &mut sc.dots[..valid];
                 self.fcu
-                    .min_plus_block(block.payload(), block.reversed(), &sc.operand, &op, cands);
+                    .min_plus_block(block.payload(), block.reversed(), operand, &op, cands);
                 for (i, &cand) in cands.iter().enumerate() {
                     let d = dst_base + i;
                     if cand < dist[d] {
@@ -1556,7 +1585,7 @@ impl Engine {
                 let dst_base = block.block_row() * omega;
                 let valid = (n - dst_base).min(omega);
                 let sc = &mut self.scratch;
-                load_operand(
+                let operand = operand_chunk(
                     &mut sc.operand,
                     &sc.contrib,
                     block.block_col() * omega,
@@ -1567,7 +1596,7 @@ impl Engine {
                 self.fcu.pagerank_block(
                     block.payload(),
                     block.reversed(),
-                    &sc.operand,
+                    operand,
                     &mut sc.next[dst_base..dst_base + valid],
                 );
             }

@@ -283,7 +283,67 @@ const ROWS_IN_FLIGHT: usize = 4;
 /// `payload` (ω = `operand.len()`, rows streamed right-to-left when
 /// `reversed`) with `step(acc, a, b)` over its lanes `(a, b)` in lane
 /// order, starting from `seed`, and hands row `i`'s result to `emit(i, _)`.
+///
+/// The power-of-two widths run a walk compiled for their ω, whose lane
+/// loops unroll; any other width takes the runtime-width walk. Both fold
+/// every row in the same order, so the width never moves a bit.
+#[inline]
 fn reduce_rows(
+    payload: &[f64],
+    reversed: bool,
+    operand: &[f64],
+    rows: usize,
+    seed: f64,
+    step: impl Fn(f64, f64, f64) -> f64,
+    emit: impl FnMut(usize, f64),
+) {
+    match operand.len() {
+        4 => reduce_rows_fixed::<4, 4>(payload, reversed, operand, rows, seed, step, emit),
+        8 => reduce_rows_fixed::<8, 8>(payload, reversed, operand, rows, seed, step, emit),
+        16 => reduce_rows_fixed::<16, 8>(payload, reversed, operand, rows, seed, step, emit),
+        32 => reduce_rows_fixed::<32, 8>(payload, reversed, operand, rows, seed, step, emit),
+        _ => reduce_rows_any(payload, reversed, operand, rows, seed, step, emit),
+    }
+}
+
+/// [`reduce_rows`] at a compile-time width `W`: the payload is viewed as
+/// `W`-wide rows and the operand as one `W`-array.
+#[inline]
+fn reduce_rows_fixed<const W: usize, const R: usize>(
+    payload: &[f64],
+    reversed: bool,
+    operand: &[f64],
+    rows: usize,
+    seed: f64,
+    step: impl Fn(f64, f64, f64) -> f64,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let (block, _) = payload.as_chunks::<W>();
+    let (operand, _) = operand.as_chunks::<W>();
+    let operand = &operand[0];
+    let (groups, tail) = block[..rows].as_chunks::<R>();
+    for (g, group) in groups.iter().enumerate() {
+        let acc = fold(
+            group.each_ref().map(|row| &row[..]),
+            reversed,
+            operand,
+            seed,
+            &step,
+        );
+        for (r, value) in acc.into_iter().enumerate() {
+            emit(g * R + r, value);
+        }
+    }
+    let done = rows - tail.len();
+    for (r, row) in tail.iter().enumerate() {
+        let [value] = fold([&row[..]], reversed, operand, seed, &step);
+        emit(done + r, value);
+    }
+}
+
+/// [`reduce_rows`] at a runtime width, for the widths without a walk of
+/// their own.
+fn reduce_rows_any(
     payload: &[f64],
     reversed: bool,
     operand: &[f64],
@@ -298,28 +358,39 @@ fn reduce_rows(
         .chunks_exact(ROWS_IN_FLIGHT * w)
         .enumerate()
     {
-        let acc: [f64; ROWS_IN_FLIGHT] = reduce_group(group, reversed, operand, seed, &step);
+        let rows = std::array::from_fn(|r| &group[r * w..(r + 1) * w]);
+        let acc: [f64; ROWS_IN_FLIGHT] = fold(rows, reversed, operand, seed, &step);
         for (r, value) in acc.into_iter().enumerate() {
             emit(g * ROWS_IN_FLIGHT + r, value);
         }
     }
     for i in grouped..rows {
-        let [value] = reduce_group(&payload[i * w..(i + 1) * w], reversed, operand, seed, &step);
+        let [value] = fold(
+            [&payload[i * w..(i + 1) * w]],
+            reversed,
+            operand,
+            seed,
+            &step,
+        );
         emit(i, value);
     }
 }
 
-/// Folds the `R` consecutive ω-wide rows of `group` against `operand`, one
-/// accumulator per row (see [`reduce_rows`]).
-fn reduce_group<const R: usize>(
-    group: &[f64],
+/// Folds the `R` ω-wide `rows` against `operand`, one accumulator per row,
+/// each over its lanes in lane order (see [`reduce_rows`]). Inlined into
+/// each walk, so the fixed-width walks see ω as a constant; left to the
+/// inliner's choice it stays out of line and the block kernels run about
+/// 1.5× slower.
+#[allow(clippy::inline_always)]
+#[inline(always)]
+fn fold<const R: usize>(
+    rows: [&[f64]; R],
     reversed: bool,
     operand: &[f64],
     seed: f64,
     step: &impl Fn(f64, f64, f64) -> f64,
 ) -> [f64; R] {
     let w = operand.len();
-    let rows: [&[f64]; R] = std::array::from_fn(|r| &group[r * w..(r + 1) * w]);
     let mut acc = [seed; R];
     if reversed {
         for (j, &b) in operand.iter().enumerate() {

@@ -17,6 +17,9 @@ pub struct MemoryStream {
     /// ([`SimConfig::stream_cycles`], computed once at construction).
     payload_values: usize,
     payload_cycles: u64,
+    /// The same for one full ω-value operand chunk.
+    chunk_values: usize,
+    chunk_cycles: u64,
     bytes_streamed: u64,
     busy_cycles: u64,
     faults: Option<FaultInjector>,
@@ -30,6 +33,8 @@ impl MemoryStream {
             values_per_cycle: config.values_per_cycle(),
             payload_values,
             payload_cycles: config.stream_cycles(payload_values),
+            chunk_values: config.omega,
+            chunk_cycles: config.stream_cycles(config.omega),
             bytes_streamed: 0,
             busy_cycles: 0,
             faults: None,
@@ -67,12 +72,17 @@ impl MemoryStream {
     }
 
     /// Streams `values` doubles; returns the cycles the transfer occupies
-    /// the memory interface.
+    /// the memory interface. A full ω-value chunk reads its memoised cycles;
+    /// any other length (a padded tail, a CSR row) evaluates the formula.
     pub fn stream_values(&mut self, values: usize) -> u64 {
         if values == 0 {
             return 0;
         }
-        let cycles = (values as f64 / self.values_per_cycle).ceil().max(1.0) as u64;
+        let cycles = if values == self.chunk_values {
+            self.chunk_cycles
+        } else {
+            (values as f64 / self.values_per_cycle).ceil().max(1.0) as u64
+        };
         self.bytes_streamed += values as u64 * 8;
         self.busy_cycles += cycles;
         cycles
@@ -151,6 +161,17 @@ mod tests {
                 assert_eq!(m.stream_values(values), formula, "omega {omega}");
                 assert_eq!(m.bytes_streamed(), 3 * values as u64 * 8);
                 assert_eq!(m.busy_cycles(), 3 * formula);
+                // Every operand-chunk length, the memoised full chunk and
+                // each padded tail alike.
+                for len in 1..=omega {
+                    let want = (len as f64 / config.values_per_cycle()).ceil().max(1.0) as u64;
+                    assert_eq!(m.stream_values(len), want, "omega {omega}, chunk {len}");
+                    assert_eq!(
+                        config.stream_cycles(len),
+                        want,
+                        "omega {omega}, chunk {len}"
+                    );
+                }
             }
         }
     }

@@ -113,9 +113,9 @@ impl Rcu {
         self.pe_latency
     }
 
-    /// Records a buffer (FIFO/stack) event for energy accounting.
-    pub fn buffer_event(&mut self) {
-        self.counters.buffer_ops += 1;
+    /// Records `n` buffer (FIFO/stack) events for energy accounting.
+    pub fn buffer_events(&mut self, n: u64) {
+        self.counters.buffer_ops += n;
     }
 
     /// Records a link-stack (LIFO) push; returns true when the injector

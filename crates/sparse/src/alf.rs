@@ -81,26 +81,31 @@ pub struct AlfBlock<'a> {
 
 impl<'a> AlfBlock<'a> {
     /// Block-row coordinate.
+    #[inline]
     pub fn block_row(&self) -> usize {
         self.block_row
     }
 
     /// Block-column coordinate.
+    #[inline]
     pub fn block_col(&self) -> usize {
         self.block_col
     }
 
     /// Whether this is a diagonal or off-diagonal block.
+    #[inline]
     pub fn kind(&self) -> BlockKind {
         self.kind
     }
 
     /// The ω² payload values in streaming order.
+    #[inline]
     pub fn payload(&self) -> &'a [f64] {
         self.payload
     }
 
     /// True if this block's rows are streamed right-to-left.
+    #[inline]
     pub fn reversed(&self) -> bool {
         self.reversed
     }
@@ -125,12 +130,14 @@ impl<'a> AlfBlock<'a> {
     /// # Panics
     ///
     /// Panics if `i >= ω`.
+    #[inline]
     pub fn row(&self, i: usize) -> &'a [f64] {
         &self.payload[i * self.omega..(i + 1) * self.omega]
     }
 
     /// Value at logical in-block position `(i, j)` (matrix orientation,
     /// before any streaming reversal).
+    #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let jj = if self.reversed { self.omega - 1 - j } else { j };
         self.payload[i * self.omega + jj]
@@ -145,21 +152,25 @@ pub struct Blocks<'a> {
 
 impl<'a> Blocks<'a> {
     /// Number of blocks.
+    #[inline]
     pub fn len(&self) -> usize {
         self.alf.num_blocks()
     }
 
     /// True when the matrix stores no block.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The `k`-th block in stream order, if any.
+    #[inline]
     pub fn get(&self, k: usize) -> Option<AlfBlock<'a>> {
         (k < self.len()).then(|| self.alf.block(k))
     }
 
     /// Iterates the blocks in stream order.
+    #[inline]
     pub fn iter(&self) -> BlockIter<'a> {
         BlockIter {
             alf: self.alf,
@@ -172,6 +183,7 @@ impl<'a> IntoIterator for Blocks<'a> {
     type Item = AlfBlock<'a>;
     type IntoIter = BlockIter<'a>;
 
+    #[inline]
     fn into_iter(self) -> BlockIter<'a> {
         self.iter()
     }
@@ -181,6 +193,7 @@ impl<'a> IntoIterator for &Blocks<'a> {
     type Item = AlfBlock<'a>;
     type IntoIter = BlockIter<'a>;
 
+    #[inline]
     fn into_iter(self) -> BlockIter<'a> {
         self.iter()
     }
@@ -196,10 +209,12 @@ pub struct BlockIter<'a> {
 impl<'a> Iterator for BlockIter<'a> {
     type Item = AlfBlock<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<AlfBlock<'a>> {
         self.range.next().map(|k| self.alf.block(k))
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.range.size_hint()
     }
@@ -459,31 +474,37 @@ impl Alf {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// Block width ω.
+    #[inline]
     pub fn omega(&self) -> usize {
         self.omega
     }
 
     /// The layout flavor this matrix was built with.
+    #[inline]
     pub fn layout(&self) -> AlfLayout {
         self.layout
     }
 
     /// Blocks in exact streaming order.
+    #[inline]
     pub fn blocks(&self) -> Blocks<'_> {
         Blocks { alf: self }
     }
 
     /// Number of stored blocks.
+    #[inline]
     pub fn num_blocks(&self) -> usize {
         self.block_row.len()
     }
@@ -493,6 +514,11 @@ impl Alf {
     /// # Panics
     ///
     /// Panics if `k >= self.num_blocks()`.
+    // Always inlined: the engine's block loops call it once per block, and
+    // left to the inliner it stayed out of line at a cost of about 7% of
+    // the engine's SpMV host time.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     pub fn block(&self, k: usize) -> AlfBlock<'_> {
         let w2 = self.omega * self.omega;
         AlfBlock {
@@ -505,12 +531,21 @@ impl Alf {
         }
     }
 
+    /// Every block's block-row coordinate, in stream order: the header
+    /// column [`AlfBlock::block_row`] reads.
+    #[inline]
+    pub fn block_row_headers(&self) -> &[usize] {
+        &self.block_row
+    }
+
     /// Number of block rows.
+    #[inline]
     pub fn block_rows(&self) -> usize {
         self.rows.div_ceil(self.omega)
     }
 
     /// The extracted main diagonal (empty for [`AlfLayout::Streaming`]).
+    #[inline]
     pub fn diagonal(&self) -> &[f64] {
         &self.diagonal
     }

@@ -1,11 +1,22 @@
 //! Property-based tests on simulator invariants: timing and accounting hold
-//! for arbitrary diagonally dominant inputs and block widths.
+//! for arbitrary diagonally dominant inputs and block widths, and, over a
+//! seed matrix, under seeded fault plans with retries.
+//!
+//! The fault-plan matrix follows the house seed style:
+//!
+//! * `SIM_INVARIANT_SEED=<n>` runs exactly that seed — the repro knob
+//!   printed when a seed fails;
+//! * `SIM_INVARIANT_SEEDS=<count>` sets the matrix width;
+//! * unset, 64 seeds run.
+
+use std::panic::{self, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
 use alrescha::{Alrescha, KernelType};
-use alrescha_sim::SimConfig;
-use alrescha_sparse::Coo;
+use alrescha_obs::rng::SplitMix64;
+use alrescha_sim::{Engine, ExecutionReport, FaultPlan, PageRankConfig, RecoveryPolicy, SimConfig};
+use alrescha_sparse::{alf::AlfLayout, Alf, Coo};
 
 fn arb_dd_matrix() -> impl Strategy<Value = Coo> {
     (2usize..32).prop_flat_map(|n| {
@@ -167,6 +178,169 @@ proptest! {
             "sim {} block rows {}",
             report.reconfig.switches,
             block_rows
+        );
+    }
+}
+
+/// Base offset so fault-plan seeds are recognizable in logs.
+const SEED_BASE: u64 = 0x51A1_0000;
+
+/// The seed matrix: `SIM_INVARIANT_SEED` pins one seed,
+/// `SIM_INVARIANT_SEEDS` sets the width, otherwise 64 seeds run.
+fn seed_matrix() -> Vec<u64> {
+    if let Ok(pinned) = std::env::var("SIM_INVARIANT_SEED") {
+        let seed = pinned
+            .parse::<u64>()
+            .unwrap_or_else(|_| panic!("SIM_INVARIANT_SEED must be a u64, got {pinned:?}"));
+        return vec![seed];
+    }
+    let count = std::env::var("SIM_INVARIANT_SEEDS")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(64);
+    (0..count).map(|i| SEED_BASE + i).collect()
+}
+
+/// A diagonally dominant `n`×`n` system drawn from `rng`: SymGS-safe, and
+/// with its absolute values a weighted graph.
+fn seeded_dd_matrix(rng: &mut SplitMix64, n: usize) -> Coo {
+    let mut coo = Coo::new(n, n);
+    let mut row_sum = vec![0.0; n];
+    for _ in 0..rng.next_u64() % (4 * n as u64 + 1) {
+        let (r, c) = (rng.next_u64() as usize % n, rng.next_u64() as usize % n);
+        if r != c {
+            let v = -((rng.next_u64() % 49 + 1) as f64) / 60.0;
+            coo.push(r, c, v);
+            row_sum[r] += v.abs();
+        }
+    }
+    for (i, s) in row_sum.iter().enumerate() {
+        coo.push(i, i, s + 1.0);
+    }
+    coo.compress()
+}
+
+/// A transient fault plan drawn from `rng`: FCU lane and tree upsets,
+/// cache parity errors, and link-stack and operand-FIFO drops. Permanent
+/// stuck-at faults are left out: no retry can recover them.
+fn seeded_plan(rng: &mut SplitMix64, seed: u64) -> FaultPlan {
+    let mut rate = |max: f64| alrescha_obs::rng::unit_f64(rng.next_u64()) * max;
+    FaultPlan::inert(seed)
+        .with_fcu_lane_rate(rate(0.1))
+        .with_fcu_tree_rate(rate(0.1))
+        .with_cache_fault_rate(rate(0.1))
+        .with_lifo_drop_rate(rate(0.05))
+        .with_fifo_drop_rate(rate(0.05))
+}
+
+/// Every kernel of the engine on one seed's system and plan; each run
+/// that completes returns its report under the kernel's name.
+fn faulted_reports(seed: u64) -> Vec<(&'static str, ExecutionReport)> {
+    let mut rng = SplitMix64::new(seed);
+    let omega = [3, 4, 8][(rng.next_u64() % 3) as usize];
+    let n = 2 + (rng.next_u64() % 40) as usize;
+    let coo = seeded_dd_matrix(&mut rng, n);
+    let plan = seeded_plan(&mut rng, seed);
+    let policy = RecoveryPolicy::Retry {
+        max_retries: 6,
+        backoff_cycles: rng.next_u64() % 16,
+    };
+
+    let streaming = Alf::from_coo(&coo, omega, AlfLayout::Streaming).expect("streaming format");
+    let symgs = Alf::from_coo(&coo, omega, AlfLayout::SymGs).expect("symgs format");
+    let mut graph = coo.clone();
+    for &(u, v, w) in coo.entries() {
+        graph.push(v, u, w.abs());
+    }
+    let graph = graph.compress();
+    let at = Alf::from_coo(&graph.transpose(), omega, AlfLayout::Streaming).expect("graph format");
+    let mut out_degrees = vec![0; n];
+    for &(u, _, _) in graph.entries() {
+        out_degrees[u] += 1;
+    }
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+    let b = vec![1.0; n];
+    let source = (seed % n as u64) as usize;
+
+    let mut engine = Engine::new(SimConfig::paper().with_omega(omega));
+    engine.set_fault_plan(Some(plan));
+    engine.set_recovery_policy(policy);
+    let mut xs = x.clone();
+    let runs = [
+        ("spmv", engine.run_spmv(&streaming, &x).map(|(_, r)| r)),
+        (
+            "symgs-forward",
+            engine.run_symgs_forward(&symgs, &b, &mut xs),
+        ),
+        (
+            "symgs-backward",
+            engine.run_symgs_backward(&symgs, &b, &mut xs),
+        ),
+        ("ssor", engine.run_ssor(&symgs, &b, &mut xs, 1.3)),
+        ("bfs", engine.run_bfs(&at, source).map(|(_, r)| r)),
+        ("sssp", engine.run_sssp(&at, source).map(|(_, r)| r)),
+        (
+            "pagerank",
+            engine
+                .run_pagerank(&at, &out_degrees, &PageRankConfig::default())
+                .map(|(_, r)| r),
+        ),
+        ("cc", engine.run_connected_components(&at).map(|(_, r)| r)),
+    ];
+    runs.into_iter()
+        .filter_map(|(kernel, run)| run.ok().map(|report| (kernel, report)))
+        .collect()
+}
+
+/// Under seeded fault plans with retries, every kernel's cycle breakdown,
+/// recovery included, sums to its total cycles. A failing seed prints a
+/// copy-pasteable repro line.
+#[test]
+fn breakdown_sums_to_cycles_under_fault_plans() {
+    let seeds = seed_matrix();
+    let (mut completed, mut recovered) = (0usize, 0usize);
+    for &seed in &seeds {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            let reports = faulted_reports(seed);
+            for (kernel, report) in &reports {
+                assert_eq!(
+                    report.breakdown.total(),
+                    report.cycles,
+                    "{kernel}: breakdown {:?} does not sum to {} cycles",
+                    report.breakdown,
+                    report.cycles
+                );
+            }
+            reports
+        }));
+        match outcome {
+            Ok(reports) => {
+                completed += reports.len();
+                recovered += reports
+                    .iter()
+                    .filter(|(_, r)| r.breakdown.recovery_cycles > 0)
+                    .count();
+            }
+            Err(payload) => {
+                eprintln!(
+                    "\nfault-plan seed {seed} failed; reproduce with:\n  \
+                     SIM_INVARIANT_SEED={seed} cargo test --release --test sim_invariants \
+                     breakdown_sums_to_cycles_under_fault_plans -- --nocapture\n"
+                );
+                panic::resume_unwind(payload);
+            }
+        }
+    }
+    if seeds.len() >= 16 {
+        // The matrix must exercise what it pins: most runs complete, and
+        // many of them recover from faults on the way.
+        assert!(
+            completed * 2 >= seeds.len() * 8,
+            "{completed} runs completed"
+        );
+        assert!(
+            recovered * 8 >= completed,
+            "{recovered} of {completed} runs recovered"
         );
     }
 }
