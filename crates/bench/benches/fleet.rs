@@ -8,7 +8,7 @@ use alrescha::fleet::{Fleet, FleetConfig};
 use alrescha_bench::fleet::repeated_matrix_jobs;
 
 fn bench_fleet(c: &mut Criterion) {
-    let preflight = alrescha_lint::fleet_preflight_hook();
+    let preflight = alrescha_lint::fleet_preflight_hook(None);
     let mut group = c.benchmark_group("fleet");
     group.sample_size(10);
 

@@ -13,7 +13,7 @@ use alrescha_bench::fleet::repeated_matrix_jobs;
 use alrescha_obs::Telemetry;
 
 fn bench_obs_overhead(c: &mut Criterion) {
-    let preflight = alrescha_lint::fleet_preflight_hook();
+    let preflight = alrescha_lint::fleet_preflight_hook(None);
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(10);
 
@@ -47,9 +47,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
         b.iter(|| {
             let tele = Telemetry::new();
             let fleet = Fleet::new(FleetConfig::default().with_workers(workers))
-                .with_preflight(alrescha_lint::fleet_preflight_hook_with_telemetry(
+                .with_preflight(alrescha_lint::fleet_preflight_hook(Some(
                     std::sync::Arc::clone(&tele),
-                ))
+                )))
                 .with_telemetry(tele);
             fleet.run(jobs.clone())
         });

@@ -63,7 +63,7 @@ pub fn measure_fleet_throughput(
     jobs: Vec<JobSpec>,
     worker_counts: &[usize],
 ) -> Vec<FleetThroughputRow> {
-    let preflight = alrescha_lint::fleet_preflight_hook();
+    let preflight = alrescha_lint::fleet_preflight_hook(None);
     let mut rows = Vec::new();
 
     let reference =
@@ -116,9 +116,7 @@ pub fn measure_fleet_throughput(
 pub fn instrumented_batch(n: usize, tele: &Arc<Telemetry>) -> FleetReport {
     let jobs = repeated_matrix_jobs(n, 64);
     let fleet = Fleet::new(FleetConfig::default().with_workers(4))
-        .with_preflight(alrescha_lint::fleet_preflight_hook_with_telemetry(
-            Arc::clone(tele),
-        ))
+        .with_preflight(alrescha_lint::fleet_preflight_hook(Some(Arc::clone(tele))))
         .with_telemetry(Arc::clone(tele));
     fleet.run(jobs)
 }

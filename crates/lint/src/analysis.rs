@@ -261,12 +261,14 @@ fn walk_symgs_schedule(
     diags: &mut Vec<Diagnostic>,
 ) {
     let omega = omega.max(1);
+    // The block rows whose D-SymGS entries issued, strictly ascending: an
+    // entry joins only when it is neither present nor below the last.
     let mut produced: Vec<usize> = Vec::new();
     for (i, entry) in table.entries().iter().enumerate() {
         let in_block = entry.inx_in / omega;
         match entry.data_path {
             DataPath::DSymGs => {
-                if produced.contains(&in_block) {
+                if produced.binary_search(&in_block).is_ok() {
                     dead.push(i);
                     diags.push(Diagnostic::of(
                         "AL405",
@@ -300,7 +302,7 @@ fn walk_symgs_schedule(
             _ => {
                 // A lower-triangle GEMV (operand port 2) consumes this
                 // sweep's freshly produced x chunk of its column.
-                if entry.op == OperandPort::Port2 && !produced.contains(&in_block) {
+                if entry.op == OperandPort::Port2 && produced.binary_search(&in_block).is_err() {
                     diags.push(Diagnostic::of(
                         "AL403",
                         Location::Entry {

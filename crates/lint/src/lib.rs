@@ -399,9 +399,10 @@ pub fn is_launchable(diagnostics: &[Diagnostic]) -> bool {
 /// returns every finding sorted most-severe first (stable within a
 /// severity, i.e. rule order is preserved).
 pub fn verify(program: &ProgramBinary, alf: &Alf, config: &SimConfig) -> Vec<Diagnostic> {
-    let mut diags = rules::verify_binary(program, alf);
-    if let Ok(table) = program.decode() {
-        diags.extend(rules::verify_table(program.kernel(), &table, alf, config));
+    let table = program.decode().ok();
+    let mut diags = rules::verify_binary(program, table.as_ref(), alf);
+    if let Some(table) = &table {
+        diags.extend(rules::verify_table(program.kernel(), table, alf, config));
     }
     diags.extend(rules::verify_alf(alf, config));
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
@@ -505,44 +506,34 @@ impl Preflight for alrescha::Alrescha {
 /// semantics before it enters the conversion cache. Cache hits were
 /// verified when they entered, so repeated matrices pay the verification
 /// cost once per distinct `(kernel, matrix, ω)`.
-pub fn fleet_preflight_hook() -> alrescha::PreflightHook {
-    std::sync::Arc::new(|prog, config| {
-        let diagnostics = verify_programmed(prog, config);
-        if is_launchable(&diagnostics) {
-            Ok(())
-        } else {
-            Err(render_text(&diagnostics))
-        }
-    })
-}
-
-/// Like [`fleet_preflight_hook`], but wraps every verification in an alobs
-/// `preflight` span and counts passes/rejections in the metrics registry —
-/// so preflight cost shows up on the worker timeline next to conversion
-/// and device runs.
-pub fn fleet_preflight_hook_with_telemetry(
-    tele: std::sync::Arc<alrescha_obs::Telemetry>,
+///
+/// With `tele`, every verification runs in an alobs `preflight` span and
+/// counts its pass or rejection in the metrics registry, so preflight cost
+/// shows up on the worker timeline next to conversion and device runs.
+pub fn fleet_preflight_hook(
+    tele: Option<std::sync::Arc<alrescha_obs::Telemetry>>,
 ) -> alrescha::PreflightHook {
     std::sync::Arc::new(move |prog, config| {
-        let some_tele = Some(&tele);
-        let _span = alrescha_obs::span!(some_tele, "preflight");
+        let _span = alrescha_obs::span!(tele, "preflight");
         let diagnostics = verify_programmed(prog, config);
-        let m = tele.metrics();
-        if is_launchable(&diagnostics) {
-            m.counter(
-                "alrescha_preflight_passes_total",
-                true,
-                "programs that cleared alverify preflight",
-            )
-            .inc();
+        let launchable = is_launchable(&diagnostics);
+        if let Some(tele) = &tele {
+            let (name, help) = if launchable {
+                (
+                    "alrescha_preflight_passes_total",
+                    "programs that cleared alverify preflight",
+                )
+            } else {
+                (
+                    "alrescha_preflight_rejections_total",
+                    "programs rejected by alverify preflight",
+                )
+            };
+            tele.metrics().counter(name, true, help).inc();
+        }
+        if launchable {
             Ok(())
         } else {
-            m.counter(
-                "alrescha_preflight_rejections_total",
-                true,
-                "programs rejected by alverify preflight",
-            )
-            .inc();
             Err(render_text(&diagnostics))
         }
     })

@@ -2,17 +2,22 @@
 //! documents each with the paper invariant it protects.
 
 use alrescha::convert::{AccessOrder, ConfigTable, DataPath, KernelType, OperandPort};
+use alrescha::program::EntryLayout;
 use alrescha::program::ProgramBinary;
 use alrescha_sim::SimConfig;
-use alrescha::program::EntryLayout;
 use alrescha_sparse::alf::AlfLayout;
 use alrescha_sparse::{Alf, BlockKind};
 
 use crate::{Diagnostic, Location, Severity};
 
 /// AL1xx binary rules: header/matrix agreement (AL104) and codec
-/// round-trip (AL101).
-pub(crate) fn verify_binary(program: &ProgramBinary, alf: &Alf) -> Vec<Diagnostic> {
+/// round-trip (AL101). `decoded` is `program`'s table, or `None` when it
+/// did not decode.
+pub(crate) fn verify_binary(
+    program: &ProgramBinary,
+    decoded: Option<&ConfigTable>,
+    alf: &Alf,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let n = alf.rows().max(alf.cols());
     if program.n() != n {
@@ -50,8 +55,8 @@ pub(crate) fn verify_binary(program: &ProgramBinary, alf: &Alf) -> Vec<Diagnosti
         ));
     }
 
-    match program.decode() {
-        Err(_) => {
+    match decoded {
+        None => {
             let entry_bits = EntryLayout::for_matrix(program.n(), program.omega()).entry_bits();
             diags.push(Diagnostic::of(
                 "AL101",
@@ -66,9 +71,9 @@ pub(crate) fn verify_binary(program: &ProgramBinary, alf: &Alf) -> Vec<Diagnosti
                 ),
             ));
         }
-        Ok(decoded) => {
+        Some(decoded) => {
             let reencoded =
-                ProgramBinary::encode(program.kernel(), &decoded, program.n(), program.omega());
+                ProgramBinary::encode(program.kernel(), decoded, program.n(), program.omega());
             if reencoded.as_bytes() != program.as_bytes() {
                 let offset = program
                     .as_bytes()

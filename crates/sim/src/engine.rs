@@ -25,7 +25,6 @@
 
 use alrescha_sparse::{alf::AlfLayout, Alf, AlfBlock, BlockKind};
 
-use crate::buffers::{Fifo, LinkStack};
 use crate::cache::LocalCache;
 use crate::config::SimConfig;
 use crate::energy::EnergyCounters;
@@ -38,7 +37,6 @@ use crate::memory::MemoryStream;
 use crate::rcu::{DataPathKind, Rcu};
 use crate::report::{CacheStats, DataPathCounts, ExecutionReport};
 use crate::runtime::ExecBudget;
-use crate::shift::ShiftRegister;
 use crate::trace::TraceEvent;
 
 /// Distance value marking an unreached vertex in graph kernels.
@@ -118,12 +116,12 @@ struct Scratch {
     /// `row_blocks[row_start[r]..row_start[r + 1]]`, in stream order.
     row_start: Vec<usize>,
     row_blocks: Vec<usize>,
+    /// The link stack of the block row in flight: ω GEMV dots per
+    /// off-diagonal block, one frame per block in stream order, each dot
+    /// at its lane's offset within its frame.
+    link: Vec<f64>,
     /// Per-lane sum of the link-stack pops feeding one D-SymGS block.
     partial: Vec<f64>,
-    link_stack: LinkStack<(usize, f64)>,
-    b_fifo: Fifo<f64>,
-    diag_fifo: Fifo<f64>,
-    shift: ShiftRegister,
     /// PageRank's per-iteration contribution and next-rank vectors.
     contrib: Vec<f64>,
     next: Vec<f64>,
@@ -136,6 +134,7 @@ impl Scratch {
             &mut self.dots,
             &mut self.operand,
             &mut self.row,
+            &mut self.link,
             &mut self.partial,
             &mut self.contrib,
             &mut self.next,
@@ -144,10 +143,6 @@ impl Scratch {
         }
         self.row_start.clear();
         self.row_blocks.clear();
-        self.link_stack.reset();
-        self.b_fifo.reset();
-        self.diag_fifo.reset();
-        self.shift.reload([]);
     }
 
     /// Indexes `a`'s blocks by block row (a stable counting sort, so each
@@ -186,25 +181,18 @@ struct Sweep<'a> {
     omega_relax: f64,
 }
 
-/// Loads the ω-chunk of `x` starting at `start` into `buf`, padding lanes
-/// past the end of `x` with zeros.
-fn load_operand(buf: &mut Vec<f64>, x: &[f64], start: usize, omega: usize) {
+/// The ω-chunk of `x` starting at `start`, read in place when it lies
+/// wholly inside `x`; a chunk running past the end is copied into `buf`,
+/// with the lanes past the end of `x` padded with zeros.
+fn operand_chunk<'a>(buf: &'a mut Vec<f64>, x: &'a [f64], start: usize, omega: usize) -> &'a [f64] {
+    if let Some(chunk) = x.get(start..start + omega) {
+        return chunk;
+    }
     let end = (start + omega).min(x.len());
     buf.clear();
     buf.extend_from_slice(&x[start.min(end)..end]);
     buf.resize(omega, 0.0);
-}
-
-/// The ω-chunk of `x` starting at `start`, read in place when it lies
-/// wholly inside `x`; a chunk running past the end is loaded into `buf`
-/// and padded (see [`load_operand`]).
-fn operand_chunk<'a>(buf: &'a mut Vec<f64>, x: &'a [f64], start: usize, omega: usize) -> &'a [f64] {
-    if let Some(chunk) = x.get(start..start + omega) {
-        chunk
-    } else {
-        load_operand(buf, x, start, omega);
-        buf
-    }
+    buf
 }
 
 /// Cached alobs handles: registered once at [`Engine::set_telemetry`] so
@@ -1162,7 +1150,7 @@ impl Engine {
             let diag_block = self.gemv_link_push(sc, state, sweep.a, x, br)?;
             self.drain_link_stack(sc, state);
             self.switch_to_dsymgs(state, br)?;
-            self.fill_operand_fifos(sc, state, sweep, br)?;
+            self.fill_operand_fifos(state, sweep.a, br)?;
             self.dsymgs_recurrence(sc, state, sweep, x, br, diag_block)?;
         }
         Ok(())
@@ -1170,8 +1158,8 @@ impl Engine {
 
     /// Phase 1: the GEMV data path over block row `br`'s off-diagonal
     /// blocks. Intermediate GEMV results ride the LIFO link stack to the
-    /// D-SymGS data path (Figure 11): one (lane, value) per block-row lane
-    /// per GEMV block. Returns the row's diagonal block, if any.
+    /// D-SymGS data path (Figure 11): one ω-frame of dots per GEMV block.
+    /// Returns the row's diagonal block, if any.
     fn gemv_link_push<'a>(
         &mut self,
         sc: &mut Scratch,
@@ -1180,8 +1168,7 @@ impl Engine {
         x: &[f64],
         br: usize,
     ) -> Result<Option<AlfBlock<'a>>> {
-        let omega = self.config.omega;
-        sc.link_stack.reset();
+        sc.link.clear();
         let mut diag_block = None;
         for pos in sc.row_start[br]..sc.row_start[br + 1] {
             let block = a.block(sc.row_blocks[pos]);
@@ -1191,30 +1178,22 @@ impl Engine {
             }
             self.configure(DataPathKind::Gemv, Reduce::Sum);
             let block_cycles = self.gemv_block(sc, state, block, x)?;
-            // The verified dots ride the link stack as one ω-frame; the RCU
-            // draws each entry's in-flight drop, which the occupancy check
-            // catches (the stack grew by fewer than ω entries).
-            let before = sc.link_stack.len();
+            // The verified dots ride the link stack as one ω-frame. The RCU
+            // draws every entry's in-flight drop, in lane order, and the
+            // occupancy check catches any drop: the frame came up short.
+            let frame = sc.link.len();
             self.retry(
                 state,
                 FaultSite::RcuLifo,
                 sc,
                 |eng, _, sc| {
-                    let rcu = &mut eng.rcu;
-                    sc.link_stack.push_frame(
-                        sc.dots
-                            .iter()
-                            .copied()
-                            .enumerate()
-                            .filter(|_| !rcu.link_push_event()),
-                    );
-                    (sc.link_stack.len() - before == omega).then_some(())
+                    sc.link.extend_from_slice(&sc.dots);
+                    let drops = sc.dots.iter().filter(|_| eng.rcu.link_push_event());
+                    (drops.count() == 0).then_some(())
                 },
-                // Roll back this attempt's (LIFO-ordered) pushes.
+                // Roll back this attempt's pushes.
                 |_, sc| {
-                    while sc.link_stack.len() > before {
-                        let _ = sc.link_stack.pop();
-                    }
+                    sc.link.truncate(frame);
                     0
                 },
             )?;
@@ -1225,16 +1204,20 @@ impl Engine {
 
     /// Phase 2: the successive D-SymGS pops the GEMV results off the stack
     /// and reduces them per lane into `sc.partial`. The stack drains in one
-    /// go, in LIFO order — the reverse of the push order, and the order each
-    /// lane's partial sum adds in.
+    /// go, in LIFO order: frame by frame from the last pushed, the order
+    /// each lane's partial sum adds in. It is at its deepest now, after the
+    /// row's last frame.
     fn drain_link_stack(&mut self, sc: &mut Scratch, state: &mut RunState) {
+        let omega = self.config.omega;
         sc.partial.clear();
-        sc.partial.resize(self.config.omega, 0.0);
+        sc.partial.resize(omega, 0.0);
         let peak = &mut state.counts.link_stack_peak;
-        *peak = (*peak).max(sc.link_stack.max_depth() as u64);
-        self.rcu.buffer_events(sc.link_stack.len() as u64);
-        for (lane, value) in sc.link_stack.pop_all() {
-            sc.partial[lane] += value;
+        *peak = (*peak).max(sc.link.len() as u64);
+        self.rcu.buffer_events(sc.link.len() as u64);
+        for frame in sc.link.rchunks_exact(omega) {
+            for (sum, &dot) in sc.partial.iter_mut().zip(frame) {
+                *sum += dot;
+            }
         }
     }
 
@@ -1259,60 +1242,48 @@ impl Engine {
 
     /// Phase 3: the right-hand side and the extracted diagonal of block
     /// row `br` arrive through FIFOs (deterministic access order, §4.3).
-    fn fill_operand_fifos(
-        &mut self,
-        sc: &mut Scratch,
-        state: &mut RunState,
-        sweep: Sweep<'_>,
-        br: usize,
-    ) -> Result<()> {
-        let Sweep { a, b, .. } = sweep;
+    /// The FIFOs hand the recurrence `b` and the diagonal in the order it
+    /// reads them, so only their occupancy is modelled: each valid lane
+    /// pushes its `b` entry, then its diagonal entry, and the RCU draws
+    /// each push's in-flight drop.
+    fn fill_operand_fifos(&mut self, state: &mut RunState, a: &Alf, br: usize) -> Result<()> {
         let omega = self.config.omega;
         let row_base = br * omega;
         self.read_chunk(state, REGION_B, row_base, a.rows());
         self.read_chunk(state, REGION_DIAG, row_base, a.diagonal().len());
-        sc.b_fifo.reset();
-        sc.diag_fifo.reset();
         // The block row's valid lanes (the last row may be padded).
-        let lanes = row_base..(row_base + omega).min(a.rows());
-        let (b_lanes, diag_lanes) = (&b[lanes.clone()], &a.diagonal()[lanes]);
+        let filled = ((row_base + omega).min(a.rows()) - row_base) as u64;
         self.retry(
             state,
             FaultSite::RcuFifo,
-            sc,
-            |eng, state, sc| {
-                for (&bg, &dg) in b_lanes.iter().zip(diag_lanes) {
-                    if !eng.rcu.fifo_push_event() {
-                        sc.b_fifo.push(bg);
-                    }
-                    if !eng.rcu.fifo_push_event() {
-                        sc.diag_fifo.push(dg);
-                    }
+            &mut (),
+            |eng, state, ()| {
+                let (mut b_held, mut diag_held) = (0, 0);
+                for _ in 0..filled {
+                    b_held += u64::from(!eng.rcu.fifo_push_event());
+                    diag_held += u64::from(!eng.rcu.fifo_push_event());
                 }
-                let filled = b_lanes.len();
                 // Occupancy check: both FIFOs must hold exactly one entry
                 // per valid lane before the recurrence starts.
                 let peak = &mut state.counts.operand_fifo_peak;
-                *peak = (*peak).max(sc.b_fifo.len() as u64);
-                (sc.b_fifo.len() == filled && sc.diag_fifo.len() == filled).then_some(())
+                *peak = (*peak).max(b_held);
+                (b_held == filled && diag_held == filled).then_some(())
             },
-            |_, sc| {
-                while sc.b_fifo.pop().is_some() {}
-                while sc.diag_fifo.pop().is_some() {}
-                0
-            },
+            // A failed fill's entries are flushed; the next attempt starts
+            // from empty FIFOs.
+            |_, ()| 0,
         )
     }
 
     /// Phase 4: the D-SymGS recurrence over block row `br` (Figure 10),
     /// then the row's cycle charge and the `x` chunk write-back.
     ///
-    /// Forward sweeps feed the multipliers from the shift register: lane k
-    /// starts as x^{t-1}[ω−1−k]; each step pushes the fresh x^t into lane
-    /// 0. The streamed (reversed) payload row, rotated by the step index,
-    /// lines each lane up with its logical column. The backward sweep is
-    /// the mirror-image hardware and uses the addressable cache path
-    /// directly, walking the streamed row in logical order.
+    /// Each step reads the block row's `x` chunk in place, its earlier
+    /// steps' fresh values included. Forward sweeps sum its products in
+    /// the operand shift register's lane order ([`Fcu::mac_row_shifted`]).
+    /// The backward sweep is the mirror-image hardware and uses the
+    /// addressable cache path directly, walking the streamed row in
+    /// logical order.
     fn dsymgs_recurrence(
         &mut self,
         sc: &mut Scratch,
@@ -1330,15 +1301,6 @@ impl Engine {
         } = sweep;
         let omega = self.config.omega;
         let row_base = br * omega;
-        if backward {
-            // The backward step reads x's chunk through the cache; each
-            // step patches in the x_g it produced.
-            load_operand(&mut sc.operand, x, row_base, omega);
-        } else {
-            sc.shift.reload(
-                (0..omega).map(|k| x.get(row_base + omega - 1 - k).copied().unwrap_or(0.0)),
-            );
-        }
         let mut steps = 0u64;
         for step in 0..omega {
             let i = if backward { omega - 1 - step } else { step };
@@ -1347,13 +1309,6 @@ impl Engine {
                 continue;
             }
             let diag = a.diagonal()[g];
-            if !backward {
-                // Forward sweeps consume the operand FIFOs in order.
-                let fb = sc.b_fifo.pop().unwrap_or(b[g]);
-                let fd = sc.diag_fifo.pop().unwrap_or(diag);
-                debug_assert_eq!(fb.to_bits(), b[g].to_bits());
-                debug_assert_eq!(fd.to_bits(), diag.to_bits());
-            }
             if diag == 0.0 {
                 return Err(SimError::Structure(
                     alrescha_sparse::Error::MissingDiagonal { row: g },
@@ -1365,17 +1320,13 @@ impl Engine {
                 // the recurrence; its diagonal slots are zero so the full
                 // ω-wide dot product is safe.
                 let streamed = block.row(i);
-                sum -= if backward {
-                    if block.reversed() {
-                        self.fcu.mac_row_reversed(streamed, &sc.operand)
-                    } else {
-                        self.fcu.mac_row(streamed, &sc.operand)
-                    }
+                let chunk = operand_chunk(&mut sc.operand, x, row_base, omega);
+                sum -= if !backward {
+                    self.fcu.mac_row_shifted(streamed, chunk, i)
+                } else if block.reversed() {
+                    self.fcu.mac_row_reversed(streamed, chunk)
                 } else {
-                    // Lane k multiplies streamed slot (k + ω − i) mod ω
-                    // ("rotating the inputs of the multipliers", §4.2).
-                    self.fcu
-                        .mac_row_rotated(streamed, sc.shift.lanes(), omega - i)
+                    self.fcu.mac_row(streamed, chunk)
                 };
                 // Link-stack pop feeding the recurrence.
                 self.rcu.buffer_events(1);
@@ -1388,11 +1339,6 @@ impl Engine {
             } else {
                 let _ = self.rcu.pe_op();
                 x[g] = (1.0 - omega_relax) * x[g] + omega_relax * sum / diag;
-            }
-            if backward {
-                sc.operand[i] = x[g];
-            } else {
-                sc.shift.push(x[g]);
             }
             steps += 1;
         }
@@ -1741,8 +1687,8 @@ mod tests {
         // field — including the RCU switch count, which would differ if the
         // previous run's data-path wiring leaked through the reset — and
         // down to every output bit, which would differ if a larger run's
-        // scratch buffers (link stack, FIFOs, shift register, PageRank
-        // vectors) leaked into a smaller one.
+        // scratch buffers (link stack, PageRank vectors) leaked into a
+        // smaller one.
         let coo = gen::stencil27(3);
         let a = spmv_alf(&coo);
         let sg = Alf::from_coo(&coo, 8, AlfLayout::SymGs).unwrap();

@@ -89,7 +89,7 @@ impl Fcu {
     ///
     /// Panics if the slices are not ω long.
     pub fn mac_row(&mut self, row: &[f64], operand: &[f64]) -> f64 {
-        self.mac(row, operand, false, 0)
+        self.mac(row, operand, Lanes::Logical)
     }
 
     /// [`Fcu::mac_row`] over a row streamed right-to-left: lane `j`
@@ -101,44 +101,49 @@ impl Fcu {
     ///
     /// Panics if the slices are not ω long.
     pub fn mac_row_reversed(&mut self, row: &[f64], operand: &[f64]) -> f64 {
-        self.mac(row, operand, true, 0)
+        self.mac(row, operand, Lanes::Reversed)
     }
 
-    /// [`Fcu::mac_row`] with the multiplier inputs rotated ("rotating the
-    /// inputs of the multipliers", §4.2): lane `j` multiplies
-    /// `row[(j + by) mod ω]` by `operand[j]`, bit-identical to `mac_row`
-    /// on the rotated copy of `row`.
+    /// Step `step` of the forward D-SymGS recurrence (Figure 10) over a
+    /// right-to-left row and the block row's `x` chunk, read in place.
+    /// The multipliers see the chunk through the operand shift register,
+    /// whose lane `k` holds column `c = (step − 1 − k) mod ω`: the columns
+    /// this step's predecessors produced, newest first, then the older
+    /// ones from the last down. Lane `k` multiplies `row[ω−1−c]` by
+    /// `operand[c]`, and the products are summed in that lane order.
     ///
     /// # Panics
     ///
-    /// Panics if the slices are not ω long.
-    pub fn mac_row_rotated(&mut self, row: &[f64], operand: &[f64], by: usize) -> f64 {
-        self.mac(row, operand, false, by % self.omega)
+    /// Panics if the slices are not ω long or `step` is not below ω.
+    pub fn mac_row_shifted(&mut self, row: &[f64], operand: &[f64], step: usize) -> f64 {
+        assert!(step < self.omega, "a recurrence has omega steps");
+        self.mac(row, operand, Lanes::Shifted(step))
     }
 
-    fn mac(&mut self, row: &[f64], operand: &[f64], reversed: bool, by: usize) -> f64 {
-        assert_eq!(row.len(), self.omega, "row width must be omega");
-        assert_eq!(operand.len(), self.omega, "operand width must be omega");
+    fn mac(&mut self, row: &[f64], operand: &[f64], lanes: Lanes) -> f64 {
+        let w = self.omega;
+        assert_eq!(row.len(), w, "row width must be omega");
+        assert_eq!(operand.len(), w, "operand width must be omega");
         self.count(1);
-        let mut sum: f64 = if reversed {
-            row.iter().rev().zip(operand).map(|(a, b)| a * b).sum()
-        } else {
-            let (head, tail) = row.split_at(by);
-            tail.iter()
-                .chain(head)
-                .zip(operand)
-                .map(|(a, b)| a * b)
-                .sum()
+        let mut sum: f64 = match lanes {
+            Lanes::Logical => row.iter().zip(operand).map(|(a, b)| a * b).sum(),
+            Lanes::Reversed => row.iter().rev().zip(operand).map(|(a, b)| a * b).sum(),
+            Lanes::Shifted(step) => {
+                let (fresh, stale) = operand.split_at(step);
+                let (stale_row, fresh_row) = row.split_at(w - step);
+                fresh_row
+                    .iter()
+                    .zip(fresh.iter().rev())
+                    .chain(stale_row.iter().zip(stale.iter().rev()))
+                    .map(|(a, b)| a * b)
+                    .sum()
+            }
         };
         if let Some(inj) = &self.faults {
-            if let Some((lane, bit)) = inj.lane_fault(self.omega) {
+            if let Some((lane, bit)) = inj.lane_fault(w) {
                 // A single lane product is upset before it enters the tree.
-                let value = if reversed {
-                    row[self.omega - 1 - lane]
-                } else {
-                    row[(lane + by) % self.omega]
-                };
-                let clean = value * operand[lane];
+                let (r, c) = lanes.entries(lane, w);
+                let clean = row[r] * operand[c];
                 sum = sum - clean + fault::flip_bit(clean, bit);
             }
             if let Some(bit) = inj.tree_fault() {
@@ -272,6 +277,33 @@ impl Fcu {
     /// Takes and resets the counters.
     pub fn take_counters(&mut self) -> EnergyCounters {
         std::mem::take(&mut self.counters)
+    }
+}
+
+/// Which row and operand entries meet in each multiplier lane of a row
+/// kernel.
+#[derive(Debug, Clone, Copy)]
+enum Lanes {
+    /// Lane `j` multiplies `row[j]` by `operand[j]`.
+    Logical,
+    /// Lane `j` multiplies `row[ω−1−j]` by `operand[j]`.
+    Reversed,
+    /// D-SymGS step `s` ([`Fcu::mac_row_shifted`]): lane `k` multiplies
+    /// `row[ω−1−c]` by `operand[c]`, with `c = (s − 1 − k) mod ω`.
+    Shifted(usize),
+}
+
+impl Lanes {
+    /// The `(row, operand)` indices lane `lane` multiplies at width `w`.
+    fn entries(self, lane: usize, w: usize) -> (usize, usize) {
+        match self {
+            Lanes::Logical => (lane, lane),
+            Lanes::Reversed => (w - 1 - lane, lane),
+            Lanes::Shifted(step) => {
+                let c = (step + w - 1 - lane) % w;
+                (w - 1 - c, c)
+            }
+        }
     }
 }
 
@@ -411,6 +443,7 @@ fn fold<const R: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shift::ShiftRegister;
     use proptest::prelude::*;
 
     fn fcu() -> Fcu {
@@ -470,14 +503,37 @@ mod tests {
         streamed.reverse();
         let plain = f.mac_row(&row, &x);
         assert_eq!(f.mac_row_reversed(&streamed, &x).to_bits(), plain.to_bits());
-        let mut rotated = row;
-        rotated.rotate_left(3);
-        assert_eq!(
-            f.mac_row_rotated(&row, &x, 3).to_bits(),
-            f.mac_row(&rotated, &x).to_bits()
-        );
-        assert_eq!(f.mac_row_rotated(&row, &x, 8).to_bits(), plain.to_bits());
-        assert_eq!(f.counters().alu_ops, 40);
+        assert_eq!(f.counters().alu_ops, 16);
+    }
+
+    #[test]
+    fn shifted_rows_sum_in_the_shift_register_lane_order() {
+        // Figure 10's register, stepped literally: it starts with the
+        // chunk's old values in reverse, and step i has pushed the i fresh
+        // ones. Lane k multiplies streamed slot (k + ω − i) mod ω.
+        for omega in [1, 3, 5, 8] {
+            let mut f = Fcu::new(&SimConfig::paper().with_omega(omega));
+            let w = omega as f64;
+            let streamed: Vec<f64> = (0..omega).map(|j| (j as f64 + 0.5).powi(3) / w).collect();
+            let old: Vec<f64> = (0..omega).map(|j| 1e8 - (j as f64) * 1e8 / w).collect();
+            let fresh: Vec<f64> = (0..omega).map(|j| -0.1 * (j as f64 + 1.0)).collect();
+            let mut reg = ShiftRegister::load(&old.iter().rev().copied().collect::<Vec<_>>());
+            let mut chunk = old.clone();
+            for i in 0..omega {
+                let rotated: Vec<f64> = (0..omega)
+                    .map(|k| streamed[(k + omega - i) % omega])
+                    .collect();
+                let expected = f.mac_row(&rotated, reg.lanes());
+                assert_eq!(
+                    f.mac_row_shifted(&streamed, &chunk, i).to_bits(),
+                    expected.to_bits(),
+                    "omega {omega}, step {i}"
+                );
+                reg.push(fresh[i]);
+                chunk[i] = fresh[i];
+            }
+            assert_eq!(f.counters().alu_ops, (2 * omega * omega) as u64);
+        }
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!   configurable switch whose reprogramming hides under the tree drain.
 //! * [`cache::LocalCache`] — the 1 KB / 64 B-line / 4-cycle local cache for
 //!   the addressable vector operands.
-//! * [`buffers`] — FIFOs and the GEMV→D-SymGS link stack.
+//! * The RCU's operand FIFOs and GEMV→D-SymGS link stack, which
+//!   [`engine`] models by what D-SymGS reads from them, their per-entry
+//!   drop draws and their occupancy peaks.
+//! * [`shift::ShiftRegister`] — Figure 10's D-SymGS operand shift register,
+//!   stepped literally by the alasm reference interpreter; the engine reads
+//!   `x` in place in the register's lane order.
 //! * [`memory::MemoryStream`] — 288 GB/s payload-only streaming and
 //!   bandwidth-utilization accounting.
 //! * [`energy`] — 28 nm-class per-event energy accounting.
@@ -41,7 +46,6 @@
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod buffers;
 pub mod cache;
 pub mod config;
 pub mod des;

@@ -7,6 +7,11 @@
 //! the stalest `xᵗ⁻¹` value. Combined with the storage format's reversed
 //! upper-triangle order, this keeps every multiplier fed without any
 //! addressable access.
+//!
+//! The engine does not step this register: it reads the block row's `x`
+//! chunk in place, in the register's lane order
+//! ([`Fcu::mac_row_shifted`](crate::fcu::Fcu::mac_row_shifted)). The alasm
+//! reference interpreter steps it literally, as the independent check.
 
 /// The ω-lane operand shift register feeding the D-SymGS multipliers.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -135,15 +135,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(cap) = queue {
             config = config.with_queue_capacity(cap);
         }
-        let mut fleet = Fleet::new(config);
-        fleet = match &tele {
-            Some(t) => fleet
-                .with_preflight(alrescha_lint::fleet_preflight_hook_with_telemetry(
-                    std::sync::Arc::clone(t),
-                ))
-                .with_telemetry(std::sync::Arc::clone(t)),
-            None => fleet.with_preflight(alrescha_lint::fleet_preflight_hook()),
-        };
+        let mut fleet =
+            Fleet::new(config).with_preflight(alrescha_lint::fleet_preflight_hook(tele.clone()));
+        if let Some(t) = &tele {
+            fleet = fleet.with_telemetry(std::sync::Arc::clone(t));
+        }
         // Run with backpressure honored: a job past the queue capacity is
         // rejected in-band with a `retry_after` hint. Sleep the largest
         // hint out and resubmit the leftovers until every solve has run.

@@ -90,15 +90,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(cap) = queue {
             config = config.with_queue_capacity(cap);
         }
-        let mut fleet = Fleet::new(config);
-        fleet = match &tele {
-            Some(t) => fleet
-                .with_preflight(alrescha_lint::fleet_preflight_hook_with_telemetry(
-                    std::sync::Arc::clone(t),
-                ))
-                .with_telemetry(std::sync::Arc::clone(t)),
-            None => fleet.with_preflight(alrescha_lint::fleet_preflight_hook()),
-        };
+        let mut fleet =
+            Fleet::new(config).with_preflight(alrescha_lint::fleet_preflight_hook(tele.clone()));
+        if let Some(t) = &tele {
+            fleet = fleet.with_telemetry(std::sync::Arc::clone(t));
+        }
         // Honor queue backpressure: rejected solves carry a `retry_after`
         // hint; sleep it out and resubmit until the whole campaign has run.
         let n_jobs = jobs.len();

@@ -296,9 +296,7 @@ fn metrics_snapshot_matches_fixture() {
         ),
     ];
     let fleet = Fleet::new(FleetConfig::default())
-        .with_preflight(alrescha_lint::fleet_preflight_hook_with_telemetry(
-            Arc::clone(&tele),
-        ))
+        .with_preflight(alrescha_lint::fleet_preflight_hook(Some(Arc::clone(&tele))))
         .with_telemetry(Arc::clone(&tele));
     let batch = fleet.run_sequential(jobs);
     assert_eq!(batch.stats.failed, 0);

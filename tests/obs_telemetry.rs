@@ -34,9 +34,7 @@ fn spmv_jobs(n: usize, n_jobs: usize) -> Vec<JobSpec> {
 
 fn instrumented_fleet(workers: usize, tele: &Arc<Telemetry>) -> Fleet {
     Fleet::new(FleetConfig::default().with_workers(workers))
-        .with_preflight(alrescha_lint::fleet_preflight_hook_with_telemetry(
-            Arc::clone(tele),
-        ))
+        .with_preflight(alrescha_lint::fleet_preflight_hook(Some(Arc::clone(tele))))
         .with_telemetry(Arc::clone(tele))
 }
 
