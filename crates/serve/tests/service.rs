@@ -357,3 +357,58 @@ fn static_admission_gate_bounds_jobs_before_any_work() {
     assert_eq!(journal.terminal_order().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn static_admission_gate_rejects_an_overdeep_link_stack() {
+    let dir = tempdir("al401");
+    let tele = alrescha_obs::Telemetry::new();
+    let config = ServerConfig {
+        // No cycle bound can trip: only the resource proof rejects.
+        admission_cycle_budget: Some(u64::MAX),
+        telemetry: Some(tele.clone()),
+        ..server_config(dir.clone())
+    };
+    let handle = Server::new(config).start().unwrap();
+    let mut client = Client::tcp(handle.addr().to_owned(), fast_policy());
+
+    // ~100 scattered off-diagonals per row at ω = 8 prove a 248-entry
+    // link-stack peak against the 128-entry LIFO (AL401) in the SymGS
+    // schedule, whatever the iteration cap.
+    let matrix = alrescha_sparse::gen::scattered(256, 100, 5);
+    let job = JobPayload {
+        b: vec![1.0; matrix.rows()],
+        matrix,
+        tol: 1e-10,
+        max_iters: 1,
+        priority: 0,
+    };
+    match client.submit("acme", &job) {
+        Err(ClientError::Rejected { reason }) => {
+            assert!(
+                reason.contains("AL401"),
+                "reason must cite the rule: {reason}"
+            );
+        }
+        other => panic!("expected AL401 rejection, got {other:?}"),
+    }
+    assert_eq!(
+        tele.metrics()
+            .counter(
+                "alserve_admission_rejected_static_total",
+                true,
+                "submissions rejected by the alprove static cycle bound (AL404)",
+            )
+            .value(),
+        1,
+        "the rejection must be counted"
+    );
+
+    handle.stop();
+    let journal = Journal::open(dir.join("jobs.wal")).unwrap();
+    assert_eq!(
+        journal.stats().records,
+        0,
+        "a rejected job leaves no record"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
