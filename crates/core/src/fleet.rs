@@ -20,11 +20,8 @@
 //!   deques; an idle worker steals from the back of a sibling's deque, so
 //!   a skewed batch (one huge solve among many small SpMVs) still keeps
 //!   every worker busy;
-//! * **bounded admission with deadline propagation**: a batch larger than
-//!   the queue capacity rejects the excess jobs in-band
-//!   ([`CoreError::QueueFull`]), and a fleet deadline is translated into
-//!   each job's [`ExecBudget::max_wall`] so the existing runtime guard and
-//!   circuit-breaker machinery enforce it.
+//! * **bounded admission**: a batch larger than the queue capacity rejects
+//!   the excess jobs in-band ([`CoreError::QueueFull`]).
 //!
 //! # Determinism
 //!
@@ -70,12 +67,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use alrescha_sim::{ExecBudget, ExecutionReport, FaultPlan, RecoveryPolicy, SimConfig, SimError};
+use alrescha_sim::{ExecutionReport, FaultPlan, RecoveryPolicy, SimConfig};
 use alrescha_sparse::Coo;
 use crossbeam::deque::{Steal, Stealer, Worker};
 
 use crate::accelerator::{Alrescha, ProgrammedKernel};
-use crate::breaker::BreakerConfig;
 use crate::checkpoint::SolverCheckpoint;
 use crate::convert::KernelType;
 use crate::solver::{AcceleratedPcg, SolveOutcome, SolverOptions};
@@ -90,21 +86,6 @@ use crate::{CoreError, Result};
 /// [`Fleet::with_preflight`] for wiring `alverify` in.
 pub type PreflightHook =
     Arc<dyn Fn(&ProgrammedKernel, &SimConfig) -> std::result::Result<(), String> + Send + Sync>;
-
-/// An admission hook run on every program a job is about to execute,
-/// *after* conversion/preflight but *before* any engine cycle is charged.
-///
-/// Unlike [`PreflightHook`], it also sees the job's effective
-/// [`ExecBudget`], so a static analyzer (alprove's AL404 cycle bound) can
-/// reject a job whose proven minimum cost already exceeds the deadline —
-/// and because the verdict depends on the budget, it runs on cache *hits*
-/// too. Returning `Err` fails the job in-band as
-/// [`CoreError::Admission`]; see `alrescha_lint::fleet_admission_hook`.
-pub type AdmissionHook = Arc<
-    dyn Fn(&ProgrammedKernel, &SimConfig, &ExecBudget) -> std::result::Result<(), String>
-        + Send
-        + Sync,
->;
 
 /// A durability hook invoked with every [`SolverCheckpoint`] a journaled
 /// PCG job emits, keyed by the job's stable identifier
@@ -176,8 +157,6 @@ pub struct JobSpec {
     pub fault_plan: Option<FaultPlan>,
     /// Recovery policy applied when a detected fault survives recovery.
     pub recovery: RecoveryPolicy,
-    /// Per-job budget; [`FleetConfig::default_budget`] applies when `None`.
-    pub budget: Option<ExecBudget>,
     /// Stable identifier passed to the [`CheckpointHook`]; the batch index
     /// is used when `None`. A persistent service assigns journal job IDs
     /// here so checkpoints land in the right per-job file.
@@ -193,11 +172,6 @@ pub struct JobSpec {
     /// planned CPU mode a service enters while the device breaker is open
     /// (agrees with the device to rounding; no device cycles simulated).
     pub cpu_only: bool,
-    /// Scheduling priority: higher levels are dequeued first by consumers
-    /// that order work (e.g. the alserve queue); within a level ordering
-    /// is stable FIFO. The fleet's own batch APIs preserve submission
-    /// order regardless — this field is carried for schedulers above.
-    pub priority: u8,
     /// Distributed-trace identifier minted by the submitting client
     /// (`0` = untraced). When set, the per-job span name is prefixed
     /// `trace:<id>:` so the alobs stitcher can merge client, server, and
@@ -215,12 +189,10 @@ impl JobSpec {
             config: SimConfig::paper(),
             fault_plan: None,
             recovery: RecoveryPolicy::default(),
-            budget: None,
             id: None,
             checkpoint_every: 0,
             resume_from: None,
             cpu_only: false,
-            priority: 0,
             trace_id: 0,
         }
     }
@@ -243,13 +215,6 @@ impl JobSpec {
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Sets a per-job execution budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: ExecBudget) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -281,13 +246,6 @@ impl JobSpec {
         self
     }
 
-    /// Sets the scheduling priority (higher runs first; 0 is default).
-    #[must_use]
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// Propagates a distributed-trace id into the job span (`0` clears).
     #[must_use]
     pub fn with_trace_id(mut self, trace_id: u64) -> Self {
@@ -300,6 +258,16 @@ impl JobSpec {
 // Fleet configuration
 // ---------------------------------------------------------------------------
 
+/// Shards in the conversion cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Base unit of the [`CoreError::QueueFull`] backpressure hint. The `i`-th
+/// job past capacity is told to retry after `RETRY_AFTER_HINT × (i + 1)` —
+/// a deterministic linear ramp that spreads resubmissions instead of
+/// stampeding, and depends only on the job's position in the batch (never
+/// on worker count or timing, preserving batch ≡ sequential bit-identity).
+const RETRY_AFTER_HINT: Duration = Duration::from_millis(25);
+
 /// Knobs for a [`Fleet`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -308,23 +276,6 @@ pub struct FleetConfig {
     /// Jobs admitted per batch; the excess is rejected with
     /// [`CoreError::QueueFull`].
     pub queue_capacity: usize,
-    /// Shards in the conversion cache (clamped to at least 1).
-    pub cache_shards: usize,
-    /// Wall-clock deadline for the whole batch, propagated into each job's
-    /// [`ExecBudget::max_wall`] as the remaining time at dequeue.
-    pub deadline: Option<Duration>,
-    /// Budget applied to jobs that do not carry their own.
-    pub default_budget: ExecBudget,
-    /// When set, every job runs behind a freshly armed circuit breaker
-    /// (per-job, so breaker state never leaks between jobs).
-    pub breaker: Option<BreakerConfig>,
-    /// Base unit of the [`CoreError::QueueFull`] backpressure hint. The
-    /// `i`-th job past capacity is told to retry after
-    /// `retry_after_hint × (i + 1)` — a deterministic linear ramp that
-    /// spreads resubmissions instead of stampeding, and depends only on
-    /// the job's position in the batch (never on worker count or timing,
-    /// preserving batch ≡ sequential bit-identity).
-    pub retry_after_hint: Duration,
 }
 
 impl Default for FleetConfig {
@@ -332,11 +283,6 @@ impl Default for FleetConfig {
         FleetConfig {
             workers: 0,
             queue_capacity: 1024,
-            cache_shards: 8,
-            deadline: None,
-            default_budget: ExecBudget::default(),
-            breaker: None,
-            retry_after_hint: Duration::from_millis(25),
         }
     }
 }
@@ -354,37 +300,6 @@ impl FleetConfig {
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
-    }
-
-    /// Sets the batch deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the per-job circuit breaker.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// Sets the base unit of the queue-full backpressure hint.
-    #[must_use]
-    pub fn with_retry_after_hint(mut self, hint: Duration) -> Self {
-        self.retry_after_hint = hint;
-        self
-    }
-
-    /// The backpressure hint for the job at batch position `index` when
-    /// the queue holds `capacity`: a deterministic linear ramp over how
-    /// far past capacity the job landed.
-    pub fn retry_after(&self, index: usize, capacity: usize) -> Duration {
-        backpressure_ramp(
-            self.retry_after_hint,
-            index.saturating_sub(capacity).saturating_add(1),
-        )
     }
 
     fn resolved_workers(&self) -> usize {
@@ -477,10 +392,11 @@ struct ConversionCache {
 }
 
 impl ConversionCache {
-    fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+    fn new() -> Self {
         ConversionCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..CACHE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -647,7 +563,10 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    fn rejected(job: usize, kernel: &'static str, err: CoreError) -> Self {
+    /// The admission reject of the job at batch position `job` when the
+    /// queue holds `capacity` of `offered`: its backpressure hint ramps
+    /// linearly with how far past capacity the job landed.
+    fn queue_full(job: usize, kernel: &'static str, capacity: usize, offered: usize) -> Self {
         JobRecord {
             job,
             kernel,
@@ -655,7 +574,14 @@ impl JobRecord {
             cache_hit: false,
             queue_wait: Duration::ZERO,
             run_time: Duration::ZERO,
-            result: Err(err),
+            result: Err(CoreError::QueueFull {
+                capacity,
+                offered,
+                retry_after: backpressure_ramp(
+                    RETRY_AFTER_HINT,
+                    job.saturating_sub(capacity).saturating_add(1),
+                ),
+            }),
         }
     }
 
@@ -793,7 +719,6 @@ pub struct Fleet {
     config: FleetConfig,
     cache: ConversionCache,
     preflight: Option<PreflightHook>,
-    admission: Option<AdmissionHook>,
     checkpoint_hook: Option<CheckpointHook>,
     telemetry: Option<Arc<alrescha_obs::Telemetry>>,
 }
@@ -804,7 +729,6 @@ impl fmt::Debug for Fleet {
             .field("config", &self.config)
             .field("cached_programs", &self.cache.len())
             .field("preflight", &self.preflight.is_some())
-            .field("admission", &self.admission.is_some())
             .field("checkpoint_hook", &self.checkpoint_hook.is_some())
             .field("telemetry", &self.telemetry.is_some())
             .finish()
@@ -814,12 +738,10 @@ impl fmt::Debug for Fleet {
 impl Fleet {
     /// Builds a fleet; the conversion cache persists across batches.
     pub fn new(config: FleetConfig) -> Self {
-        let cache = ConversionCache::new(config.cache_shards);
         Fleet {
             config,
-            cache,
+            cache: ConversionCache::new(),
             preflight: None,
-            admission: None,
             checkpoint_hook: None,
             telemetry: None,
         }
@@ -830,16 +752,6 @@ impl Fleet {
     #[must_use]
     pub fn with_preflight(mut self, hook: PreflightHook) -> Self {
         self.preflight = Some(hook);
-        self
-    }
-
-    /// Installs an admission hook run on every program a job executes,
-    /// with the job's effective budget (cache hits included — the verdict
-    /// depends on the budget, not just the program). Rejections fail the
-    /// job with [`CoreError::Admission`].
-    #[must_use]
-    pub fn with_admission(mut self, hook: AdmissionHook) -> Self {
-        self.admission = Some(hook);
         self
     }
 
@@ -864,11 +776,6 @@ impl Fleet {
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&Arc<alrescha_obs::Telemetry>> {
         self.telemetry.as_ref()
-    }
-
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     /// Programs currently held by the conversion cache.
@@ -902,21 +809,14 @@ impl Fleet {
             )
         });
         let submitted = Instant::now();
-        let deadline = self.config.deadline.map(|d| submitted + d);
 
         // Admission: everything past the capacity is rejected in-band.
-        let mut rejects: Vec<JobRecord> = Vec::new();
-        for (i, spec) in jobs.iter().enumerate().skip(capacity) {
-            rejects.push(JobRecord::rejected(
-                i,
-                spec.kernel.name(),
-                CoreError::QueueFull {
-                    capacity,
-                    offered,
-                    retry_after: self.config.retry_after(i, capacity),
-                },
-            ));
-        }
+        let rejects: Vec<JobRecord> = jobs
+            .iter()
+            .enumerate()
+            .skip(capacity)
+            .map(|(i, spec)| JobRecord::queue_full(i, spec.kernel.name(), capacity, offered))
+            .collect();
         let admitted = &jobs[..offered.min(capacity)];
 
         // Deal admitted jobs round-robin onto per-worker FIFO deques.
@@ -963,7 +863,7 @@ impl Fleet {
                     }
                 }
                 let queue_wait = submitted.elapsed();
-                out.push(self.execute(&mut station, i, &admitted[i], queue_wait, deadline));
+                out.push(self.execute(&mut station, i, &admitted[i], queue_wait));
             }
             rebuilds.fetch_add(station.rebuilds, Ordering::Relaxed);
             reuses.fetch_add(station.reuses, Ordering::Relaxed);
@@ -1048,33 +948,28 @@ impl Fleet {
     /// accelerator per job and no conversion cache. Produces the results
     /// [`Fleet::run`] must match bit-for-bit.
     ///
-    /// Admission and deadline rules are applied identically to
-    /// [`Fleet::run`].
+    /// Admission is applied identically to [`Fleet::run`].
     pub fn run_sequential(&self, jobs: Vec<JobSpec>) -> FleetReport {
         let offered = jobs.len();
         let capacity = self.config.queue_capacity;
         let _batch_span =
             alrescha_obs::span!(self.telemetry, format!("fleet:sequential:{offered}"));
         let submitted = Instant::now();
-        let deadline = self.config.deadline.map(|d| submitted + d);
         let mut records = Vec::with_capacity(offered);
         for (i, spec) in jobs.iter().enumerate() {
             if i >= capacity {
-                records.push(JobRecord::rejected(
+                records.push(JobRecord::queue_full(
                     i,
                     spec.kernel.name(),
-                    CoreError::QueueFull {
-                        capacity,
-                        offered,
-                        retry_after: self.config.retry_after(i, capacity),
-                    },
+                    capacity,
+                    offered,
                 ));
                 continue;
             }
             let mut station = WorkerStation::new(0);
             station.caching = false;
             let queue_wait = submitted.elapsed();
-            records.push(self.execute(&mut station, i, spec, queue_wait, deadline));
+            records.push(self.execute(&mut station, i, spec, queue_wait));
         }
         let stats = finish_stats(&records, offered, 1, submitted.elapsed(), 0, 0, 0, 0);
         self.publish_batch(&stats);
@@ -1092,7 +987,6 @@ impl Fleet {
         index: usize,
         spec: &JobSpec,
         queue_wait: Duration,
-        deadline: Option<Instant>,
     ) -> JobRecord {
         let started = Instant::now();
         let kernel = spec.kernel.name();
@@ -1107,16 +1001,18 @@ impl Fleet {
             alrescha_obs::span!(self.telemetry, format!("job:{index}:{kernel}"))
         };
         let result = (|| -> Result<JobOutput> {
-            let budget = effective_budget(spec, &self.config, deadline)?;
             let acc = station.accelerator(&spec.config);
             acc.set_telemetry(self.telemetry.clone());
-            let mut convert = |acc: &mut Alrescha, kind: KernelType| {
-                let prog = if caching {
-                    let (prog, hit) =
-                        self.cache
-                            .get_or_convert(acc, kind, &spec.matrix, self.preflight.as_ref())?;
+            let mut convert = |acc: &mut Alrescha, kind: KernelType| -> Result<ProgrammedKernel> {
+                if caching {
+                    let (prog, hit) = self.cache.get_or_convert(
+                        acc,
+                        kind,
+                        &spec.matrix,
+                        self.preflight.as_ref(),
+                    )?;
                     cache_hit &= hit;
-                    (*prog).clone()
+                    Ok((*prog).clone())
                 } else {
                     cache_hit = false;
                     let prog = acc.program(kind, &spec.matrix)?;
@@ -1124,24 +1020,19 @@ impl Fleet {
                         hook(&prog, acc.config())
                             .map_err(|message| CoreError::Preflight { message })?;
                     }
-                    prog
-                };
-                if let Some(hook) = &self.admission {
-                    hook(&prog, acc.config(), &budget)
-                        .map_err(|message| CoreError::Admission { message })?;
+                    Ok(prog)
                 }
-                Ok::<ProgrammedKernel, CoreError>(prog)
             };
             match &spec.kernel {
                 JobKernel::SpMv { x } => {
                     let prog = convert(acc, KernelType::SpMv)?;
-                    arm(acc, spec, budget, self.config.breaker);
+                    arm(acc, spec);
                     let (y, report) = acc.spmv(&prog, x)?;
                     Ok(JobOutput::SpMv { y, report })
                 }
                 JobKernel::SymGs { b, x0 } => {
                     let prog = convert(acc, KernelType::SymGs)?;
-                    arm(acc, spec, budget, self.config.breaker);
+                    arm(acc, spec);
                     let mut x = x0.clone();
                     let report = acc.symgs(&prog, b, &mut x)?;
                     Ok(JobOutput::SymGs { x, report })
@@ -1150,7 +1041,7 @@ impl Fleet {
                     let spmv_prog = convert(acc, KernelType::SpMv)?;
                     let symgs_prog = convert(acc, KernelType::SymGs)?;
                     let solver = AcceleratedPcg::from_programs(spmv_prog, symgs_prog)?;
-                    arm(acc, spec, budget, self.config.breaker);
+                    arm(acc, spec);
                     let journaled = spec.checkpoint_every > 0 || spec.resume_from.is_some();
                     let outcome = if journaled {
                         let job_id = spec.id.unwrap_or(index as u64);
@@ -1221,7 +1112,7 @@ impl Fleet {
         spec: &JobSpec,
         queue_wait: Duration,
     ) -> JobRecord {
-        self.execute(&mut station.0, index, spec, queue_wait, None)
+        self.execute(&mut station.0, index, spec, queue_wait)
     }
 }
 
@@ -1282,39 +1173,10 @@ impl WorkerStation {
     }
 }
 
-/// Resolves the budget a job runs under: its own (or the fleet default),
-/// tightened by the remaining batch deadline. A deadline already in the
-/// past fails the job with [`SimError::DeadlineExceeded`] before any
-/// device work.
-fn effective_budget(
-    spec: &JobSpec,
-    config: &FleetConfig,
-    deadline: Option<Instant>,
-) -> Result<ExecBudget> {
-    let mut budget = spec.budget.unwrap_or(config.default_budget);
-    if let Some(deadline) = deadline {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(CoreError::Sim(SimError::DeadlineExceeded {
-                budget: "fleet deadline",
-                cycle: 0,
-            }));
-        }
-        let remaining = deadline - now;
-        budget.max_wall = Some(match budget.max_wall {
-            Some(own) => own.min(remaining),
-            None => remaining,
-        });
-    }
-    Ok(budget)
-}
-
 /// Arms per-job runtime state on a (fresh or reset) accelerator.
-fn arm(acc: &mut Alrescha, spec: &JobSpec, budget: ExecBudget, breaker: Option<BreakerConfig>) {
+fn arm(acc: &mut Alrescha, spec: &JobSpec) {
     acc.set_fault_plan(spec.fault_plan.clone());
     acc.set_recovery_policy(spec.recovery);
-    acc.set_budget(budget);
-    acc.set_circuit_breaker(breaker);
     acc.set_cpu_only(spec.cpu_only);
 }
 
@@ -1460,8 +1322,12 @@ mod tests {
 
     #[test]
     fn admission_rejects_past_capacity() {
-        let fleet = Fleet::new(FleetConfig::default().with_workers(1).with_queue_capacity(2));
-        let hint = fleet.config().retry_after_hint;
+        let fleet = Fleet::new(
+            FleetConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(2),
+        );
+        let hint = RETRY_AFTER_HINT;
         let report = fleet.run(spmv_jobs(4, 2));
         assert_eq!(report.stats.completed, 2);
         assert_eq!(report.stats.rejected, 2);
@@ -1570,27 +1436,9 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_fails_jobs_in_band() {
-        let fleet = Fleet::new(
-            FleetConfig::default()
-                .with_workers(1)
-                .with_deadline(Duration::ZERO),
-        );
-        let report = fleet.run(spmv_jobs(2, 2));
-        assert_eq!(report.stats.failed, 2);
-        for rec in &report.jobs {
-            assert!(matches!(
-                rec.result,
-                Err(CoreError::Sim(SimError::DeadlineExceeded { .. }))
-            ));
-        }
-    }
-
-    #[test]
     fn preflight_rejection_fails_the_job_once() {
-        let hook: PreflightHook = Arc::new(|prog, _config| {
-            Err(format!("synthetic rejection of {:?}", prog.kernel()))
-        });
+        let hook: PreflightHook =
+            Arc::new(|prog, _config| Err(format!("synthetic rejection of {:?}", prog.kernel())));
         let fleet = Fleet::new(FleetConfig::default().with_workers(2)).with_preflight(hook);
         let report = fleet.run(spmv_jobs(3, 2));
         assert_eq!(report.stats.failed, 3);

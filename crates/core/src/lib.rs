@@ -50,8 +50,8 @@ pub use breaker::{BackendChoice, BreakerConfig, BreakerState, CircuitBreaker, Sh
 pub use checkpoint::{write_atomic, CheckpointError, SolverCheckpoint, SolverKind};
 pub use convert::{ConfigEntry, ConfigTable, DataPath, KernelType};
 pub use fleet::{
-    AdmissionHook, CheckpointHook, Fleet, FleetConfig, FleetReport, FleetStats, JobKernel,
-    JobOutput, JobRecord, JobSpec, PreflightHook, Station,
+    CheckpointHook, Fleet, FleetConfig, FleetReport, FleetStats, JobKernel, JobOutput, JobRecord,
+    JobSpec, PreflightHook, Station,
 };
 pub use program::{EntryLayout, FieldSpec, ProgramBinary};
 pub use storage::{
@@ -130,19 +130,13 @@ pub enum CoreError {
         /// Jobs offered in the batch.
         offered: usize,
         /// Structured backpressure hint: how long the submitter should wait
-        /// before re-offering this job (scales with how far past capacity
-        /// the job landed; see `FleetConfig::retry_after_hint`).
+        /// before re-offering this job (25 ms per place past capacity the
+        /// job landed, so resubmissions spread instead of stampeding).
         retry_after: std::time::Duration,
     },
     /// A preflight hook rejected a converted program before execution.
     Preflight {
         /// The verifier's explanation.
-        message: String,
-    },
-    /// An admission hook rejected a job before execution: the static
-    /// analysis proved its cycle bound cannot meet the deadline budget.
-    Admission {
-        /// The analyzer's explanation (carries the AL4xx code).
         message: String,
     },
 }
@@ -201,9 +195,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::Preflight { message } => {
                 write!(f, "preflight rejected program: {message}")
-            }
-            CoreError::Admission { message } => {
-                write!(f, "admission rejected job: {message}")
             }
         }
     }

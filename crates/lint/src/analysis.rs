@@ -26,8 +26,8 @@
 //!   [`SimConfig::fcu_sum_latency`], [`SimConfig::dsymgs_step_latency`],
 //!   [`SimConfig::exposed_switch_cycles`]). The bound dominates the
 //!   engine's fault-free dynamic count for any round count (the
-//!   differential suite pins the tightness ratio); admission control
-//!   rejects jobs whose bound already exceeds the deadline budget.
+//!   differential suite pins the tightness ratio); `alserve`'s admission
+//!   gate rejects jobs whose bound already exceeds its cycle budget.
 //! * **AL405** — liveness (warning): duplicate per-row diagonal entries
 //!   (the engine keeps only the last) and entries programming all-padding
 //!   blocks are dead weight in the schedule.
@@ -453,35 +453,10 @@ pub fn analyze(
     }
 }
 
-/// Analyzes a [`ProgrammedKernel`] directly (the fleet/serve admission
-/// path — the table is already in memory, no codec round-trip needed).
+/// Analyzes a [`ProgrammedKernel`] directly (the table is already in
+/// memory, no codec round-trip needed).
 pub fn analyze_programmed(prog: &ProgrammedKernel, config: &SimConfig) -> Analysis {
     analyze_table(prog.kernel(), prog.table(), prog.matrix(), config)
-}
-
-/// Builds the alprove admission hook for the batch runtime
-/// ([`alrescha::Fleet::with_admission`]): every program a job is about to
-/// execute is analyzed, resource-bound errors (AL401/AL402/AL403) refuse
-/// it outright, and the AL404 cycle bound is compared against the job's
-/// effective cycle budget — a job the analysis proves unable to meet its
-/// deadline fails before the engine charges a single cycle.
-pub fn fleet_admission_hook() -> alrescha::AdmissionHook {
-    std::sync::Arc::new(|prog, config, budget| {
-        let analysis = analyze_programmed(prog, config);
-        if !analysis.is_admissible() {
-            return Err(crate::render_text(&analysis.diagnostics));
-        }
-        if let Some(max_cycles) = budget.max_cycles {
-            let bound = analysis.cycle_bound.admission_bound();
-            if bound > max_cycles {
-                return Err(format!(
-                    "AL404: static cycle bound {bound} exceeds the {max_cycles}-cycle \
-                     budget — the job cannot meet its deadline"
-                ));
-            }
-        }
-        Ok(())
-    })
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //!   abstract interpreter — proved link-stack/FIFO peaks, sweep
 //!   dependency order over the decoded table, a static cycle bound built
 //!   from the engine's own cost constants (enforced at admission by
-//!   [`fleet_admission_hook`] and `alserve`), and liveness.
+//!   `alserve`), and liveness.
 //! * **AL5xx — alasm text** (DESIGN.md §15): syntax, encoding-width,
 //!   structure, duplicate, and geometry findings produced by the
 //!   `alrescha-asm` assembler/disassembler. The diagnostics themselves are
@@ -33,8 +33,7 @@
 //!
 //! The [`Preflight`] extension trait wires the pass into the
 //! [`Alrescha`](alrescha::Alrescha) facade: `acc.preflight(&prog)` refuses
-//! to launch a program carrying any [`Severity::Error`] diagnostic (with
-//! [`PreflightGate::WarnOnly`] as the bench opt-out).
+//! to launch a program carrying any [`Severity::Error`] diagnostic.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -49,9 +48,7 @@ use alrescha_sparse::Alf;
 pub mod analysis;
 mod rules;
 
-pub use analysis::{
-    analyze, analyze_programmed, analyze_table, fleet_admission_hook, Analysis, CycleBound,
-};
+pub use analysis::{analyze, analyze_programmed, analyze_table, Analysis, CycleBound};
 pub use rules::{verify_alf, verify_table};
 
 /// How bad a finding is.
@@ -419,16 +416,6 @@ pub fn verify_programmed(prog: &ProgrammedKernel, config: &SimConfig) -> Vec<Dia
     verify(&binary, alf, config)
 }
 
-/// Gate mode for [`Preflight::preflight_gated`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PreflightGate {
-    /// Refuse to launch on any error-severity diagnostic.
-    #[default]
-    Enforce,
-    /// Report but never refuse — the bench-harness opt-out.
-    WarnOnly,
-}
-
 /// A program refused by the pre-flight gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreflightError {
@@ -460,40 +447,20 @@ impl std::error::Error for PreflightError {}
 /// against the accelerator's own configuration and refuse to launch
 /// programs that carry error-severity diagnostics.
 pub trait Preflight {
-    /// Runs [`verify_programmed`] under [`PreflightGate::Enforce`]:
-    /// `Ok(diagnostics)` when launchable (warnings and notes pass through),
-    /// `Err` carrying everything otherwise.
+    /// Runs [`verify_programmed`]: `Ok(diagnostics)` when launchable
+    /// (warnings and notes pass through), `Err` carrying everything
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// [`PreflightError`] when any diagnostic reaches [`Severity::Error`].
     fn preflight(&self, prog: &ProgrammedKernel) -> Result<Vec<Diagnostic>, PreflightError>;
-
-    /// Like [`Preflight::preflight`] but with an explicit gate mode —
-    /// [`PreflightGate::WarnOnly`] never refuses (the bench opt-out flag).
-    ///
-    /// # Errors
-    ///
-    /// [`PreflightError`] only under [`PreflightGate::Enforce`].
-    fn preflight_gated(
-        &self,
-        prog: &ProgrammedKernel,
-        gate: PreflightGate,
-    ) -> Result<Vec<Diagnostic>, PreflightError>;
 }
 
 impl Preflight for alrescha::Alrescha {
     fn preflight(&self, prog: &ProgrammedKernel) -> Result<Vec<Diagnostic>, PreflightError> {
-        self.preflight_gated(prog, PreflightGate::Enforce)
-    }
-
-    fn preflight_gated(
-        &self,
-        prog: &ProgrammedKernel,
-        gate: PreflightGate,
-    ) -> Result<Vec<Diagnostic>, PreflightError> {
         let diagnostics = verify_programmed(prog, self.config());
-        if gate == PreflightGate::Enforce && !is_launchable(&diagnostics) {
+        if !is_launchable(&diagnostics) {
             return Err(PreflightError { diagnostics });
         }
         Ok(diagnostics)
@@ -502,8 +469,8 @@ impl Preflight for alrescha::Alrescha {
 
 /// Builds the `alverify` preflight hook for the batch runtime
 /// ([`alrescha::Fleet::with_preflight`]): every freshly converted program is
-/// run through the full rule catalog under [`PreflightGate::Enforce`]
-/// semantics before it enters the conversion cache. Cache hits were
+/// run through the full rule catalog, and refused on any error-severity
+/// diagnostic, before it enters the conversion cache. Cache hits were
 /// verified when they entered, so repeated matrices pay the verification
 /// cost once per distinct `(kernel, matrix, ω)`.
 ///
@@ -567,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn omega_mismatch_is_refused_but_warnonly_passes() {
+    fn omega_mismatch_is_refused_with_the_verifier_findings() {
         // Program at the matrix's own ω = 4, then verify against an
         // engine configured for ω = 8: tree depth and line occupancy
         // would silently mis-count — AL302 refuses it.
@@ -578,11 +545,10 @@ mod tests {
         let err = acc8.preflight(&prog).expect_err("must refuse");
         assert!(err.diagnostics.iter().any(|d| d.code == "AL302"));
         assert!(err.to_string().contains("AL302"));
-        // The bench opt-out reports the same findings without refusing.
-        let diags = acc8
-            .preflight_gated(&prog, PreflightGate::WarnOnly)
-            .expect("warn-only never refuses");
+        // The refusal carries exactly what `verify_programmed` finds.
+        let diags = verify_programmed(&prog, acc8.config());
         assert!(!is_launchable(&diags));
+        assert_eq!(err.diagnostics, diags);
     }
 
     #[test]

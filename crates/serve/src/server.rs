@@ -1070,7 +1070,7 @@ fn admit(inner: &Arc<Inner>, tenant: &str, job: JobPayload, trace: TraceContext)
         QuotaDecision::Admit => {}
     }
     // Queue room, with the fleet's linear backpressure ramp
-    // (worker-count-independent, like `FleetConfig::retry_after`).
+    // (worker-count-independent, like the fleet's `QueueFull` hint).
     {
         let queue = lock(&inner.queue);
         let capacity = inner.config.queue_capacity;
@@ -1411,7 +1411,6 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
     .with_id(job_id)
     .with_checkpoint_every(inner.config.checkpoint_every)
     .with_cpu_only(cpu_only)
-    .with_priority(payload.priority)
     .with_trace_id(trace_id);
     if let Some(ckpt) = resume {
         spec = spec.with_resume_from(ckpt);

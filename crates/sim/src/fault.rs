@@ -165,6 +165,11 @@ impl RecoveryPolicy {
     }
 }
 
+/// Inclusive range of bit positions eligible for flips: errors large
+/// enough (≥ 2⁻⁴ relative) for checksum detection while still spanning
+/// mantissa and exponent bits.
+const FLIP_BITS: (u32, u32) = (48, 62);
+
 /// A seed-driven description of which faults to inject, at what rates, and
 /// when.
 ///
@@ -190,10 +195,6 @@ pub struct FaultPlan {
     pub cache_fault_rate: f64,
     /// Probability per ω×ω block address of a permanent stuck-at bit.
     pub memory_stuck_rate: f64,
-    /// Inclusive range of bit positions eligible for flips. The default
-    /// `(48, 62)` keeps injected errors large enough (≥ 2⁻⁴ relative) for
-    /// checksum detection while still spanning mantissa and exponent bits.
-    pub bit_range: (u32, u32),
     /// Optional inclusive cycle window outside which transient faults are
     /// suppressed. Stuck-at faults are permanent and ignore the window.
     pub window: Option<(u64, u64)>,
@@ -217,7 +218,6 @@ impl FaultPlan {
             fifo_drop_rate: 0.0,
             cache_fault_rate: 0.0,
             memory_stuck_rate: 0.0,
-            bit_range: (48, 62),
             window: None,
             dsymgs_stall_after: None,
         }
@@ -256,14 +256,6 @@ impl FaultPlan {
     /// Sets the per-block stuck-at probability.
     pub fn with_memory_stuck_rate(mut self, rate: f64) -> Self {
         self.memory_stuck_rate = rate;
-        self
-    }
-
-    /// Restricts flips to bit positions `lo..=hi` (clamped to 0..=62).
-    pub fn with_bit_range(mut self, lo: u32, hi: u32) -> Self {
-        let hi = hi.min(62);
-        let lo = lo.min(hi);
-        self.bit_range = (lo, hi);
         self
     }
 
@@ -345,7 +337,7 @@ impl InjectorCore {
     }
 
     fn pick_bit(&mut self) -> u32 {
-        let (lo, hi) = self.plan.bit_range;
+        let (lo, hi) = FLIP_BITS;
         lo + (self.next_u64() % u64::from(hi - lo + 1)) as u32
     }
 }
@@ -561,7 +553,7 @@ impl FaultInjector {
             return None;
         }
         let word = (h.wrapping_mul(0xFF51_AFD7_ED55_8CCD) % words as u64) as usize;
-        let (lo, hi) = core.plan.bit_range;
+        let (lo, hi) = FLIP_BITS;
         let bit = lo + (h.wrapping_mul(0xC4CE_B9FE_1A85_EC53) % u64::from(hi - lo + 1)) as u32;
         Some((word, bit))
     }

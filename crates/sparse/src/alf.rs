@@ -1044,129 +1044,6 @@ mod tests {
         assert!(padded.has_padded_tail());
         assert_eq!(padded.padded_dim(), 6);
     }
-}
-
-/// One streamed ω-element row, as the memory interface delivers it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamedRow<'a> {
-    /// Block-row coordinate of the owning block.
-    pub block_row: usize,
-    /// Block-column coordinate of the owning block.
-    pub block_col: usize,
-    /// Diagonal or off-diagonal block.
-    pub kind: BlockKind,
-    /// Row index within the block (`0..ω`).
-    pub row_in_block: usize,
-    /// The ω payload values in streaming (access) order.
-    pub values: &'a [f64],
-}
-
-impl Alf {
-    /// Iterates over every ω-element row in the exact order the accelerator
-    /// streams them from memory: blocks in storage order, rows top to
-    /// bottom, values already permuted to their access order.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use alrescha_sparse::{alf::AlfLayout, Alf, Coo};
-    ///
-    /// let mut coo = Coo::new(4, 4);
-    /// for i in 0..4 { coo.push(i, i, 2.0); }
-    /// let alf = Alf::from_coo(&coo, 2, AlfLayout::Streaming)?;
-    /// let rows: Vec<_> = alf.stream_rows().collect();
-    /// assert_eq!(rows.len(), alf.blocks().len() * 2);
-    /// assert_eq!(rows[0].values, &[2.0, 0.0]);
-    /// # Ok::<(), alrescha_sparse::Error>(())
-    /// ```
-    pub fn stream_rows(&self) -> impl Iterator<Item = StreamedRow<'_>> {
-        let omega = self.omega;
-        self.blocks().iter().flat_map(move |block| {
-            (0..omega).map(move |i| StreamedRow {
-                block_row: block.block_row(),
-                block_col: block.block_col(),
-                kind: block.kind(),
-                row_in_block: i,
-                values: block.row(i),
-            })
-        })
-    }
-}
-
-#[cfg(test)]
-mod stream_tests {
-    use super::*;
-
-    #[test]
-    fn stream_covers_every_payload_value_in_order() {
-        let mut coo = Coo::new(6, 6);
-        for i in 0..6 {
-            coo.push(i, i, 1.0 + i as f64);
-        }
-        coo.push(0, 5, 9.0);
-        let alf = Alf::from_coo(&coo, 3, AlfLayout::SymGs).unwrap();
-
-        let streamed: Vec<f64> = alf
-            .stream_rows()
-            .flat_map(|r| r.values.iter().copied())
-            .collect();
-        let direct: Vec<f64> = alf
-            .blocks()
-            .iter()
-            .flat_map(|b| b.payload().iter().copied())
-            .collect();
-        assert_eq!(streamed, direct);
-        assert_eq!(streamed.len(), alf.blocks().len() * 9);
-    }
-
-    #[test]
-    fn streamed_rows_carry_block_metadata() {
-        let mut coo = Coo::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 2.0);
-        }
-        coo.push(0, 3, -1.0);
-        let alf = Alf::from_coo(&coo, 2, AlfLayout::SymGs).unwrap();
-        let rows: Vec<_> = alf.stream_rows().collect();
-        // First block is the off-diagonal (0,1); its rows stream reversed.
-        assert_eq!(rows[0].block_col, 1);
-        assert_eq!(rows[0].kind, BlockKind::OffDiagonal);
-        assert_eq!(rows[0].values, &[-1.0, 0.0]); // col 3 reversed to slot 0
-        assert_eq!(rows[1].row_in_block, 1);
-    }
-}
-
-impl Alf {
-    /// Physical byte offset of each block's payload in the accelerator's
-    /// memory space — the Figure 13 mapping. Blocks are packed contiguously
-    /// in streaming order, ω²·8 bytes each; the returned vector is indexed
-    /// like [`Alf::blocks`].
-    pub fn physical_offsets(&self) -> Vec<usize> {
-        let block_bytes = self.omega * self.omega * std::mem::size_of::<f64>();
-        (0..self.num_blocks()).map(|k| k * block_bytes).collect()
-    }
-}
-
-#[cfg(test)]
-mod physical_tests {
-    use super::*;
-
-    #[test]
-    fn offsets_are_contiguous_in_streaming_order() {
-        let mut coo = Coo::new(9, 9);
-        for i in 0..9 {
-            coo.push(i, i, 1.0);
-        }
-        coo.push(0, 6, 2.0);
-        let alf = Alf::from_coo(&coo, 3, AlfLayout::SymGs).unwrap();
-        let offsets = alf.physical_offsets();
-        assert_eq!(offsets.len(), alf.blocks().len());
-        for (k, off) in offsets.iter().enumerate() {
-            assert_eq!(*off, k * 9 * 8);
-        }
-        // Total footprint equals the streamed payload bytes.
-        assert_eq!(offsets.last().unwrap() + 9 * 8, alf.streamed_bytes());
-    }
 
     #[test]
     fn non_power_of_two_block_width_works_end_to_end() {

@@ -6,9 +6,8 @@
 //! caught.
 
 use alrescha::convert::{ConfigTable, DataPath};
-use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobSpec};
-use alrescha::{Alrescha, ExecBudget, KernelType};
-use alrescha_lint::{analyze_programmed, analyze_table, fleet_admission_hook, Analysis};
+use alrescha::{Alrescha, KernelType};
+use alrescha_lint::{analyze_programmed, analyze_table, Analysis};
 use alrescha_sim::{ExecutionReport, PageRankConfig, SimConfig};
 use alrescha_sparse::gen;
 use proptest::prelude::*;
@@ -143,63 +142,6 @@ fn graph_round_caps_dominate_observed_rounds() {
         analysis.cycle_bound.static_total().expect("static") >= report.cycles,
         "fully static bound must dominate even without knowing the rounds"
     );
-}
-
-/// End to end through the batch runtime: the admission hook rejects a job
-/// whose AL404 bound exceeds its cycle budget with a typed
-/// `CoreError::Admission`, before the engine runs; the same job under an
-/// open budget is accepted and completes.
-#[test]
-fn fleet_admission_hook_rejects_over_budget_jobs() {
-    let coo = gen::stencil27(3);
-    let x: Vec<f64> = (0..coo.cols()).map(|i| 1.0 + i as f64 * 0.01).collect();
-    let fleet = Fleet::new(FleetConfig::default().with_workers(1))
-        .with_admission(fleet_admission_hook());
-
-    let starved = JobSpec::new(coo.clone(), JobKernel::SpMv { x: x.clone() }).with_budget(
-        ExecBudget {
-            max_cycles: Some(10),
-            ..ExecBudget::none()
-        },
-    );
-    let report = fleet.run_sequential(vec![starved]);
-    match &report.jobs[0].result {
-        Err(e) => {
-            let msg = e.to_string();
-            assert!(
-                msg.contains("admission") && msg.contains("AL404"),
-                "expected a typed AL404 admission rejection, got: {msg}"
-            );
-        }
-        Ok(_) => panic!("a 10-cycle budget must be statically rejected"),
-    }
-
-    let open = JobSpec::new(coo, JobKernel::SpMv { x });
-    let report = fleet.run_sequential(vec![open]);
-    assert!(report.jobs[0].result.is_ok(), "open budget must be admitted");
-}
-
-/// The admission hook also refuses programs whose *resource* proof fails
-/// (AL401): a schedule the analysis proves to wedge the link stack is
-/// rejected regardless of the cycle budget.
-#[test]
-fn fleet_admission_hook_rejects_overdeep_link_stack() {
-    // ~100 scattered off-diagonals per row at ω = 8 proves a 248-entry
-    // link-stack peak against the 128-entry LIFO.
-    let coo = gen::scattered(256, 100, 5);
-    let b: Vec<f64> = vec![1.0; coo.rows()];
-    let x0 = vec![0.0; coo.cols()];
-    let fleet = Fleet::new(FleetConfig::default().with_workers(1))
-        .with_admission(fleet_admission_hook());
-    let spec = JobSpec::new(coo, JobKernel::SymGs { b, x0 });
-    let report = fleet.run_sequential(vec![spec]);
-    match &report.jobs[0].result {
-        Err(e) => assert!(
-            e.to_string().contains("AL401"),
-            "expected AL401 in: {e}"
-        ),
-        Ok(_) => panic!("overdeep schedule must be rejected at admission"),
-    }
 }
 
 proptest! {
