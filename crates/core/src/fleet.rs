@@ -334,21 +334,33 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// Odd multiplier of the word fold (FxHash's 64-bit constant).
+const FOLD_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Folds one 64-bit word into the hash: rotate, xor, multiply. The
+/// rotation carries high bits back down, so every input bit reaches every
+/// output bit over the following words.
+fn fold(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(FOLD_MUL)
+}
+
 /// Content fingerprint of a COO matrix: dimensions plus every entry's
-/// coordinates and exact value bits, FNV-1a folded. Two matrices with the
-/// same fingerprint, shape, and nnz are treated as identical by the cache
-/// (the full key also carries shape and nnz, so a 64-bit collision would
-/// additionally have to match those).
+/// coordinates and exact value bits, folded one 64-bit word per step and
+/// finished with the splitmix64 avalanche. Two matrices with the same
+/// fingerprint, shape, and nnz are treated as identical by the cache (the
+/// full key also carries shape and nnz, so a 64-bit collision would
+/// additionally have to match those). The value is not persisted anywhere,
+/// so the function may change between builds.
 pub fn matrix_fingerprint(a: &Coo) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &(a.rows() as u64).to_le_bytes());
-    fnv1a(&mut h, &(a.cols() as u64).to_le_bytes());
+    let mut h = fold(fold(0, a.rows() as u64), a.cols() as u64);
     for &(r, c, v) in a.entries() {
-        fnv1a(&mut h, &(r as u64).to_le_bytes());
-        fnv1a(&mut h, &(c as u64).to_le_bytes());
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+        h = fold(fold(fold(h, r as u64), c as u64), v.to_bits());
     }
-    h
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// Cache key: the conversion inputs that determine a program.
@@ -363,14 +375,16 @@ struct CacheKey {
 }
 
 impl CacheKey {
-    fn new(kernel: KernelType, omega: usize, a: &Coo) -> Self {
+    /// The key of `a` under `kernel` and `omega`; `fingerprint` is
+    /// [`matrix_fingerprint`]`(a)`, computed once per job by the caller.
+    fn new(kernel: KernelType, omega: usize, a: &Coo, fingerprint: u64) -> Self {
         CacheKey {
             kernel,
             omega,
             rows: a.rows(),
             cols: a.cols(),
             nnz: a.entries().len(),
-            fingerprint: matrix_fingerprint(a),
+            fingerprint,
         }
     }
 
@@ -403,15 +417,17 @@ impl ConversionCache {
     }
 
     /// Returns the cached program for `(kernel, ω, matrix)` or converts,
-    /// preflights, and caches it. The boolean is `true` on a hit.
+    /// preflights, and caches it. `fingerprint` is the matrix's
+    /// [`matrix_fingerprint`]. The boolean is `true` on a hit.
     fn get_or_convert(
         &self,
         acc: &mut Alrescha,
         kernel: KernelType,
         a: &Coo,
+        fingerprint: u64,
         preflight: Option<&PreflightHook>,
     ) -> Result<(Arc<ProgrammedKernel>, bool)> {
-        let key = CacheKey::new(kernel, acc.config().omega, a);
+        let key = CacheKey::new(kernel, acc.config().omega, a, fingerprint);
         let shard = &self.shards[key.shard(self.shards.len())];
         let mut map = lock(shard);
         if let Some(prog) = map.get(&key) {
@@ -1003,12 +1019,18 @@ impl Fleet {
         let result = (|| -> Result<JobOutput> {
             let acc = station.accelerator(&spec.config);
             acc.set_telemetry(self.telemetry.clone());
+            // Hashed at most once per job: PCG's SpMV and SymGS lookups
+            // share it.
+            let mut fingerprint = None;
             let mut convert = |acc: &mut Alrescha, kind: KernelType| -> Result<ProgrammedKernel> {
                 if caching {
+                    let fingerprint =
+                        *fingerprint.get_or_insert_with(|| matrix_fingerprint(&spec.matrix));
                     let (prog, hit) = self.cache.get_or_convert(
                         acc,
                         kind,
                         &spec.matrix,
+                        fingerprint,
                         self.preflight.as_ref(),
                     )?;
                     cache_hit &= hit;
@@ -1500,5 +1522,34 @@ mod tests {
         b.push(0, 0, -1.0);
         assert_ne!(matrix_fingerprint(&a), matrix_fingerprint(&b));
         assert_eq!(matrix_fingerprint(&a), matrix_fingerprint(&a.clone()));
+    }
+
+    #[test]
+    fn matrix_fingerprint_separates_every_word_and_bit() {
+        let base = gen::stencil27(2);
+        let fp = matrix_fingerprint(&base);
+        let mut seen = vec![fp];
+        // Flip each bit of one entry's row, column and value word, and
+        // swap the coordinates of an off-diagonal entry.
+        let (r0, c0, v0) = base.entries()[1];
+        for bit in 0..64 {
+            let mut value = base.entries().to_vec();
+            value[1].2 = f64::from_bits(v0.to_bits() ^ (1 << bit));
+            let mut with = Coo::new(base.rows(), base.cols());
+            with.extend(value);
+            seen.push(matrix_fingerprint(&with));
+        }
+        for (r, c) in [(r0 ^ 1, c0), (r0, c0 ^ 1), (c0, r0)] {
+            let mut moved = base.entries().to_vec();
+            moved[1].0 = r;
+            moved[1].1 = c;
+            let mut with = Coo::new(base.rows(), base.cols());
+            with.extend(moved);
+            seen.push(matrix_fingerprint(&with));
+        }
+        let n = seen.len();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), n, "two distinct matrices shared a fingerprint");
     }
 }

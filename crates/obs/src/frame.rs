@@ -99,17 +99,58 @@ pub enum Extent {
     },
 }
 
+/// Slicing-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0][b]` is the
+/// CRC register after shifting byte `b` through it, and `CRC_TABLES[k][b]`
+/// the same followed by `k` zero bytes. 8 KiB, built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum of
-/// gzip/zip/PNG, computed bitwise.
+/// gzip/zip/PNG, computed eight bytes per step by table lookup.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -135,8 +176,10 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 /// [`Reader::f64_vec`] reads.
 pub fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
     put_u64(out, v.len() as u64);
-    for &value in v {
-        put_u64(out, value.to_bits());
+    let start = out.len();
+    out.resize(start + 8 * v.len(), 0);
+    for (word, value) in out[start..].chunks_exact_mut(8).zip(v) {
+        word.copy_from_slice(&value.to_bits().to_le_bytes());
     }
 }
 
@@ -194,6 +237,15 @@ pub fn open(bytes: &[u8], magic: [u8; 4], extent: Extent) -> Result<(&[u8], usiz
         return Err(FrameError::CrcMismatch { stored, computed });
     }
     Ok((&body[magic.len()..], len))
+}
+
+/// The little-endian u64 in the first 8 bytes of `word`; callers pass
+/// the exact 8-byte chunks of a slice already checked by [`Reader::take`].
+#[must_use]
+pub fn u64_le(word: &[u8]) -> u64 {
+    let mut bits = [0u8; 8];
+    bits.copy_from_slice(&word[..8]);
+    u64::from_le_bytes(bits)
 }
 
 /// A bounded little-endian reader over a frame body.
@@ -281,11 +333,11 @@ impl<'a> Reader<'a> {
     /// `count` consecutive `f64` values.
     pub fn f64s(&mut self, count: u64) -> Result<Vec<f64>, FrameError> {
         let count = self.checked_len(count, 8)?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        let bytes = self.take(8 * count)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(u64_le(w)))
+            .collect())
     }
 
     /// A u64-length-prefixed vector of `f64` values.
@@ -307,6 +359,68 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// The bitwise definition [`crc32`] must equal: one polynomial step
+    /// per bit.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc_table_matches_the_bitwise_oracle_on_short_inputs() {
+        assert_eq!(crc32(&[]), crc32_bitwise(&[]));
+        for byte in 0..=255u8 {
+            assert_eq!(crc32(&[byte]), crc32_bitwise(&[byte]), "byte {byte}");
+        }
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
+        for len in 0..data.len() {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random lengths from unaligned starts: the table walk and its
+        /// byte-wise remainder agree with the bitwise definition.
+        #[test]
+        fn crc_table_matches_the_bitwise_oracle(
+            data in proptest::collection::vec(0u8..=255, 0..4096),
+            start in 0usize..8,
+        ) {
+            let start = start.min(data.len());
+            prop_assert_eq!(crc32(&data[start..]), crc32_bitwise(&data[start..]));
+        }
+
+        #[test]
+        fn f64_vectors_round_trip_bit_exactly(
+            bits in proptest::collection::vec(0u64..u64::MAX, 0..64),
+        ) {
+            let v: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let mut out = Vec::new();
+            put_f64_vec(&mut out, &v);
+            prop_assert_eq!(out.len(), 8 + 8 * v.len());
+            let mut rd = Reader::new(&out);
+            let back = rd.f64_vec().unwrap();
+            rd.finish().unwrap();
+            let back_bits: Vec<u64> = back.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(back_bits, bits);
+        }
+    }
 
     #[test]
     fn crc_is_the_ieee_polynomial() {

@@ -41,7 +41,7 @@ pub mod slo;
 
 pub use chaos::{ChaosProxy, NetFaultCounters, NetFaultKind, NetFaultPlan};
 pub use client::{Client, ClientError, JobStatus, RetryPolicy};
-pub use journal::{Journal, JournalError, JournalRecord, JournalStats, TerminalKind};
+pub use journal::{Journal, JournalError, JournalRecord, JournalStats, Submission, TerminalKind};
 pub use protocol::{Frame, JobPayload, ScrapeKind, SolveResult, TraceContext, WireError};
 pub use quota::{QuotaDecision, QuotaTable};
 pub use slo::{BurnWindow, SloTable};

@@ -23,7 +23,9 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use alrescha_obs::frame::{self, put_f64_vec, put_str, put_u64, Extent, FrameError, Reader};
+use alrescha_obs::frame::{
+    self, put_f64_vec, put_str, put_u64, u64_le, Extent, FrameError, Reader, TRAILER_LEN,
+};
 use alrescha_sparse::Coo;
 
 /// Frame magic: "ALSV" (ALrescha SerVe).
@@ -324,7 +326,7 @@ impl Frame {
 
     /// Encodes the frame: header, payload, CRC-32 trailer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload_len() + TRAILER_LEN);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.push(self.tag());
@@ -334,6 +336,29 @@ impl Frame {
         out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         frame::seal(&mut out);
         out
+    }
+
+    /// Bytes [`Frame::encode_payload`] writes.
+    fn payload_len(&self) -> usize {
+        match self {
+            Frame::Submit { tenant, job, .. } => 8 + tenant.len() + job_len(job) + 16,
+            Frame::Status { .. }
+            | Frame::Wait { .. }
+            | Frame::Observe { .. }
+            | Frame::Accepted { .. }
+            | Frame::NotFound { .. }
+            | Frame::Parked { .. } => 8,
+            Frame::Ping | Frame::Drain | Frame::Pong | Frame::Draining => 0,
+            Frame::Rejected {
+                reason,
+                retry_after,
+            } => 8 + reason.len() + 1 + if retry_after.is_some() { 8 } else { 0 },
+            Frame::Progress { .. } => 24,
+            Frame::Done { result, .. } => 8 + 8 + 8 * result.x.len() + 25,
+            Frame::Failed { error, .. } => 8 + 8 + error.len(),
+            Frame::Scrape { .. } => 1,
+            Frame::ScrapeReply { body } => 8 + body.len(),
+        }
     }
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
@@ -523,39 +548,66 @@ impl Frame {
     }
 }
 
+/// Bytes [`put_matrix`] writes for `matrix`.
+pub(crate) fn matrix_len(matrix: &Coo) -> usize {
+    24 + 24 * matrix.entries().len()
+}
+
+/// Bytes [`put_job`] writes for `job`.
+pub(crate) fn job_len(job: &JobPayload) -> usize {
+    matrix_len(&job.matrix) + 8 + 8 * job.b.len() + 17
+}
+
+/// Appends a matrix: rows, cols, the entry count, then one
+/// `(row, col, value bits)` triple of u64s per entry.
+pub(crate) fn put_matrix(out: &mut Vec<u8>, matrix: &Coo) {
+    put_u64(out, matrix.rows() as u64);
+    put_u64(out, matrix.cols() as u64);
+    put_u64(out, matrix.entries().len() as u64);
+    let start = out.len();
+    out.resize(start + 24 * matrix.entries().len(), 0);
+    for (slot, &(r, c, v)) in out[start..].chunks_exact_mut(24).zip(matrix.entries()) {
+        slot[..8].copy_from_slice(&(r as u64).to_le_bytes());
+        slot[8..16].copy_from_slice(&(c as u64).to_le_bytes());
+        slot[16..].copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
 /// Appends a job's operand system and solver options.
 pub(crate) fn put_job(out: &mut Vec<u8>, job: &JobPayload) {
-    put_u64(out, job.matrix.rows() as u64);
-    put_u64(out, job.matrix.cols() as u64);
-    put_u64(out, job.matrix.entries().len() as u64);
-    for &(r, c, v) in job.matrix.entries() {
-        put_u64(out, r as u64);
-        put_u64(out, c as u64);
-        put_u64(out, v.to_bits());
-    }
+    put_matrix(out, &job.matrix);
     put_f64_vec(out, &job.b);
     put_u64(out, job.tol.to_bits());
     put_u64(out, job.max_iters);
     out.push(job.priority);
 }
 
-/// Reads what [`put_job`] wrote; the entry count is checked against the
+/// Reads what [`put_matrix`] wrote; the entry count is checked against the
 /// bytes present before the matrix grows.
-pub(crate) fn read_job(rd: &mut Reader<'_>) -> Result<JobPayload, FrameError> {
+pub(crate) fn read_matrix(rd: &mut Reader<'_>) -> Result<Coo, FrameError> {
     let rows = rd.usize("rows")?;
     let cols = rd.usize("cols")?;
     let nnz = rd.u64()?;
     let nnz = rd.checked_len(nnz, 24)?;
-    let mut matrix = Coo::new(rows, cols);
-    for _ in 0..nnz {
-        let r = rd.usize("entry row")?;
-        let c = rd.usize("entry col")?;
-        let v = rd.f64()?;
-        if r >= rows || c >= cols {
-            return Err(FrameError::Malformed("entry out of bounds"));
-        }
-        matrix.push(r, c, v);
+    let raw = rd.take(24 * nnz)?;
+    let mut matrix = Coo::with_capacity(rows, cols, nnz);
+    for entry in raw.chunks_exact(24) {
+        let r =
+            usize::try_from(u64_le(&entry[..8])).map_err(|_| FrameError::Malformed("entry row"))?;
+        let c = usize::try_from(u64_le(&entry[8..16]))
+            .map_err(|_| FrameError::Malformed("entry col"))?;
+        let v = f64::from_bits(u64_le(&entry[16..]));
+        matrix
+            .try_push(r, c, v)
+            .map_err(|_| FrameError::Malformed("entry out of bounds"))?;
     }
+    Ok(matrix)
+}
+
+/// Reads what [`put_job`] wrote.
+pub(crate) fn read_job(rd: &mut Reader<'_>) -> Result<JobPayload, FrameError> {
+    let matrix = read_matrix(rd)?;
+    let rows = matrix.rows();
     let b = rd.f64_vec()?;
     let tol = rd.f64()?;
     let max_iters = rd.u64()?;
@@ -654,6 +706,19 @@ mod tests {
             let bytes = frame.encode();
             let decoded = Frame::decode(&bytes).unwrap();
             assert_eq!(frame, decoded);
+        }
+    }
+
+    #[test]
+    fn encode_sizes_every_frame_exactly() {
+        for frame in frames() {
+            let bytes = frame.encode();
+            assert_eq!(
+                bytes.len(),
+                HEADER_LEN + frame.payload_len() + 4,
+                "{frame:?}"
+            );
+            assert_eq!(bytes.len(), bytes.capacity(), "{frame:?} grew its buffer");
         }
     }
 

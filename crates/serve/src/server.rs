@@ -685,7 +685,7 @@ impl Server {
                 JournalRecord::Failed { job_id, error } => {
                     inner.status.set(job_id, JobState::Failed { error });
                 }
-                JournalRecord::Accepted { .. } => {}
+                _ => {}
             }
         }
 

@@ -14,7 +14,8 @@ use alrescha::checkpoint::SolverCheckpoint;
 use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobSpec};
 use alrescha::SolverOptions;
 use alrescha_serve::{
-    Bind, Client, ClientError, JobPayload, JobStatus, Journal, RetryPolicy, Server, ServerConfig,
+    Bind, Client, ClientError, JobPayload, JobStatus, Journal, JournalRecord, RetryPolicy, Server,
+    ServerConfig,
 };
 
 fn tempdir(name: &str) -> PathBuf {
@@ -410,5 +411,42 @@ fn static_admission_gate_rejects_an_overdeep_link_stack() {
         0,
         "a rejected job leaves no record"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A served stream of jobs on one matrix journals the matrix once: the
+/// journal grows by the right-hand sides, not by a matrix per job, so a
+/// long run stays far below any file-size limit.
+#[test]
+fn repeated_matrix_jobs_journal_the_matrix_once() {
+    let dir = tempdir("repeat");
+    let handle = Server::new(server_config(dir.clone())).start().unwrap();
+    let mut client = Client::tcp(handle.addr().to_owned(), fast_policy());
+    let jobs: Vec<JobPayload> = (0..40).map(|seed| sample_job(6, seed)).collect();
+    let mut served = Vec::with_capacity(jobs.len());
+    for job in &jobs {
+        let job_id = client.submit("acme", job).unwrap();
+        served.push(client.wait(job_id).unwrap().solution_fingerprint);
+    }
+    handle.stop();
+
+    let matrix_bytes = JournalRecord::Matrix {
+        id: 1,
+        matrix: jobs[0].matrix.clone(),
+    }
+    .encode()
+    .len() as u64;
+    let wal = std::fs::metadata(dir.join("jobs.wal")).unwrap().len();
+    let bound = 2 * matrix_bytes + 40 * 16 * 1024;
+    assert!(
+        wal < bound,
+        "jobs.wal is {wal} bytes after 40 jobs on one {matrix_bytes}-byte matrix (bound {bound})"
+    );
+    let fleet = Fleet::new(FleetConfig::default().with_workers(1));
+    let report = fleet.run_sequential(jobs.iter().map(spec_for).collect());
+    for (i, (record, got)) in report.jobs.iter().zip(&served).enumerate() {
+        let want = record.result.as_ref().unwrap().solution_fingerprint();
+        assert_eq!(*got, want, "job {i} differs from a direct fleet run");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,8 @@
 //! program containers), ALFR (flight-recorder dumps) and ALSV (wire
 //! frames).
 //!
-//! Each format has one committed fixture under `tests/golden/frames/`. The
+//! Each format has one committed fixture under `tests/golden/frames/`, and
+//! ALJL a second one for the record kinds that journal a matrix once. The
 //! tests check both directions: encoding the sample value reproduces the
 //! fixture, and decoding the fixture then re-encoding it gives the same
 //! bytes. The fixtures were generated before the codecs were merged onto
@@ -32,7 +33,7 @@ use alrescha_asm::container::{read_container, write_container, ContainerError};
 use alrescha_asm::{assemble_text, disassemble, AssembledProgram};
 use alrescha_obs::flight::{FlightDump, FlightRecord, EV_ADMIT_OK, EV_BREAKER, EV_JOURNAL_ACCEPT};
 use alrescha_obs::frame::{self, FrameError, TRAILER_LEN};
-use alrescha_serve::{Frame, JobPayload, JournalRecord, TraceContext, WireError};
+use alrescha_serve::{Frame, JobPayload, JournalRecord, Submission, TraceContext, WireError};
 use alrescha_sparse::{gen, Coo};
 
 /// Reads fixture `name`, first writing `encoded` to it under
@@ -119,6 +120,29 @@ fn journal() -> Vec<JournalRecord> {
     ]
 }
 
+/// The record kinds that journal a matrix once: the matrix under an
+/// opaque id, then a job naming it.
+fn journal_named() -> Vec<JournalRecord> {
+    let job = job();
+    vec![
+        JournalRecord::Matrix {
+            id: 1,
+            matrix: job.matrix,
+        },
+        JournalRecord::Submitted {
+            job_id: 3,
+            matrix: 1,
+            job: Submission {
+                tenant: "acme".to_owned(),
+                b: job.b,
+                tol: job.tol,
+                max_iters: job.max_iters,
+                priority: job.priority,
+            },
+        },
+    ]
+}
+
 fn program() -> AssembledProgram {
     let coo = gen::stencil27(2);
     let (alf, table) = convert(KernelType::SymGs, &coo, 8).unwrap();
@@ -194,17 +218,19 @@ fn alck_fixture_round_trips() {
 
 #[test]
 fn aljl_fixture_round_trips() {
-    let encoded: Vec<u8> = journal().iter().flat_map(JournalRecord::encode).collect();
-    let fixture = pinned("aljl.bin", &encoded);
-    let mut rest = &fixture[..];
-    let mut decoded = Vec::new();
-    while !rest.is_empty() {
-        let (record, used) = JournalRecord::decode(rest).expect("intact record");
-        assert_eq!(record.encode(), rest[..used]);
-        decoded.push(record);
-        rest = &rest[used..];
+    for (name, records) in [("aljl.bin", journal()), ("aljl_named.bin", journal_named())] {
+        let encoded: Vec<u8> = records.iter().flat_map(JournalRecord::encode).collect();
+        let fixture = pinned(name, &encoded);
+        let mut rest = &fixture[..];
+        let mut decoded = Vec::new();
+        while !rest.is_empty() {
+            let (record, used) = JournalRecord::decode(rest).expect("intact record");
+            assert_eq!(record.encode(), rest[..used]);
+            decoded.push(record);
+            rest = &rest[used..];
+        }
+        assert_eq!(decoded, records, "{name}");
     }
-    assert_eq!(decoded, journal());
 }
 
 #[test]
@@ -335,9 +361,9 @@ fn cases() -> Vec<Case> {
         decode: decode_alck,
     });
 
-    for record in journal() {
+    for record in journal().into_iter().chain(journal_named()) {
         let bytes = record.encode();
-        // magic 4, payload length at 4, tag at 8, job id at 9.
+        // magic 4, payload length at 4, tag at 8, job (or matrix) id at 9.
         let mut fields = vec![(4, 4, (bytes.len() - 12) as u64)];
         match &record {
             JournalRecord::Accepted { tenant, .. } => {
@@ -345,6 +371,16 @@ fn cases() -> Vec<Case> {
                 fields.extend(job_fields(25 + tenant.len()));
             }
             JournalRecord::Failed { error, .. } => fields.push((17, 8, error.len() as u64)),
+            // rows at 17 and cols at 25 bound the entries; the entry count
+            // is the length field.
+            JournalRecord::Matrix { matrix, .. } => {
+                fields.push((33, 8, matrix.entries().len() as u64));
+            }
+            // tenant, then the matrix id, then the right-hand side.
+            JournalRecord::Submitted { job, .. } => {
+                fields.push((17, 8, job.tenant.len() as u64));
+                fields.push((33 + job.tenant.len(), 8, job.b.len() as u64));
+            }
             _ => {}
         }
         cases.push(Case {
