@@ -18,9 +18,11 @@
 //!
 //! The daemon always keeps a flight recorder — a fixed-size ring of
 //! structured admission/journal/fault events — and dumps it to
-//! `<data-dir>/alserve.alfr` at every durability point and from the
-//! panic hook, so even a SIGKILL leaves a CRC-valid dump no staler than
-//! one journal record (`alobs flight` decodes it). `scrape` and `top`
+//! `<data-dir>/alserve.alfr` before every `Accepted` ack, after terminal
+//! records (without holding up the worker) and from the panic hook, so
+//! even a SIGKILL leaves a CRC-valid dump that holds every acked job and
+//! lacks at most the terminal records written since its last dump
+//! finished (`alobs flight` decodes it). `scrape` and `top`
 //! read live introspection out of a running daemon over the same ALSV
 //! socket the jobs use.
 

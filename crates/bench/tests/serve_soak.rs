@@ -170,9 +170,10 @@ fn kill_restart_soak_loses_no_accepted_jobs_and_stays_bit_identical() {
         let journal = Journal::open(dir.join("jobs.wal")).expect("journal readable after kill");
         pending_observed += journal.recover().len();
         // The flight recorder must survive the SIGKILL too: the ring is
-        // synced to disk before every `Accepted` ack and after every
-        // terminal record, so the dump is CRC-valid and its journal
-        // events agree with the journal the next incarnation replays.
+        // dumped before every `Accepted` ack, and a terminal event is
+        // recorded only after its journal record, so the dump is
+        // CRC-valid and its journal events agree with the journal the
+        // next incarnation replays.
         let dump = FlightDump::read(&dir.join("alserve.alfr"))
             .unwrap_or_else(|e| panic!("no flight dump after kill {cycle}: {e}"))
             .unwrap_or_else(|e| panic!("flight dump corrupt after kill {cycle}: {e}"));

@@ -4,10 +4,14 @@
 //! The serving stack records every decision that matters for a
 //! post-mortem — admission outcomes, AL4xx rejections, breaker
 //! transitions, injected faults, journal and compaction operations — into
-//! a preallocated ring. On panic, SIGTERM, solve-fault, or after every
-//! journal append the ring is serialized to `<data-dir>/alserve.alfr`
-//! via write-temp-then-rename, so even a SIGKILLed process leaves a dump
-//! that lags the journal by at most one record.
+//! a preallocated ring, serialized to `<data-dir>/alserve.alfr` via
+//! write-temp-then-rename. In `alserve` one durability writer thread makes
+//! every dump: each `Accepted` ack, solve fault, drain, shutdown and start
+//! waits for a dump holding its events, and a job's terminal edge requests
+//! one without waiting; the panic hook adds a last-gasp dump. So even a
+//! SIGKILLed server leaves a dump that holds the accept event of every
+//! acked job, and lags the journal by at most the terminal records
+//! written since the last dump finished.
 //!
 //! # `.alfr` layout (version 1, all integers little-endian)
 //!
@@ -81,7 +85,8 @@ pub const EV_JOURNAL_ACCEPT: u16 = 11;
 pub const EV_JOURNAL_TERMINAL: u16 = 12;
 /// Journal compaction ran.
 pub const EV_JOURNAL_COMPACT: u16 = 13;
-/// Solver checkpoint written (`a` = job id, `b` = iteration).
+/// Solver checkpoint taken and queued for writing (`a` = job id,
+/// `b` = iteration).
 pub const EV_CHECKPOINT: u16 = 14;
 /// A solve aborted on an (injected or real) fault (`a` = job id).
 pub const EV_SOLVE_FAULT: u16 = 15;
@@ -189,6 +194,17 @@ struct Ring {
     total: u64,
 }
 
+impl Ring {
+    /// The live records, oldest first.
+    fn records(&self) -> Vec<FlightRecord> {
+        let cap = self.slots.len();
+        let start = (self.head + cap - self.len) % cap;
+        (0..self.len)
+            .map(|i| self.slots[(start + i) % cap])
+            .collect()
+    }
+}
+
 /// The in-process flight recorder.
 ///
 /// `record` is allocation-free after construction: the tag is truncated
@@ -278,20 +294,15 @@ impl FlightRecorder {
 
     /// The live records, oldest first.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
-        let ring = lock(&self.ring);
-        let cap = ring.slots.len();
-        let start = (ring.head + cap - ring.len) % cap;
-        (0..ring.len)
-            .map(|i| ring.slots[(start + i) % cap])
-            .collect()
+        lock(&self.ring).records()
     }
 
-    /// Serializes the ring to the `.alfr` byte format.
+    /// Serializes the ring to the `.alfr` byte format. The records and
+    /// the header's total come from one look at the ring.
     pub fn encode(&self) -> Vec<u8> {
-        let records = self.snapshot();
-        let (total, capacity) = {
+        let (records, total, capacity) = {
             let ring = lock(&self.ring);
-            (ring.total, ring.slots.len())
+            (ring.records(), ring.total, ring.slots.len())
         };
         #[allow(clippy::cast_possible_truncation)]
         let capacity = capacity as u32;
@@ -305,7 +316,10 @@ impl FlightRecorder {
 
     /// Atomically dumps the ring to `path`: write `<path>.tmp`, fsync,
     /// rename. Deliberately uses `std::fs` directly — the black box must
-    /// not route through (chaos-wrapped) storage abstractions.
+    /// not route through (chaos-wrapped) storage abstractions. Calls for
+    /// one `path` must not overlap: they share the temp file, and a dump
+    /// encoded earlier could land last. `alserve` makes every dump from
+    /// one writer thread.
     pub fn sync_to(&self, path: &Path) -> io::Result<()> {
         let bytes = self.encode();
         let tmp = path.with_extension("alfr.tmp");

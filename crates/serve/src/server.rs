@@ -4,16 +4,30 @@
 //! # Life of a job
 //!
 //! ```text
-//!  Submit ──► quota? ──► queue room? ──► storage ok? ──► journal.accept (fsync) ──► Accepted
+//!  Submit ──► quota? ──► queue room? ──► storage ok? ──► journal.accept (fsync)
+//!                                                                  │
+//!            Accepted ◄── flight dump covering the accept (waits) ◄┤
 //!                                                                  │
 //!   worker dequeues ◄── queue ◄────────────────────────────────────┘
 //!        │
 //!        ├── breaker gate: Device → on-device │ Probe → one probe job
 //!        │                 Cpu → pinned to the host backend
-//!        ├── checkpoint every N iterations → data_dir/job-<id>.ckpt
-//!        │   (atomic: temp + fsync + rename) + Progress to waiters
-//!        └── terminal → journal.terminal (fsync) → Done/Failed to waiters
+//!        ├── checkpoint every N iterations: encode, hand the bytes to the
+//!        │   durability writer (latest wins per job), Progress to waiters
+//!        └── terminal → journal.terminal (fsync) → cancel the job's
+//!            pending checkpoint → unlink job-<id>.ckpt → Done/Failed to
+//!            waiters → request a flight dump (does not wait)
+//!
+//!  durability writer (one thread): flight dumps first, one dump for every
+//!  request pending; then checkpoints → data_dir/job-<id>.ckpt
+//!  (atomic: temp + fsync + rename)
 //! ```
+//!
+//! The worker's only fsync on a fault-free job is the terminal journal
+//! record. Checkpoints and the terminal flight dump are asynchronous: a
+//! crash may lose the newest checkpoint (recovery resumes from an older
+//! one, or from iteration 0) and the dump may lag the journal by the jobs
+//! that settled since the last dump. The accept dump stays synchronous.
 //!
 //! # Recovery state machine (per job, evaluated at startup)
 //!
@@ -35,14 +49,14 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use alrescha::breaker::{BackendChoice, BreakerConfig, SharedBreaker};
-use alrescha::checkpoint::SolverCheckpoint;
+use alrescha::checkpoint::{write_atomic_with, SolverCheckpoint};
 use alrescha::convert::{convert, KernelType};
 use alrescha::fleet::{
     backpressure_ramp, Fleet, FleetConfig, JobKernel, JobOutput, JobSpec, Station,
@@ -108,11 +122,13 @@ pub struct ServerConfig {
     pub admission_cycle_budget: Option<u64>,
     /// Always-on flight recorder: a fixed-size in-memory ring of
     /// structured events (admission decisions, breaker transitions,
-    /// journal/compaction ops) synced to `data_dir/alserve.alfr` at every
-    /// durability point, so even a SIGKILL leaves a readable record of
-    /// the server's last moments that lags the journal by at most one
-    /// event. Sharing one recorder between the daemon and a process-wide
-    /// panic hook is the intended use.
+    /// journal/compaction ops) dumped to `data_dir/alserve.alfr` by the
+    /// server's durability writer. Every `Accepted` ack waits for a dump
+    /// that holds its accept event; terminal edges request a dump without
+    /// waiting, so after a SIGKILL the dump holds every acked job and may
+    /// lag the journal by the jobs that settled since the last dump.
+    /// Sharing one recorder between the daemon and a process-wide panic
+    /// hook is the intended use.
     pub flight: Arc<FlightRecorder>,
     /// End-to-end latency target per request for the per-tenant SLO
     /// (accept → terminal). Requests over this burn the tenant's error
@@ -300,6 +316,208 @@ impl JobQueue {
     }
 }
 
+/// `data_dir/job-<id>.ckpt`, the one checkpoint file a job owns.
+fn ckpt_path(data_dir: &Path, job_id: u64) -> PathBuf {
+    data_dir.join(format!("job-{job_id}.ckpt"))
+}
+
+/// The job id a checkpoint file or an atomic write's leftover temp file
+/// (`job-<id>.ckpt`, `job-<id>.ckpt.tmp`) belongs to.
+fn ckpt_file_job(name: &str) -> Option<u64> {
+    let stem = name.strip_prefix("job-")?;
+    let id = stem
+        .strip_suffix(".ckpt.tmp")
+        .or_else(|| stem.strip_suffix(".ckpt"))?;
+    id.parse().ok()
+}
+
+/// Work waiting for the durability writer.
+#[derive(Default)]
+struct DurabilityQueue {
+    /// Encoded checkpoints by job id. Latest wins: a newer snapshot
+    /// replaces one the writer has not started on.
+    checkpoints: BTreeMap<u64, Vec<u8>>,
+    /// The job whose checkpoint the writer is writing right now.
+    writing: Option<u64>,
+    /// Flight events the next dump must cover: the recorder's `total()`
+    /// at the newest request.
+    flight_wanted: u64,
+    /// Flight events the last finished dump covers.
+    flight_done: u64,
+    /// Set by `stop`: finish the queued work, then exit.
+    stop: bool,
+    /// Set when the writer thread has returned, so no caller waits on it.
+    exited: bool,
+    /// Times the writer woke from its wait, to show it never polls.
+    #[cfg(test)]
+    wakeups: u64,
+}
+
+/// The one background thread that writes checkpoints and flight dumps,
+/// so solve workers and connection threads never fsync either. Flight
+/// dumps go ahead of checkpoints, and one dump serves every request
+/// pending when it starts (group commit). Being the only writer of
+/// `alserve.alfr` also keeps the dump monotone: a dump is never replaced
+/// by one encoded from an older ring.
+struct Durability {
+    queue: Mutex<DurabilityQueue>,
+    /// Wakes the writer.
+    work: Condvar,
+    /// Wakes callers waiting for a dump or for a checkpoint write to end.
+    done: Condvar,
+    storage: Arc<dyn StorageIo>,
+    flight: Arc<FlightRecorder>,
+    data_dir: PathBuf,
+    telemetry: Option<Arc<Telemetry>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Durability {
+    /// Spawns the writer thread.
+    fn start(
+        storage: Arc<dyn StorageIo>,
+        flight: Arc<FlightRecorder>,
+        data_dir: PathBuf,
+        telemetry: Option<Arc<Telemetry>>,
+    ) -> io::Result<Arc<Durability>> {
+        let writer = Arc::new(Durability {
+            queue: Mutex::new(DurabilityQueue::default()),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            storage,
+            flight,
+            data_dir,
+            telemetry,
+            thread: Mutex::new(None),
+        });
+        let run = Arc::clone(&writer);
+        let handle = std::thread::Builder::new()
+            .name("alserve-durability".to_owned())
+            .spawn(move || run.run())?;
+        *lock(&writer.thread) = Some(handle);
+        Ok(writer)
+    }
+
+    fn run(&self) {
+        /// Marks the writer gone even if a write panics, so no caller
+        /// waits for it forever.
+        struct Exit<'a>(&'a Durability);
+        impl Drop for Exit<'_> {
+            fn drop(&mut self) {
+                lock(&self.0.queue).exited = true;
+                self.0.done.notify_all();
+            }
+        }
+        let _exit = Exit(self);
+        if let Some(tele) = &self.telemetry {
+            tele.name_thread("alserve-durability");
+        }
+        let mut queue = lock(&self.queue);
+        loop {
+            if queue.flight_wanted > queue.flight_done {
+                // Read before the dump encodes the ring, so the dump holds
+                // at least this many events.
+                let covers = self.flight.total();
+                drop(queue);
+                self.dump_flight();
+                queue = lock(&self.queue);
+                queue.flight_done = queue.flight_done.max(covers);
+                self.done.notify_all();
+            } else if let Some((job_id, bytes)) = queue.checkpoints.pop_first() {
+                queue.writing = Some(job_id);
+                drop(queue);
+                self.write_checkpoint(job_id, &bytes);
+                queue = lock(&self.queue);
+                queue.writing = None;
+                self.done.notify_all();
+            } else if queue.stop {
+                return;
+            } else {
+                queue = self
+                    .work
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
+                #[cfg(test)]
+                {
+                    queue.wakeups += 1;
+                }
+            }
+        }
+    }
+
+    /// Best-effort atomic dump of the flight ring next to the journal.
+    fn dump_flight(&self) {
+        let _span = alrescha_obs::span!(self.telemetry, "durability:flight-dump");
+        let _ = self.flight.sync_to(&self.data_dir.join("alserve.alfr"));
+    }
+
+    /// Atomic checkpoint write through the configured storage. A failed
+    /// write degrades durability, not correctness: recovery falls back to
+    /// the previous intact checkpoint, or to iteration 0.
+    fn write_checkpoint(&self, job_id: u64, bytes: &[u8]) {
+        let _span = alrescha_obs::span!(self.telemetry, format!("durability:checkpoint:{job_id}"));
+        let _ = write_atomic_with(
+            self.storage.as_ref(),
+            &ckpt_path(&self.data_dir, job_id),
+            bytes,
+        );
+    }
+
+    /// Queues `bytes` as job `job_id`'s newest checkpoint, replacing any
+    /// older one still waiting.
+    fn checkpoint(&self, job_id: u64, bytes: Vec<u8>) {
+        lock(&self.queue).checkpoints.insert(job_id, bytes);
+        self.work.notify_one();
+    }
+
+    /// Drops job `job_id`'s waiting checkpoint and waits out a write of
+    /// it already under way, so the caller can unlink the file for good.
+    fn cancel_checkpoint(&self, job_id: u64) {
+        let mut queue = lock(&self.queue);
+        queue.checkpoints.remove(&job_id);
+        while queue.writing == Some(job_id) {
+            queue = self
+                .done
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Requests a dump holding every flight event recorded so far and
+    /// waits until one is on disk.
+    fn sync_flight(&self) {
+        self.request_flight(true);
+    }
+
+    /// Requests a dump holding every flight event recorded so far, and
+    /// returns at once.
+    fn queue_flight(&self) {
+        self.request_flight(false);
+    }
+
+    fn request_flight(&self, wait: bool) {
+        let target = self.flight.total();
+        let mut queue = lock(&self.queue);
+        queue.flight_wanted = queue.flight_wanted.max(target);
+        self.work.notify_one();
+        while wait && queue.flight_done < target && !queue.exited {
+            queue = self
+                .done
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Finishes the queued work, then joins the writer thread.
+    fn stop(&self) {
+        lock(&self.queue).stop = true;
+        self.work.notify_one();
+        if let Some(handle) = lock(&self.thread).take() {
+            let _ = handle.join();
+        }
+    }
+}
+
 /// State shared between the accept loop, connection threads, and workers.
 struct Inner {
     config: ServerConfig,
@@ -331,6 +549,8 @@ struct Inner {
     /// strings, so transitions (and only transitions) hit the flight
     /// recorder.
     breaker_seen: Mutex<(String, String)>,
+    /// The checkpoint and flight-dump writer.
+    durability: Arc<Durability>,
 }
 
 impl Inner {
@@ -345,11 +565,7 @@ impl Inner {
     }
 
     fn ckpt_path(&self, job_id: u64) -> PathBuf {
-        self.config.data_dir.join(format!("job-{job_id}.ckpt"))
-    }
-
-    fn flight_path(&self) -> PathBuf {
-        self.config.data_dir.join("alserve.alfr")
+        ckpt_path(&self.config.data_dir, job_id)
     }
 
     /// Records one flight event (always on; the ring is allocation-free).
@@ -357,11 +573,10 @@ impl Inner {
         self.config.flight.record(code, a, b, tag);
     }
 
-    /// Best-effort atomic dump of the flight ring next to the journal.
-    /// Called at durability points so a SIGKILL leaves a dump whose tail
-    /// matches the journal tail.
+    /// Waits for a flight dump holding every event recorded so far, so a
+    /// SIGKILL after this call leaves a dump that reaches this point.
     fn flight_sync(&self) {
-        let _ = self.config.flight.sync_to(&self.flight_path());
+        self.durability.sync_flight();
     }
 
     /// Burn-window slot for "now": whole seconds since server start.
@@ -561,15 +776,37 @@ impl Server {
             cv: Condvar::new(),
         });
 
+        let (listener, local_addr) = match &config.bind {
+            Bind::Tcp(addr) => {
+                let l = TcpListener::bind(addr)?;
+                let actual = l.local_addr()?.to_string();
+                (Listener::Tcp(l), actual)
+            }
+            Bind::Unix(path) => {
+                let _ = std::fs::remove_file(path);
+                (
+                    Listener::Unix(UnixListener::bind(path)?),
+                    path.display().to_string(),
+                )
+            }
+        };
+        listener.set_nonblocking(true)?;
+
+        // Checkpoints and flight dumps are written by one background
+        // thread, so the workers only solve.
+        let durability = Durability::start(
+            Arc::clone(&config.storage),
+            Arc::clone(&config.flight),
+            config.data_dir.clone(),
+            config.telemetry.clone(),
+        )?;
+
         // The fleet's checkpoint hook runs on worker threads between solver
-        // iterations: persist atomically, then publish progress to waiters.
-        // A failed checkpoint write degrades durability, not correctness —
-        // recovery falls back to the previous intact checkpoint (or a
-        // restart from iteration zero).
+        // iterations: encode the snapshot and hand it to the durability
+        // writer, then publish progress to waiters.
         let trace_ids: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-        let hook_dir = config.data_dir.clone();
         let hook_status = Arc::clone(&status);
-        let hook_storage = Arc::clone(&config.storage);
+        let hook_durability = Arc::clone(&durability);
         let hook_flight = Arc::clone(&config.flight);
         let hook_traces = Arc::clone(&trace_ids);
         let hook_tele = config.telemetry.clone();
@@ -588,10 +825,7 @@ impl Server {
                 }
             }
             hook_flight.record(flight::EV_CHECKPOINT, job_id, iteration, "ckpt");
-            let _ = ckpt.write_to_path_with(
-                hook_storage.as_ref(),
-                &hook_dir.join(format!("job-{job_id}.ckpt")),
-            );
+            hook_durability.checkpoint(job_id, ckpt.to_bytes());
             hook_status.set(
                 job_id,
                 JobState::Running {
@@ -603,21 +837,6 @@ impl Server {
         let fleet = match &config.telemetry {
             Some(tele) => fleet.with_telemetry(Arc::clone(tele)),
             None => fleet,
-        };
-
-        let (listener, local_addr) = match &config.bind {
-            Bind::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                let actual = l.local_addr()?.to_string();
-                (Listener::Tcp(l), actual)
-            }
-            Bind::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                (
-                    Listener::Unix(UnixListener::bind(path)?),
-                    path.display().to_string(),
-                )
-            }
         };
 
         let quota = QuotaTable::new(config.per_tenant_quota, config.retry_after_hint);
@@ -650,6 +869,7 @@ impl Server {
             trace_ids,
             started: Instant::now(),
             breaker_seen: Mutex::new(breaker_seen),
+            durability,
         });
         if compaction_failed {
             inner.count(
@@ -691,10 +911,12 @@ impl Server {
 
         // Recovery replay: every owed job goes back on the queue, resuming
         // from its newest intact checkpoint when one exists.
+        let mut pending = BTreeSet::new();
         {
             let mut queue = lock(&inner.queue);
             let mut quota = lock(&inner.quota);
             for (job_id, tenant, job) in recovered {
+                pending.insert(job_id);
                 let resume = SolverCheckpoint::read_from_path_with(
                     inner.config.storage.as_ref(),
                     &inner.ckpt_path(job_id),
@@ -723,6 +945,7 @@ impl Server {
             }
         }
         inner.queue_cv.notify_all();
+        remove_orphan_checkpoints(&inner, &pending);
         inner.flight_sync();
 
         let mut worker_threads = Vec::with_capacity(workers);
@@ -731,7 +954,6 @@ impl Server {
             worker_threads.push(std::thread::spawn(move || worker_loop(&inner, w)));
         }
 
-        listener.set_nonblocking(true)?;
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || accept_loop(&inner, &listener))
@@ -743,6 +965,29 @@ impl Server {
             workers: worker_threads,
             accept: Some(accept),
         })
+    }
+}
+
+/// Deletes the checkpoint files (`job-<id>.ckpt`) and leftover atomic-write
+/// temp files (`job-<id>.ckpt.tmp`) of every job recovery does not owe.
+/// A crash between a terminal journal record and the unlink, or in the
+/// middle of an atomic write, leaves them behind; nothing reads them again.
+fn remove_orphan_checkpoints(inner: &Inner, pending: &BTreeSet<u64>) {
+    let Ok(entries) = std::fs::read_dir(&inner.config.data_dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let orphan = name
+            .to_str()
+            .and_then(ckpt_file_job)
+            .is_some_and(|job_id| !pending.contains(&job_id));
+        if orphan && inner.config.storage.remove_file(&entry.path()).is_ok() {
+            inner.count(
+                "alserve_orphan_checkpoints_removed_total",
+                "checkpoint and temp files of jobs not owed, removed at startup",
+            );
+        }
     }
 }
 
@@ -816,6 +1061,8 @@ impl ServerHandle {
         for h in conns {
             let _ = h.join();
         }
+        // Last: the workers' final terminal dumps are queued by now.
+        self.inner.durability.stop();
     }
 }
 
@@ -1299,7 +1546,9 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
 /// `Done` frames are sent with the solution vector stripped: observers
 /// get the job's progress and scalar outcome, not the tenant's data.
 fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool) -> bool {
-    let mut last_sent: Option<String> = None;
+    // The last progress frame sent, as (iteration, residual bits): a
+    // repeat of it is not sent again. A terminal frame ends the loop.
+    let mut last_progress: Option<(u64, u64)> = None;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return false;
@@ -1313,12 +1562,19 @@ fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool
                 result.x = Vec::new();
             }
         }
-        let key = format!("{frame:?}");
-        if last_sent.as_deref() != Some(&key) {
+        let progress = match &frame {
+            Frame::Progress {
+                iteration,
+                residual,
+                ..
+            } => Some((*iteration, residual.to_bits())),
+            _ => None,
+        };
+        if progress.is_none() || progress != last_progress {
             if frame.write_to(stream).is_err() {
                 return false;
             }
-            last_sent = Some(key);
+            last_progress = progress;
         }
         if state.is_terminal() {
             return true;
@@ -1496,6 +1752,8 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
             "failed"
         },
     );
+    // No checkpoint of this job may land after the unlink.
+    inner.durability.cancel_checkpoint(job_id);
     let _ = inner.config.storage.remove_file(&inner.ckpt_path(job_id));
     lock(&inner.quota).release(&tenant);
     lock(&inner.trace_ids).remove(&job_id);
@@ -1513,13 +1771,261 @@ fn run_job(inner: &Arc<Inner>, station: &mut Station, job: QueuedJob) {
         "jobs that reached a terminal state",
     );
     inner.status.set(job_id, state);
-    inner.flight_sync();
+    // The terminal dump does not hold up the worker: the journal record
+    // above is the durability point, and the dump may lag it.
+    inner.durability.queue_flight();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{Client, RetryPolicy};
+    use alrescha::storage::StorageFile;
+    use alrescha_obs::SpanEvent;
+
+    fn tempdir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("alserve-unit-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Where [`ParkingStorage`] holds its callers.
+    #[derive(Debug, Default)]
+    struct Gate {
+        /// (the writer is parked in a checkpoint write, the test released it)
+        state: Mutex<(bool, bool)>,
+        cv: Condvar,
+        /// Fsyncs of journal appends so far.
+        journal_syncs: AtomicU64,
+    }
+
+    impl Gate {
+        fn wait_parked(&self) {
+            let state = lock(&self.state);
+            drop(self.cv.wait_while(state, |s| !s.0).unwrap());
+        }
+
+        fn release(&self) {
+            lock(&self.state).1 = true;
+            self.cv.notify_all();
+        }
+    }
+
+    /// The real filesystem, logging every file it creates. The first
+    /// checkpoint `create` parks the writer until the test calls
+    /// `release`. Every journal append fsync after the first (a job's
+    /// accept) waits until the writer is parked, so a job cannot settle
+    /// before the writer has started on one of its checkpoints.
+    #[derive(Debug, Default)]
+    struct ParkingStorage {
+        gate: Arc<Gate>,
+        created: Mutex<Vec<PathBuf>>,
+    }
+
+    struct GatedJournal {
+        file: Box<dyn StorageFile>,
+        gate: Arc<Gate>,
+    }
+
+    impl StorageFile for GatedJournal {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.file.write(buf)
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            if self.gate.journal_syncs.fetch_add(1, Ordering::SeqCst) > 0 {
+                self.gate.wait_parked();
+            }
+            self.file.sync()
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.file.set_len(len)
+        }
+    }
+
+    impl StorageIo for ParkingStorage {
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            Ok(Box::new(GatedJournal {
+                file: RealStorage.open_append(path)?,
+                gate: Arc::clone(&self.gate),
+            }))
+        }
+
+        fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            lock(&self.created).push(path.to_owned());
+            let checkpoint = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(ckpt_file_job)
+                .is_some();
+            let mut state = lock(&self.gate.state);
+            if checkpoint && !state.0 {
+                state.0 = true;
+                self.gate.cv.notify_all();
+                drop(self.gate.cv.wait_while(state, |s| !s.1).unwrap());
+            }
+            RealStorage.create(path)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealStorage.read(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealStorage.rename(from, to)
+        }
+
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            RealStorage.remove_file(path)
+        }
+
+        fn sync_parent_dir(&self, path: &Path) -> io::Result<()> {
+            RealStorage.sync_parent_dir(path)
+        }
+    }
+
+    /// A job's terminal edge waits out the write of its checkpoint under
+    /// way, so no checkpoint file outlives its job: the writer is held
+    /// inside one of the job's checkpoint writes until the job's terminal
+    /// journal record is in.
+    #[test]
+    fn no_checkpoint_lands_after_its_job_settles() {
+        let dir = tempdir("outlive");
+        let storage = Arc::new(ParkingStorage::default());
+        let flight = Arc::new(FlightRecorder::new(1 << 12));
+        let server = Server::new(ServerConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            checkpoint_every: 1,
+            storage: Arc::clone(&storage) as Arc<dyn StorageIo>,
+            flight: Arc::clone(&flight),
+            ..ServerConfig::default()
+        })
+        .start()
+        .unwrap();
+        let matrix = alrescha_sparse::gen::stencil27(3);
+        let job = JobPayload {
+            b: vec![1.0; matrix.rows()],
+            matrix,
+            tol: 1e-10,
+            max_iters: 200,
+            priority: 0,
+        };
+        // Submit from another thread: the accept's flight dump may queue
+        // behind the parked writer.
+        let addr = server.addr().to_owned();
+        let client = std::thread::spawn(move || {
+            let mut client = Client::tcp(addr, RetryPolicy::default());
+            let job_id = client.submit("acme", &job).unwrap();
+            (job_id, client.wait(job_id).unwrap())
+        });
+        let settled = || {
+            flight
+                .snapshot()
+                .iter()
+                .any(|r| r.code == flight::EV_JOURNAL_TERMINAL)
+        };
+        while !settled() {
+            std::thread::yield_now();
+        }
+        storage.gate.release();
+        let (job_id, result) = client.join().unwrap();
+        assert!(result.converged);
+        server.stop();
+        let writes = lock(&storage.created)
+            .iter()
+            .filter(|p| p.ends_with(format!("job-{job_id}.ckpt.tmp")))
+            .count();
+        assert!(writes >= 1, "the job was never checkpointed");
+        assert!(
+            !ckpt_path(&dir, job_id).exists(),
+            "a checkpoint landed after its job settled"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// While the writer is busy: three checkpoints of one job collapse to
+    /// the newest, three dump requests to one dump, and the dump goes
+    /// ahead of the checkpoint.
+    #[test]
+    fn work_queued_behind_a_busy_writer_collapses() {
+        let dir = tempdir("collapse");
+        let storage = Arc::new(ParkingStorage::default());
+        let flight = Arc::new(FlightRecorder::new(16));
+        let tele = Telemetry::new();
+        let writer = Durability::start(
+            Arc::clone(&storage) as Arc<dyn StorageIo>,
+            Arc::clone(&flight),
+            dir.clone(),
+            Some(Arc::clone(&tele)),
+        )
+        .unwrap();
+        writer.checkpoint(9, b"other job".to_vec());
+        storage.gate.wait_parked();
+        for (i, bytes) in [b"old", b"mid", b"new"].into_iter().enumerate() {
+            writer.checkpoint(1, bytes.to_vec());
+            flight.record(flight::EV_ADMIT_OK, 0, i as u64, "");
+            writer.queue_flight();
+        }
+        storage.gate.release();
+        writer.stop();
+
+        assert_eq!(std::fs::read(ckpt_path(&dir, 1)).unwrap(), b"new");
+        assert_eq!(std::fs::read(ckpt_path(&dir, 9)).unwrap(), b"other job");
+        let job1_writes = lock(&storage.created)
+            .iter()
+            .filter(|p| p.ends_with("job-1.ckpt.tmp"))
+            .count();
+        assert_eq!(job1_writes, 1, "superseded checkpoints were written");
+        let dump = flight::FlightDump::read(&dir.join("alserve.alfr"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(dump.records.len(), 3, "the dump misses a requested event");
+        let spans: Vec<String> = tele
+            .snapshot_threads()
+            .into_iter()
+            .flat_map(|t| t.events)
+            .filter_map(|e| match e {
+                SpanEvent::Begin { name, .. } => Some(name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                "durability:checkpoint:9",
+                "durability:flight-dump",
+                "durability:checkpoint:1"
+            ]
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The idle writer blocks on its condvar: it does not wake without
+    /// work, and `stop` wakes and joins it.
+    #[test]
+    fn idle_writer_never_wakes_and_stop_joins_it() {
+        let dir = tempdir("idle");
+        let flight = Arc::new(FlightRecorder::new(16));
+        let writer = Durability::start(
+            Arc::new(RealStorage),
+            Arc::clone(&flight),
+            dir.clone(),
+            None,
+        )
+        .unwrap();
+        flight.record(flight::EV_START, 0, 0, "");
+        writer.sync_flight();
+        let woken = lock(&writer.queue).wakeups;
+        std::thread::sleep(Duration::from_millis(120));
+        assert_eq!(lock(&writer.queue).wakeups, woken, "the idle writer polled");
+        writer.stop();
+        assert!(lock(&writer.queue).exited);
+        assert!(lock(&writer.thread).is_none());
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn closed_connections_do_not_pin_thread_handles() {

@@ -57,11 +57,13 @@ fn server_config(data_dir: PathBuf, telemetry: Option<Arc<Telemetry>>) -> Server
     }
 }
 
-/// The real filesystem, except that checkpoint writes wait while the gate
-/// is shut, so a test can hold a job in flight mid-solve.
+/// The real filesystem, except that unlinking a checkpoint file waits
+/// while the gate is shut. A worker unlinks its job's checkpoint at the
+/// terminal edge, before the job's quota slot and `Done` are released,
+/// so a test can hold a job in flight on its worker.
 #[derive(Debug, Default)]
 struct GatedStorage {
-    /// (gate shut, checkpoint writers waiting at it)
+    /// (gate shut, workers waiting at it)
     state: Mutex<(bool, usize)>,
     cv: Condvar,
 }
@@ -72,7 +74,7 @@ impl GatedStorage {
         self.cv.notify_all();
     }
 
-    fn wait_for_blocked_writer(&self) {
+    fn wait_for_blocked_worker(&self) {
         let state = self.state.lock().unwrap();
         drop(self.cv.wait_while(state, |s| s.1 == 0).unwrap());
     }
@@ -84,16 +86,6 @@ impl StorageIo for GatedStorage {
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-        let checkpoint = path
-            .file_name()
-            .is_some_and(|n| n.to_string_lossy().starts_with("job-"));
-        if checkpoint {
-            let mut state = self.state.lock().unwrap();
-            state.1 += 1;
-            self.cv.notify_all();
-            state = self.cv.wait_while(state, |s| s.0).unwrap();
-            state.1 -= 1;
-        }
         RealStorage.create(path)
     }
 
@@ -106,6 +98,17 @@ impl StorageIo for GatedStorage {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
+        let checkpoint = path.file_name().is_some_and(|n| {
+            let n = n.to_string_lossy();
+            n.starts_with("job-") && n.ends_with(".ckpt")
+        });
+        if checkpoint {
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            self.cv.notify_all();
+            state = self.cv.wait_while(state, |s| s.0).unwrap();
+            state.1 -= 1;
+        }
         RealStorage.remove_file(path)
     }
 
@@ -362,7 +365,7 @@ fn burning_tenant_gets_scaled_retry_after() {
     assert!(client.wait(first).unwrap().converged);
 
     // Fill the quota slot — the shut gate holds the job in flight at its
-    // first checkpoint, however fast the solve — then probe with a raw
+    // terminal edge, however fast the solve — then probe with a raw
     // frame so the in-band rejection's retry_after hint is directly
     // observable: it must be the base hint scaled by the 8× burn ramp.
     storage.shut(true);
@@ -394,8 +397,8 @@ fn burning_tenant_gets_scaled_retry_after() {
 }
 
 /// `Scrape Top` lists every tenant holding quota, not only tenants with a
-/// finished job: with one worker held mid-solve on alpha's job and beta's
-/// queued behind it, both tenants get a row.
+/// finished job: with one worker held on alpha's job and beta's queued
+/// behind it, both tenants get a row.
 #[test]
 fn top_lists_running_and_queued_tenants() {
     let dir = tempdir("top");
@@ -408,7 +411,7 @@ fn top_lists_running_and_queued_tenants() {
     let handle = Server::new(config).start().unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(7));
     let alpha = client.submit("alpha", &sample_job(3, 1)).unwrap();
-    storage.wait_for_blocked_writer();
+    storage.wait_for_blocked_worker();
     let beta = client.submit("beta", &sample_job(3, 2)).unwrap();
     let top = client.scrape(ScrapeKind::Top).unwrap();
     storage.shut(false);
@@ -425,5 +428,89 @@ fn top_lists_running_and_queued_tenants() {
     assert!(client.wait(alpha).unwrap().converged);
     assert!(client.wait(beta).unwrap().converged);
     handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The dump on disk never goes backwards: with several clients, two
+/// workers and a checkpoint at every iteration (so accept, terminal and
+/// checkpoint traffic interleave), the dump read right after each ack
+/// decodes and holds that job's accept event. The ring is large enough
+/// that no accept event is evicted during the test.
+#[test]
+fn every_ack_is_covered_by_the_flight_dump_on_disk() {
+    let dir = tempdir("ack-dump");
+    let mut config = server_config(dir.clone(), None);
+    config.checkpoint_every = 1;
+    config.flight = Arc::new(flight::FlightRecorder::new(1 << 16));
+    let handle = Server::new(config).start().unwrap();
+    let dump_path = dir.join("alserve.alfr");
+    let clients: Vec<_> = (0..4u64)
+        .map(|c| {
+            let addr = handle.addr().to_owned();
+            let dump_path = dump_path.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::tcp(addr, fast_policy(100 + c));
+                for j in 0..10 {
+                    let job_id = client
+                        .submit(&format!("tenant-{c}"), &sample_job(3, c * 10 + j))
+                        .unwrap();
+                    let dump = FlightDump::read(&dump_path)
+                        .expect("dump file exists after an ack")
+                        .expect("dump is CRC-valid after an ack");
+                    assert!(
+                        dump.records
+                            .iter()
+                            .any(|r| r.code == flight::EV_JOURNAL_ACCEPT && r.b == job_id),
+                        "client {c}: acked job {job_id} missing from the dump on disk"
+                    );
+                    assert!(client.wait(job_id).unwrap().converged);
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Workers only solve: every checkpoint write and flight dump of a
+/// fault-free run happens inside a `durability:` span, and every such
+/// span sits on the durability writer's track, none on a worker's.
+#[test]
+fn workers_write_no_checkpoints_or_flight_dumps() {
+    let dir = tempdir("writer-spans");
+    let tele = Telemetry::new();
+    let mut config = server_config(dir.clone(), Some(tele.clone()));
+    config.checkpoint_every = 1;
+    let handle = Server::new(config).start().unwrap();
+    let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(11));
+    for seed in 0..3 {
+        let job_id = client.submit("acme", &sample_job(3, seed)).unwrap();
+        assert!(client.wait(job_id).unwrap().converged);
+    }
+    handle.stop();
+
+    let (mut checkpoints, mut dumps) = (0, 0);
+    let mut worker_tracks = 0;
+    for track in tele.snapshot_threads() {
+        let name = track.name.unwrap_or_default();
+        worker_tracks += usize::from(name.starts_with("alserve-worker-"));
+        for event in &track.events {
+            let alrescha_obs::SpanEvent::Begin { name: span, .. } = event else {
+                continue;
+            };
+            if !span.starts_with("durability:") {
+                continue;
+            }
+            assert_eq!(name, "alserve-durability", "{span} ran on track {name:?}");
+            checkpoints += usize::from(span.starts_with("durability:checkpoint:"));
+            dumps += usize::from(span == "durability:flight-dump");
+        }
+    }
+    assert!(worker_tracks > 0, "no worker track was recorded");
+    assert!(checkpoints > 0, "no checkpoint write was traced");
+    assert!(dumps > 0, "no flight dump was traced");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -255,6 +255,87 @@ fn recovery_resumes_from_checkpoint_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash between a job's terminal journal record and the unlink of its
+/// checkpoint, or in the middle of an atomic checkpoint write, leaves
+/// `job-<id>.ckpt` or `job-<id>.ckpt.tmp` behind. Startup removes both
+/// kinds for a settled job, and a pending job still resumes from its own
+/// checkpoint.
+#[test]
+fn startup_removes_orphaned_checkpoints_of_settled_jobs() {
+    let dir = tempdir("orphans");
+    let settled = sample_job(3, 4);
+    let pending = sample_job(3, 11);
+    {
+        let mut journal = Journal::open(dir.join("jobs.wal")).unwrap();
+        journal.accept(1, "acme", &settled).unwrap();
+        journal
+            .terminal(&JournalRecord::Completed {
+                job_id: 1,
+                fingerprint: reference_fingerprint(&settled),
+                iterations: 1,
+                residual: 0.0,
+                converged: true,
+            })
+            .unwrap();
+        journal.accept(2, "acme", &pending).unwrap();
+    }
+    let captured: Arc<Mutex<Vec<SolverCheckpoint>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&captured);
+    let fleet = Fleet::new(FleetConfig::default().with_workers(1)).with_checkpoint_hook(Arc::new(
+        move |_, ckpt| sink.lock().unwrap().push(ckpt.clone()),
+    ));
+    let report = fleet.run_sequential(vec![spec_for(&pending).with_id(2).with_checkpoint_every(3)]);
+    assert!(report.jobs[0].result.is_ok());
+    let mid = {
+        let checkpoints = captured.lock().unwrap();
+        assert!(
+            checkpoints.len() >= 2,
+            "job too short to test mid-solve resume"
+        );
+        checkpoints[checkpoints.len() / 2].clone()
+    };
+    assert!(mid.iteration > 0);
+    mid.write_to_path(&dir.join("job-2.ckpt")).unwrap();
+    // The settled job's remnants: a whole checkpoint and a torn temp file.
+    mid.write_to_path(&dir.join("job-1.ckpt")).unwrap();
+    std::fs::write(dir.join("job-1.ckpt.tmp"), b"ALCK torn").unwrap();
+    // Files that only look alike are not the server's to remove.
+    std::fs::write(dir.join("job-x.ckpt"), b"keep").unwrap();
+
+    let config = server_config(dir.clone());
+    let flight = Arc::clone(&config.flight);
+    let handle = Server::new(config).start().unwrap();
+    assert!(
+        !dir.join("job-1.ckpt").exists(),
+        "settled job's checkpoint survived start"
+    );
+    assert!(
+        !dir.join("job-1.ckpt.tmp").exists(),
+        "settled job's temp file survived start"
+    );
+    assert!(
+        dir.join("job-x.ckpt").exists(),
+        "a foreign file was removed"
+    );
+    let mut client = Client::tcp(handle.addr().to_owned(), fast_policy());
+    let result = client.wait(2).unwrap();
+    assert_eq!(
+        result.solution_fingerprint,
+        reference_fingerprint(&pending),
+        "resumed solve is not bit-identical to the uninterrupted reference"
+    );
+    handle.stop();
+    assert!(
+        flight
+            .snapshot()
+            .iter()
+            .any(|r| r.code == alrescha_obs::flight::EV_RECOVERY && r.a == 2 && r.b == 1),
+        "the pending job did not resume from its checkpoint"
+    );
+    assert!(!dir.join("job-2.ckpt").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Priority scheduling is deterministic: strict priority order across
 /// levels, stable FIFO (journal id order) within a level — observable in
 /// the journal's terminal-record order. Forging the backlog as Accepted
