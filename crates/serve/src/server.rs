@@ -47,7 +47,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -254,6 +254,10 @@ impl JobState {
 /// exactly one source of truth for `Status`/`Wait` clients.
 struct StatusBoard {
     map: Mutex<HashMap<u64, JobState>>,
+    /// Bumped under `map`'s lock by every [`StatusBoard::set`], so a
+    /// waiter holding the lock can tell whether anything changed since it
+    /// last read the map.
+    version: AtomicU64,
     cv: Condvar,
 }
 
@@ -265,6 +269,7 @@ impl StatusBoard {
         if !settled {
             map.insert(job_id, state);
         }
+        self.version.fetch_add(1, Ordering::Relaxed);
         drop(map);
         self.cv.notify_all();
     }
@@ -673,11 +678,42 @@ impl Listener {
             }
         }
     }
+}
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+/// Where [`ServerHandle::stop`] connects to wake the accept loop out of
+/// its blocking `accept`.
+enum WakeAddr {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl WakeAddr {
+    /// The listener's own address, with an unspecified bind IP replaced by
+    /// the loopback address of its family.
+    fn of(listener: &Listener, bind: &Bind) -> io::Result<Self> {
+        Ok(match (listener, bind) {
+            (Listener::Tcp(l), _) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                        IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                    });
+                }
+                WakeAddr::Tcp(addr)
+            }
+            (Listener::Unix(_), Bind::Unix(path)) => WakeAddr::Unix(path.clone()),
+            (Listener::Unix(_), Bind::Tcp(_)) => {
+                return Err(io::Error::other("unix listener on a tcp bind"))
+            }
+        })
+    }
+
+    /// Opens and drops one connection; true when it was accepted.
+    fn wake(&self) -> bool {
         match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            Listener::Unix(l) => l.set_nonblocking(nb),
+            WakeAddr::Tcp(addr) => TcpStream::connect(addr).is_ok(),
+            WakeAddr::Unix(path) => UnixStream::connect(path).is_ok(),
         }
     }
 }
@@ -773,6 +809,7 @@ impl Server {
 
         let status = Arc::new(StatusBoard {
             map: Mutex::new(HashMap::new()),
+            version: AtomicU64::new(0),
             cv: Condvar::new(),
         });
 
@@ -790,7 +827,7 @@ impl Server {
                 )
             }
         };
-        listener.set_nonblocking(true)?;
+        let wake = WakeAddr::of(&listener, &config.bind)?;
 
         // Checkpoints and flight dumps are written by one background
         // thread, so the workers only solve.
@@ -964,6 +1001,7 @@ impl Server {
             inner,
             workers: worker_threads,
             accept: Some(accept),
+            wake,
         })
     }
 }
@@ -997,6 +1035,7 @@ pub struct ServerHandle {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     accept: Option<JoinHandle<()>>,
+    wake: WakeAddr,
 }
 
 impl fmt::Debug for ServerHandle {
@@ -1048,11 +1087,23 @@ impl ServerHandle {
     fn shutdown_and_join(&mut self) {
         self.inner.fr(flight::EV_SHUTDOWN, 0, 0, "graceful stop");
         self.inner.flight_sync();
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue lock, and fenced by the status lock, so a
+        // worker or waiter either sees the flag before it waits or is
+        // already waiting when the notification comes: none sleeps on.
+        {
+            let _queue = lock(&self.inner.queue);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
+        drop(lock(&self.inner.status.map));
         self.inner.status.cv.notify_all();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The accept loop blocks in `accept`: one connection wakes it
+            // to see the flag. Should the connection fail, the thread is
+            // left blocked rather than joined.
+            if self.wake.wake() {
+                let _ = h.join();
+            }
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -1103,11 +1154,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener) {
     if let Some(tele) = inner.tele() {
         tele.name_thread("alserve-accept");
     }
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+    while !inner.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The connection that wakes the loop at stop.
+            Ok(_) if inner.shutdown.load(Ordering::SeqCst) => break,
             Ok(stream) => {
                 let conn_inner = Arc::clone(inner);
                 let h = std::thread::spawn(move || connection_loop(&conn_inner, stream));
@@ -1119,9 +1169,8 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener) {
                 }
                 conns.push(h);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A failed accept (out of descriptors, say) backs off briefly
+            // rather than spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -1549,11 +1598,19 @@ fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool
     // The last progress frame sent, as (iteration, residual bits): a
     // repeat of it is not sent again. A terminal frame ends the loop.
     let mut last_progress: Option<(u64, u64)> = None;
+    let board = &inner.status;
     loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        let Some(state) = inner.status.get(job_id) else {
+        let (state, seen) = {
+            let map = lock(&board.map);
+            if inner.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            (
+                map.get(&job_id).cloned(),
+                board.version.load(Ordering::Relaxed),
+            )
+        };
+        let Some(state) = state else {
             return Frame::NotFound { job_id }.write_to(stream).is_ok();
         };
         let mut frame = state.to_frame(job_id);
@@ -1579,14 +1636,13 @@ fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool
         if state.is_terminal() {
             return true;
         }
-        let map = lock(&inner.status.map);
-        drop(
-            inner
-                .status
-                .cv
-                .wait_timeout(map, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner),
-        );
+        // Sleep until the board changes after `seen`, or the server stops.
+        let mut map = lock(&board.map);
+        while board.version.load(Ordering::Relaxed) == seen
+            && !inner.shutdown.load(Ordering::SeqCst)
+        {
+            map = board.cv.wait(map).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -1609,11 +1665,10 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
                 if let Some(job) = queue.pop() {
                     break job;
                 }
-                let (q, _) = inner
+                queue = inner
                     .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
-                queue = q;
             }
         };
         run_job(inner, &mut station, job);
@@ -2025,6 +2080,46 @@ mod tests {
         assert!(lock(&writer.queue).exited);
         assert!(lock(&writer.thread).is_none());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// With a blocking accept and untimed condvar waits, `stop` still
+    /// returns at once, on a TCP and on a Unix bind: the idle workers, a
+    /// connection parked in a `Wait` on a job that never settles, and the
+    /// accept loop all wake to the shutdown flag.
+    #[test]
+    fn stop_wakes_idle_workers_an_open_wait_and_the_accept_loop() {
+        for kind in ["tcp", "unix"] {
+            let dir = tempdir(&format!("stop-{kind}"));
+            let bind = match kind {
+                "tcp" => Bind::Tcp("127.0.0.1:0".to_owned()),
+                _ => Bind::Unix(dir.join("alserve.sock")),
+            };
+            let server = Server::new(ServerConfig {
+                data_dir: dir.clone(),
+                bind,
+                workers: 2,
+                ..ServerConfig::default()
+            })
+            .start()
+            .unwrap();
+            // A job the board holds as queued, which no worker will run.
+            let job_id = u64::MAX;
+            server.inner.status.set(job_id, JobState::Queued);
+            let mut stream = match kind {
+                "tcp" => Stream::Tcp(TcpStream::connect(server.addr()).unwrap()),
+                _ => Stream::Unix(UnixStream::connect(server.addr()).unwrap()),
+            };
+            Frame::Wait { job_id }.write_to(&mut stream).unwrap();
+            let first = Frame::read_from(&mut stream).unwrap();
+            assert!(matches!(first, Frame::Progress { .. }), "{kind}: {first:?}");
+            // Let the waiter and the workers settle into their waits.
+            std::thread::sleep(Duration::from_millis(20));
+            let started = Instant::now();
+            server.stop();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(2), "{kind}: stop took {took:?}");
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

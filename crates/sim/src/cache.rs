@@ -229,6 +229,14 @@ impl LocalCache {
         self.faults = None;
     }
 
+    /// Adds a memoised run's read and write counts to the totals. Its
+    /// tags need no replay: every run starts by flushing them.
+    pub(crate) fn replay(&mut self, run: &crate::report::CacheStats) {
+        self.hits += run.hits;
+        self.misses += run.misses;
+        self.writes += run.writes;
+    }
+
     /// Read hits so far.
     pub fn hits(&self) -> u64 {
         self.hits

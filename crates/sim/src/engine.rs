@@ -33,6 +33,7 @@ use crate::fault::{
     self, FaultCounters, FaultInjector, FaultPlan, FaultSite, InjectorSnapshot, RecoveryPolicy,
 };
 use crate::fcu::{Fcu, Reduce};
+use crate::memo::{self, Timing, TimingMemo};
 use crate::memory::MemoryStream;
 use crate::rcu::{DataPathKind, Rcu};
 use crate::report::{CacheStats, DataPathCounts, ExecutionReport};
@@ -94,6 +95,9 @@ pub struct Engine {
     budget: ExecBudget,
     telemetry: Option<EngineTelemetry>,
     scratch: Scratch,
+    /// Device timings of fault-free SpMV calls and SOR sweeps (see
+    /// [`crate::memo`]): a repeated call runs only its value walk.
+    memo: TimingMemo,
 }
 
 /// Engine-owned scratch buffers, reused by every run so that the
@@ -170,6 +174,54 @@ impl Scratch {
         self.row_start.copy_within(0..rows, 1);
         self.row_start[0] = 0;
     }
+
+    /// One GEMV block's values: its ω dot products with the chunk of `x`
+    /// it multiplies, left in `dots`.
+    fn gemv(&mut self, fcu: &mut Fcu, block: AlfBlock<'_>, x: &[f64]) {
+        let omega = fcu.omega();
+        let operand = operand_chunk(&mut self.operand, x, block.block_col() * omega, omega);
+        self.dots.resize(omega, 0.0);
+        fcu.gemv_block(block.payload(), block.reversed(), operand, &mut self.dots);
+    }
+
+    /// Pops the whole link stack into `partial`, the per-lane sum of the
+    /// GEMV results feeding one D-SymGS block. The stack drains in LIFO
+    /// order: frame by frame from the last pushed, the order each lane's
+    /// partial sum adds in.
+    fn reduce_link_stack(&mut self, omega: usize) {
+        self.partial.clear();
+        self.partial.resize(omega, 0.0);
+        for frame in self.link.rchunks_exact(omega) {
+            for (sum, &dot) in self.partial.iter_mut().zip(frame) {
+                *sum += dot;
+            }
+        }
+    }
+}
+
+/// Adds a block row's ω dots into `y` from row `row_base` on (a padded
+/// tail's dots fall off the end).
+fn add_dots(y: &mut [f64], row_base: usize, dots: &[f64]) {
+    for (i, dot) in dots.iter().enumerate() {
+        if let Some(yi) = y.get_mut(row_base + i) {
+            *yi += dot;
+        }
+    }
+}
+
+/// Whether a relaxation factor is 1, so the PE skips the SOR blend.
+fn unit_relaxation(omega_relax: f64) -> bool {
+    (omega_relax - 1.0).abs() < f64::EPSILON
+}
+
+/// The PE's update of one row: `sum / diag`, blended with the row's old
+/// value `old` when the relaxation factor is not 1.
+fn sor_blend(old: f64, sum: f64, diag: f64, omega_relax: f64) -> f64 {
+    if unit_relaxation(omega_relax) {
+        sum / diag
+    } else {
+        (1.0 - omega_relax) * old + omega_relax * sum / diag
+    }
 }
 
 /// The fixed inputs of one SymGS/SOR sweep.
@@ -179,6 +231,14 @@ struct Sweep<'a> {
     b: &'a [f64],
     backward: bool,
     omega_relax: f64,
+}
+
+impl Sweep<'_> {
+    /// The block rows in the order the sweep visits them.
+    fn block_row_order(&self) -> impl Iterator<Item = usize> {
+        let (rows, backward) = (self.a.block_rows(), self.backward);
+        (0..rows).map(move |step| if backward { rows - 1 - step } else { step })
+    }
 }
 
 /// The ω-chunk of `x` starting at `start`, read in place when it lies
@@ -217,6 +277,8 @@ struct EngineTelemetry {
     recovery_cycles: alrescha_obs::Counter,
     checkpoint_writes: alrescha_obs::Counter,
     checkpoint_bytes: alrescha_obs::Counter,
+    memo_hits: alrescha_obs::Counter,
+    memo_misses: alrescha_obs::Counter,
 }
 
 impl EngineTelemetry {
@@ -292,6 +354,18 @@ impl EngineTelemetry {
                 true,
                 "encoded checkpoint bytes",
             ),
+            // Nondeterministic: whether a call hits depends on what the
+            // engine ran before, which a fleet's scheduling decides.
+            memo_hits: m.counter(
+                "alrescha_engine_timing_memo_hits_total",
+                false,
+                "SpMV calls and SOR sweeps timed from the timing memo",
+            ),
+            memo_misses: m.counter(
+                "alrescha_engine_timing_memo_misses_total",
+                false,
+                "fault-free SpMV calls and SOR sweeps timed in full and memoised",
+            ),
         }
     }
 }
@@ -312,6 +386,18 @@ struct RunState {
     wall_start: std::time::Instant,
     /// Telemetry was attached and enabled when the run began; the trace
     /// events from `trace_base` on belong to this run's device timeline.
+    telemetry_armed: bool,
+    trace_base: usize,
+    t0_ns: u64,
+    /// Where this run's timing goes into the memo when it finishes.
+    memo_key: Option<memo::Key>,
+}
+
+/// A memo hit in flight: the timing to replay once the value walk is done.
+struct Hit {
+    slot: usize,
+    /// As [`RunState::telemetry_armed`], [`RunState::trace_base`] and
+    /// [`RunState::t0_ns`].
     telemetry_armed: bool,
     trace_base: usize,
     t0_ns: u64,
@@ -341,6 +427,7 @@ impl Engine {
             budget: ExecBudget::default(),
             telemetry: None,
             scratch: Scratch::default(),
+            memo: TimingMemo::default(),
         }
     }
 
@@ -349,7 +436,9 @@ impl Engine {
     /// statistics, energy counters, cache contents and counters, the trace
     /// log, the fault plan, the recovery policy, and the budget — returns
     /// to its just-built value, while config-derived allocations are kept.
-    /// The hot-path scratch buffers keep their capacity but no contents.
+    /// The hot-path scratch buffers keep their capacity but no contents,
+    /// and the timing memo keeps its entries: they hold only deterministic
+    /// facts about this configuration.
     ///
     /// The contract (relied on by per-worker engine reuse in the batch
     /// runtime, and asserted by `recycled_engine_is_bit_identical` below)
@@ -568,7 +657,102 @@ impl Engine {
             telemetry_armed,
             trace_base,
             t0_ns,
+            memo_key: None,
         }
+    }
+
+    /// [`Engine::begin`] for a memoisable `call` on `a` (a Sum-tree run):
+    /// when the memo applies, the run's timing is memoised as it finishes.
+    fn begin_memoised(&mut self, kernel: &'static str, call: memo::Call, a: &Alf) -> RunState {
+        let memo_key = self
+            .memo_applies()
+            .then(|| self.memo.key(call, self.rcu.current(), a));
+        let mut state = self.begin(kernel, Reduce::Sum);
+        state.memo_key = memo_key;
+        state
+    }
+
+    /// Whether a call's timing may come from, or go into, the memo: no
+    /// fault plan (the timing walk draws its faults), no wall-clock limit
+    /// (it can trip anywhere), and no energy events left over from a
+    /// failed run (the next report absorbs them).
+    fn memo_applies(&self) -> bool {
+        let idle = EnergyCounters::new();
+        self.faults.is_none()
+            && self.budget.max_wall.is_none()
+            && *self.fcu.counters() == idle
+            && *self.rcu.counters() == idle
+    }
+
+    /// Looks `call` on `a` up in the memo. A traced call needs a timing
+    /// recorded with its events. A hit whose cycles exceed the cycle
+    /// budget, or a sweep over a zero diagonal entry, takes the full walk
+    /// instead, so that it fails exactly where that walk fails. On a hit,
+    /// armed telemetry turns tracing on as [`Engine::begin`] does.
+    fn memo_hit(&mut self, call: memo::Call, a: &Alf) -> Option<Hit> {
+        if !self.memo_applies() {
+            return None;
+        }
+        let telemetry_armed = self
+            .telemetry
+            .as_ref()
+            .is_some_and(|et| et.tele.is_enabled());
+        let traced = telemetry_armed || self.trace.is_enabled();
+        let slot = self.memo.find(call, self.rcu.current(), a, traced)?;
+        let cycles = self.memo.get(slot).report.cycles;
+        if self.budget.max_cycles.is_some_and(|max| cycles > max) {
+            return None;
+        }
+        let rows = &a.diagonal()[..a.rows().min(a.diagonal().len())];
+        if matches!(call, memo::Call::Sweep { .. }) && rows.contains(&0.0) {
+            return None;
+        }
+        let mut t0_ns = 0;
+        if telemetry_armed {
+            self.trace.enable();
+            if let Some(et) = &self.telemetry {
+                t0_ns = et.tele.now_ns();
+            }
+        }
+        Some(Hit {
+            slot,
+            telemetry_armed,
+            trace_base: self.trace.events().len(),
+            t0_ns,
+        })
+    }
+
+    /// Finishes a memo hit once its value walk is done: returns the
+    /// memoised report, leaves the RCU wiring and statistics and the cache
+    /// counters as the full walk would, replays the trace events, and
+    /// publishes the run as [`Engine::finish`] does. The cache contents
+    /// need no replay: every run starts by flushing them.
+    fn replay(&mut self, hit: Hit) -> ExecutionReport {
+        // The value walk counted its FCU events again; the report holds
+        // the call's own.
+        let _ = self.fcu.take_counters();
+        let timing = self.memo.get(hit.slot);
+        let report = timing.report.clone();
+        self.rcu.replay(timing.exit_path, report.reconfig);
+        self.cache.replay(&report.cache);
+        if let (true, Some(events)) = (self.trace.is_enabled(), &timing.events) {
+            self.trace.extend(events);
+            if let Some(et) = &self.telemetry {
+                for event in events {
+                    if let TraceEvent::BlockEnd { cycles } = event {
+                        et.cycles_per_block.observe(*cycles);
+                    }
+                }
+            }
+        }
+        if let Some(et) = &self.telemetry {
+            et.memo_hits.inc();
+        }
+        self.publish_metrics(&report);
+        if hit.telemetry_armed {
+            self.capture_device_timeline(hit.trace_base, hit.t0_ns, &report);
+        }
+        report
     }
 
     /// Enforces the cycle and wall-clock limits of the active budget.
@@ -679,6 +863,21 @@ impl Engine {
             faults,
             breaker: crate::report::BreakerStats::default(),
         };
+        if let Some(key) = state.memo_key {
+            let events = self
+                .trace
+                .is_enabled()
+                .then(|| self.trace.events()[state.trace_base..].to_vec());
+            self.memo.insert(Timing {
+                key,
+                report: report.clone(),
+                exit_path: self.rcu.current(),
+                events,
+            });
+            if let Some(et) = &self.telemetry {
+                et.memo_misses.inc();
+            }
+        }
         self.publish_metrics(&report);
         if state.telemetry_armed {
             self.capture_device_timeline(state.trace_base, state.t0_ns, &report);
@@ -884,14 +1083,12 @@ impl Engine {
         state.breakdown.gemv_cycles += block_cycles;
         state.counts.gemv_blocks += 1;
         self.publish_cycle(state);
-        let operand = operand_chunk(&mut sc.operand, x, col_base, omega);
 
         let Some(inj) = self.faults.clone() else {
-            sc.dots.resize(omega, 0.0);
-            self.fcu
-                .gemv_block(block.payload(), block.reversed(), operand, &mut sc.dots);
+            sc.gemv(&mut self.fcu, block, x);
             return Ok(block_cycles);
         };
+        let operand = operand_chunk(&mut sc.operand, x, col_base, omega);
 
         // Column j's checksum and absolute checksum, folded straight into
         // Σⱼ chkⱼ·xⱼ and Σⱼ |chk|ⱼ·|xⱼ| in column order.
@@ -981,9 +1178,13 @@ impl Engine {
     /// * [`SimError::DimensionMismatch`] if `x.len() != a.cols()`.
     pub fn run_spmv(&mut self, a: &Alf, x: &[f64]) -> Result<(Vec<f64>, ExecutionReport)> {
         self.check_operands(a, AlfLayout::Streaming, &[(a.cols(), x.len())])?;
-        let omega = self.config.omega;
-        let mut state = self.begin("spmv", Reduce::Sum);
         let mut y = vec![0.0; a.rows()];
+        if let Some(hit) = self.memo_hit(memo::Call::Spmv, a) {
+            self.with_scratch(|eng, sc| eng.spmv_values(sc, a, x, &mut y));
+            return Ok((y, self.replay(hit)));
+        }
+        let omega = self.config.omega;
+        let mut state = self.begin_memoised("spmv", memo::Call::Spmv, a);
         self.configure(DataPathKind::Gemv, Reduce::Sum);
         self.with_scratch(|eng, sc| eng.spmv_blocks(sc, &mut state, a, x, &mut y))?;
 
@@ -1008,14 +1209,17 @@ impl Engine {
             self.check_budget(state)?;
             let block_cycles = self.gemv_block(sc, state, block, x)?;
             self.note_block_end(block_cycles);
-            let row_base = block.block_row() * self.config.omega;
-            for (i, dot) in sc.dots.iter().enumerate() {
-                if let Some(yi) = y.get_mut(row_base + i) {
-                    *yi += dot;
-                }
-            }
+            add_dots(y, block.block_row() * self.config.omega, &sc.dots);
         }
         Ok(())
+    }
+
+    /// SpMV's value walk: [`Engine::spmv_blocks`] without the timing.
+    fn spmv_values(&mut self, sc: &mut Scratch, a: &Alf, x: &[f64], y: &mut [f64]) {
+        for block in a.blocks() {
+            sc.gemv(&mut self.fcu, block, x);
+            add_dots(y, block.block_row() * self.config.omega, &sc.dots);
+        }
     }
 
     /// One forward Gauss-Seidel sweep over a [`AlfLayout::SymGs`] matrix,
@@ -1103,28 +1307,33 @@ impl Engine {
             AlfLayout::SymGs,
             &[(a.rows(), b.len()), (a.cols(), x.len())],
         )?;
-        let kernel = if backward {
-            "symgs-backward"
-        } else {
-            "symgs-forward"
-        };
-        let mut state = self.begin(kernel, Reduce::Sum);
-        // The extracted diagonal is loaded into the local cache once per
-        // sweep (programming-time traffic, §4.5).
-        state.memory.record_bytes(a.diagonal().len() as u64 * 8);
-
         let sweep = Sweep {
             a,
             b,
             backward,
             omega_relax,
         };
+        let call = memo::Call::Sweep {
+            backward,
+            relax_bits: omega_relax.to_bits(),
+        };
+        if let Some(hit) = self.memo_hit(call, a) {
+            self.with_scratch(|eng, sc| eng.sor_values(sc, sweep, x))?;
+            return Ok(self.replay(hit));
+        }
+        let kernel = if backward {
+            "symgs-backward"
+        } else {
+            "symgs-forward"
+        };
+        let mut state = self.begin_memoised(kernel, call, a);
+        // The extracted diagonal is loaded into the local cache once per
+        // sweep (programming-time traffic, §4.5).
+        state.memory.record_bytes(a.diagonal().len() as u64 * 8);
         self.with_scratch(|eng, sc| eng.sor_block_rows(sc, &mut state, sweep, x))?;
-
         state.memory.record_bytes(a.rows() as u64 * 8); // x write-back
-        let mut report = self.finish(state);
-        report.datapaths.iterations = 1;
-        Ok(report)
+        state.counts.iterations = 1;
+        Ok(self.finish(state))
     }
 
     /// The sweep proper: every block row in sweep order, each through the
@@ -1139,19 +1348,39 @@ impl Engine {
     ) -> Result<()> {
         // Index blocks by block row once; within a row keep stream order.
         sc.index_block_rows(sweep.a);
-        let block_rows = sweep.a.block_rows();
-        for step in 0..block_rows {
-            let br = if sweep.backward {
-                block_rows - 1 - step
-            } else {
-                step
-            };
+        for br in sweep.block_row_order() {
             self.check_budget(state)?;
             let diag_block = self.gemv_link_push(sc, state, sweep.a, x, br)?;
             self.drain_link_stack(sc, state);
             self.switch_to_dsymgs(state, br)?;
             self.fill_operand_fifos(state, sweep.a, br)?;
             self.dsymgs_recurrence(sc, state, sweep, x, br, diag_block)?;
+        }
+        Ok(())
+    }
+
+    /// The sweep's value walk: [`Engine::sor_block_rows`] without the
+    /// timing. Each block row's off-diagonal GEMVs push their dots onto
+    /// the link stack, the stack drains into the partial sums, and the
+    /// recurrence produces the row's `x` entries.
+    fn sor_values(&mut self, sc: &mut Scratch, sweep: Sweep<'_>, x: &mut [f64]) -> Result<()> {
+        let omega = self.config.omega;
+        sc.index_block_rows(sweep.a);
+        for br in sweep.block_row_order() {
+            sc.link.clear();
+            let mut diag_block = None;
+            for pos in sc.row_start[br]..sc.row_start[br + 1] {
+                let block = sweep.a.block(sc.row_blocks[pos]);
+                if block.kind() == BlockKind::Diagonal {
+                    diag_block = Some(block);
+                    continue;
+                }
+                sc.gemv(&mut self.fcu, block, x);
+                sc.link.extend_from_slice(&sc.dots);
+            }
+            sc.reduce_link_stack(omega);
+            let mut steps = 0;
+            self.dsymgs_values(sc, sweep, x, br, diag_block, &mut steps)?;
         }
         Ok(())
     }
@@ -1208,17 +1437,10 @@ impl Engine {
     /// each lane's partial sum adds in. It is at its deepest now, after the
     /// row's last frame.
     fn drain_link_stack(&mut self, sc: &mut Scratch, state: &mut RunState) {
-        let omega = self.config.omega;
-        sc.partial.clear();
-        sc.partial.resize(omega, 0.0);
         let peak = &mut state.counts.link_stack_peak;
         *peak = (*peak).max(sc.link.len() as u64);
         self.rcu.buffer_events(sc.link.len() as u64);
-        for frame in sc.link.rchunks_exact(omega) {
-            for (sum, &dot) in sc.partial.iter_mut().zip(frame) {
-                *sum += dot;
-            }
-        }
+        sc.reduce_link_stack(self.config.omega);
     }
 
     /// Issues block row `br`'s D-SymGS: the data-path switch, whose drain
@@ -1277,13 +1499,6 @@ impl Engine {
 
     /// Phase 4: the D-SymGS recurrence over block row `br` (Figure 10),
     /// then the row's cycle charge and the `x` chunk write-back.
-    ///
-    /// Each step reads the block row's `x` chunk in place, its earlier
-    /// steps' fresh values included. Forward sweeps sum its products in
-    /// the operand shift register's lane order ([`Fcu::mac_row_shifted`]).
-    /// The backward sweep is the mirror-image hardware and uses the
-    /// addressable cache path directly, walking the streamed row in
-    /// logical order.
     fn dsymgs_recurrence(
         &mut self,
         sc: &mut Scratch,
@@ -1293,6 +1508,67 @@ impl Engine {
         br: usize,
         diag_block: Option<AlfBlock<'_>>,
     ) -> Result<()> {
+        let mut steps = 0;
+        let updated = self.dsymgs_values(sc, sweep, x, br, diag_block, &mut steps);
+        // One link-stack pop feeds each step of a diagonal block; the PE
+        // produces each x_g, with the SOR blend as a second operation.
+        if diag_block.is_some() {
+            self.rcu.buffer_events(steps);
+        }
+        let pe_ops = if unit_relaxation(sweep.omega_relax) {
+            steps
+        } else {
+            2 * steps
+        };
+        for _ in 0..pe_ops {
+            let _ = self.rcu.pe_op();
+        }
+        updated?;
+        let row_base = br * self.config.omega;
+        let dsymgs_cycles = if diag_block.is_some() {
+            let payload_cycles = state.memory.stream_payload();
+            let compute = steps * self.config.dsymgs_step_latency();
+            let block_cycles = payload_cycles.max(compute);
+            state.cycles += block_cycles;
+            state.breakdown.dsymgs_cycles += block_cycles;
+            state.counts.dsymgs_blocks += 1;
+            block_cycles
+        } else if steps > 0 {
+            // Rows with only an extracted diagonal: pure PE updates.
+            let block_cycles = steps * self.config.dsymgs_step_latency();
+            state.cycles += block_cycles;
+            state.breakdown.dsymgs_cycles += block_cycles;
+            block_cycles
+        } else {
+            0
+        };
+        self.note_block_end(dsymgs_cycles);
+        self.publish_cycle(state);
+        self.write_chunk(state, REGION_X, row_base, sweep.a.rows());
+        Ok(())
+    }
+
+    /// The D-SymGS recurrence's values over block row `br`: each valid
+    /// row's new `x` entry from `b`, the link-stack partial sums in
+    /// `sc.partial` and the diagonal block's row, through the PE's SOR
+    /// blend. Counts the rows updated into `steps`, also when a zero
+    /// diagonal entry stops the recurrence.
+    ///
+    /// Each step reads the block row's `x` chunk in place, its earlier
+    /// steps' fresh values included. Forward sweeps sum its products in
+    /// the operand shift register's lane order ([`Fcu::mac_row_shifted`]).
+    /// The backward sweep is the mirror-image hardware and uses the
+    /// addressable cache path directly, walking the streamed row in
+    /// logical order.
+    fn dsymgs_values(
+        &mut self,
+        sc: &mut Scratch,
+        sweep: Sweep<'_>,
+        x: &mut [f64],
+        br: usize,
+        diag_block: Option<AlfBlock<'_>>,
+        steps: &mut u64,
+    ) -> Result<()> {
         let Sweep {
             a,
             b,
@@ -1301,7 +1577,6 @@ impl Engine {
         } = sweep;
         let omega = self.config.omega;
         let row_base = br * omega;
-        let mut steps = 0u64;
         for step in 0..omega {
             let i = if backward { omega - 1 - step } else { step };
             let g = row_base + i;
@@ -1328,40 +1603,10 @@ impl Engine {
                 } else {
                     self.fcu.mac_row(streamed, chunk)
                 };
-                // Link-stack pop feeding the recurrence.
-                self.rcu.buffer_events(1);
             }
-            // PE: subtract/divide producing x_g, with the SOR blend (a
-            // second PE op) when the relaxation factor is not 1.
-            let _ = self.rcu.pe_op();
-            if (omega_relax - 1.0).abs() < f64::EPSILON {
-                x[g] = sum / diag;
-            } else {
-                let _ = self.rcu.pe_op();
-                x[g] = (1.0 - omega_relax) * x[g] + omega_relax * sum / diag;
-            }
-            steps += 1;
+            x[g] = sor_blend(x[g], sum, diag, omega_relax);
+            *steps += 1;
         }
-        let dsymgs_cycles = if diag_block.is_some() {
-            let payload_cycles = state.memory.stream_payload();
-            let compute = steps * self.config.dsymgs_step_latency();
-            let block_cycles = payload_cycles.max(compute);
-            state.cycles += block_cycles;
-            state.breakdown.dsymgs_cycles += block_cycles;
-            state.counts.dsymgs_blocks += 1;
-            block_cycles
-        } else if steps > 0 {
-            // Rows with only an extracted diagonal: pure PE updates.
-            let block_cycles = steps * self.config.dsymgs_step_latency();
-            state.cycles += block_cycles;
-            state.breakdown.dsymgs_cycles += block_cycles;
-            block_cycles
-        } else {
-            0
-        };
-        self.note_block_end(dsymgs_cycles);
-        self.publish_cycle(state);
-        self.write_chunk(state, REGION_X, row_base, a.rows());
         Ok(())
     }
 
@@ -1750,6 +1995,49 @@ mod tests {
         let (pr_reused, rp_reused) = eng.run_pagerank(&at, &out_deg, &pr).unwrap();
         assert_eq!(rp_fresh, rp_reused);
         assert_eq!(bits(&pr_fresh), bits(&pr_reused));
+    }
+
+    #[test]
+    fn memo_hits_leave_lifetime_state_as_the_full_walk() {
+        // The engine-lifetime state a hit replays — RCU wiring and
+        // reconfiguration totals, cache counters, pending energy events —
+        // must equal what the full walk leaves, call after call; the
+        // reports alone see only per-run deltas.
+        let coo = gen::stencil27(3);
+        let a = spmv_alf(&coo);
+        let sg = Alf::from_coo(&coo, 8, AlfLayout::SymGs).unwrap();
+        let x: Vec<f64> = (0..coo.cols()).map(|i| (i as f64 * 0.3).sin()).collect();
+        let b = vec![1.0; coo.rows()];
+        let lifetime = |eng: &Engine| {
+            (
+                eng.rcu.current(),
+                eng.rcu.stats(),
+                eng.rcu.counters().clone(),
+                eng.fcu.counters().clone(),
+                (eng.cache.hits(), eng.cache.misses(), eng.cache.writes()),
+            )
+        };
+        let (mut cold, mut warm) = (engine(), engine());
+        for _ in 0..2 {
+            for eng in [&mut cold, &mut warm] {
+                eng.run_spmv(&a, &x).unwrap();
+                eng.run_symgs(&sg, &b, &mut x.clone()).unwrap();
+            }
+        }
+        let mut xs = (x.clone(), x.clone());
+        for round in 0..3 {
+            cold.memo = TimingMemo::default();
+            let (y_cold, r_cold) = cold.run_spmv(&a, &x).unwrap();
+            let (y_warm, r_warm) = warm.run_spmv(&a, &x).unwrap();
+            assert_eq!((y_cold, r_cold), (y_warm, r_warm), "round {round}");
+            assert_eq!(lifetime(&cold), lifetime(&warm), "round {round} spmv");
+            cold.memo = TimingMemo::default();
+            let r_cold = cold.run_ssor(&sg, &b, &mut xs.0, 1.3).unwrap();
+            let r_warm = warm.run_ssor(&sg, &b, &mut xs.1, 1.3).unwrap();
+            assert_eq!(r_cold, r_warm, "round {round}");
+            assert_eq!(lifetime(&cold), lifetime(&warm), "round {round} ssor");
+        }
+        assert_eq!(xs.0, xs.1);
     }
 
     #[test]
@@ -2163,7 +2451,10 @@ mod runtime_tests {
             backoff_cycles: 16,
         });
         let (_, report) = engine.run_spmv(&a, &x).unwrap();
-        assert!(report.faults.retries > 0, "plan must force at least one retry");
+        assert!(
+            report.faults.retries > 0,
+            "plan must force at least one retry"
+        );
         assert!(
             report.breakdown.recovery_cycles > 0,
             "retry redo work must be charged to the recovery bucket"

@@ -54,6 +54,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod fcu;
+mod memo;
 pub mod memory;
 pub mod pipeline;
 pub mod rcu;

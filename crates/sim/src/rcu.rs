@@ -132,6 +132,15 @@ impl Rcu {
         self.faults.as_ref().is_some_and(FaultInjector::fifo_drop)
     }
 
+    /// Leaves the unit as a memoised run left it: wired for `wired`, with
+    /// that run's reconfiguration statistics `run` added to the totals.
+    pub(crate) fn replay(&mut self, wired: Option<DataPathKind>, run: ReconfigStats) {
+        self.current = wired;
+        self.stats.switches += run.switches;
+        self.stats.hidden_cycles += run.hidden_cycles;
+        self.stats.exposed_cycles += run.exposed_cycles;
+    }
+
     /// Reconfiguration statistics so far.
     pub fn stats(&self) -> ReconfigStats {
         self.stats

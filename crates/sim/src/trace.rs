@@ -104,6 +104,13 @@ impl Trace {
         }
     }
 
+    /// Records `events` in order (no-op when disabled).
+    pub fn extend(&mut self, events: &[TraceEvent]) {
+        if self.enabled {
+            self.events.extend_from_slice(events);
+        }
+    }
+
     /// The recorded events in order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

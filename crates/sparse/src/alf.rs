@@ -538,6 +538,20 @@ impl Alf {
         &self.block_row
     }
 
+    /// Every block's block-column coordinate, in stream order: the header
+    /// column [`AlfBlock::block_col`] reads.
+    #[inline]
+    pub fn block_col_headers(&self) -> &[usize] {
+        &self.block_col
+    }
+
+    /// Every block's kind, in stream order: the header column
+    /// [`AlfBlock::kind`] reads.
+    #[inline]
+    pub fn block_kind_headers(&self) -> &[BlockKind] {
+        &self.kind
+    }
+
     /// Number of block rows.
     #[inline]
     pub fn block_rows(&self) -> usize {
