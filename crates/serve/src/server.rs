@@ -253,29 +253,35 @@ impl JobState {
 /// connection threads, and the fleet's checkpoint hook, so there is
 /// exactly one source of truth for `Status`/`Wait` clients.
 struct StatusBoard {
-    map: Mutex<HashMap<u64, JobState>>,
-    /// Bumped under `map`'s lock by every [`StatusBoard::set`], so a
-    /// waiter holding the lock can tell whether anything changed since it
-    /// last read the map.
-    version: AtomicU64,
+    map: Mutex<StatusMap>,
     cv: Condvar,
+}
+
+/// The job states behind [`StatusBoard`]'s lock.
+#[derive(Default)]
+struct StatusMap {
+    jobs: HashMap<u64, JobState>,
+    /// Bumped by every [`StatusBoard::set`], so a waiter holding the lock
+    /// can tell whether anything changed since it last read the map.
+    version: u64,
 }
 
 impl StatusBoard {
     fn set(&self, job_id: u64, state: JobState) {
         let mut map = lock(&self.map);
         // Never let a late progress update overwrite a terminal state.
-        let settled = map.get(&job_id).is_some_and(JobState::is_terminal) && !state.is_terminal();
+        let settled =
+            map.jobs.get(&job_id).is_some_and(JobState::is_terminal) && !state.is_terminal();
         if !settled {
-            map.insert(job_id, state);
+            map.jobs.insert(job_id, state);
         }
-        self.version.fetch_add(1, Ordering::Relaxed);
+        map.version += 1;
         drop(map);
         self.cv.notify_all();
     }
 
     fn get(&self, job_id: u64) -> Option<JobState> {
-        lock(&self.map).get(&job_id).cloned()
+        lock(&self.map).jobs.get(&job_id).cloned()
     }
 }
 
@@ -649,6 +655,7 @@ impl Inner {
     /// Queued + running jobs (anything non-terminal in the status map).
     fn active_jobs(&self) -> usize {
         lock(&self.status.map)
+            .jobs
             .values()
             .filter(|s| !s.is_terminal())
             .count()
@@ -680,6 +687,9 @@ impl Listener {
     }
 }
 
+/// How long [`ServerHandle::stop`]'s TCP wake connection may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Where [`ServerHandle::stop`] connects to wake the accept loop out of
 /// its blocking `accept`.
 enum WakeAddr {
@@ -709,10 +719,14 @@ impl WakeAddr {
         })
     }
 
-    /// Opens and drops one connection; true when it was accepted.
+    /// Opens and drops one connection; true when it was accepted. A TCP
+    /// connect gives up after [`WAKE_TIMEOUT`]; a Unix connect waits only
+    /// while the listener's backlog is full, which it cannot stay while
+    /// the loop blocks in `accept`, and a loop past `accept` drops the
+    /// listener, which fails the connect.
     fn wake(&self) -> bool {
         match self {
-            WakeAddr::Tcp(addr) => TcpStream::connect(addr).is_ok(),
+            WakeAddr::Tcp(addr) => TcpStream::connect_timeout(addr, WAKE_TIMEOUT).is_ok(),
             WakeAddr::Unix(path) => UnixStream::connect(path).is_ok(),
         }
     }
@@ -808,8 +822,7 @@ impl Server {
         );
 
         let status = Arc::new(StatusBoard {
-            map: Mutex::new(HashMap::new()),
-            version: AtomicU64::new(0),
+            map: Mutex::new(StatusMap::default()),
             cv: Condvar::new(),
         });
 
@@ -1099,9 +1112,10 @@ impl ServerHandle {
         self.inner.status.cv.notify_all();
         if let Some(h) = self.accept.take() {
             // The accept loop blocks in `accept`: one connection wakes it
-            // to see the flag. Should the connection fail, the thread is
-            // left blocked rather than joined.
-            if self.wake.wake() {
+            // to see the flag, unless a client's connection already has.
+            // Should the wake fail, the thread is left blocked rather than
+            // joined, and keeps the listener bound.
+            if h.is_finished() || self.wake.wake() {
                 let _ = h.join();
             }
         }
@@ -1516,12 +1530,12 @@ fn scrape(inner: &Arc<Inner>, kind: ScrapeKind) -> String {
         }
         ScrapeKind::Jobs => {
             let map = lock(&inner.status.map);
-            let mut ids: Vec<u64> = map.keys().copied().collect();
+            let mut ids: Vec<u64> = map.jobs.keys().copied().collect();
             ids.sort_unstable();
             let rows: Vec<String> = ids
                 .iter()
                 .filter_map(|id| {
-                    map.get(id).map(|state| {
+                    map.jobs.get(id).map(|state| {
                         let (name, detail) = match state {
                             JobState::Queued => ("queued".to_owned(), String::new()),
                             JobState::Running {
@@ -1605,10 +1619,7 @@ fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool
             if inner.shutdown.load(Ordering::SeqCst) {
                 return false;
             }
-            (
-                map.get(&job_id).cloned(),
-                board.version.load(Ordering::Relaxed),
-            )
+            (map.jobs.get(&job_id).cloned(), map.version)
         };
         let Some(state) = state else {
             return Frame::NotFound { job_id }.write_to(stream).is_ok();
@@ -1638,9 +1649,7 @@ fn wait_loop(inner: &Arc<Inner>, stream: &mut Stream, job_id: u64, observe: bool
         }
         // Sleep until the board changes after `seen`, or the server stops.
         let mut map = lock(&board.map);
-        while board.version.load(Ordering::Relaxed) == seen
-            && !inner.shutdown.load(Ordering::SeqCst)
-        {
+        while map.version == seen && !inner.shutdown.load(Ordering::SeqCst) {
             map = board.cv.wait(map).unwrap_or_else(PoisonError::into_inner);
         }
     }

@@ -384,23 +384,25 @@ struct RunState {
     breakdown: crate::report::CycleBreakdown,
     fault_base: FaultCounters,
     wall_start: std::time::Instant,
-    /// Telemetry was attached and enabled when the run began; the trace
-    /// events from `trace_base` on belong to this run's device timeline.
-    telemetry_armed: bool,
-    trace_base: usize,
-    t0_ns: u64,
+    arming: Arming,
     /// Where this run's timing goes into the memo when it finishes.
     memo_key: Option<memo::Key>,
+}
+
+/// A run's telemetry state, taken as it starts.
+#[derive(Debug, Clone, Copy)]
+struct Arming {
+    /// Telemetry was attached and enabled when the run began; the trace
+    /// events from `trace_base` on belong to this run's device timeline.
+    armed: bool,
+    trace_base: usize,
+    t0_ns: u64,
 }
 
 /// A memo hit in flight: the timing to replay once the value walk is done.
 struct Hit {
     slot: usize,
-    /// As [`RunState::telemetry_armed`], [`RunState::trace_base`] and
-    /// [`RunState::t0_ns`].
-    telemetry_armed: bool,
-    trace_base: usize,
-    t0_ns: u64,
+    arming: Arming,
 }
 
 // Word-address regions for the cached vector operands.
@@ -619,18 +621,7 @@ impl Engine {
     /// kernel's start.
     fn begin(&mut self, kernel: &'static str, reduce: Reduce) -> RunState {
         self.cache.flush();
-        let telemetry_armed = self
-            .telemetry
-            .as_ref()
-            .is_some_and(|et| et.tele.is_enabled());
-        let mut t0_ns = 0;
-        if telemetry_armed {
-            self.trace.enable();
-            if let Some(et) = &self.telemetry {
-                t0_ns = et.tele.now_ns();
-            }
-        }
-        let trace_base = self.trace.events().len();
+        let arming = self.arm_telemetry();
         self.trace.record(TraceEvent::KernelBegin { kernel });
         let fill = self.fcu.fill_latency(reduce);
         let mut memory = MemoryStream::new(&self.config);
@@ -654,10 +645,29 @@ impl Engine {
                 .map(FaultInjector::counters)
                 .unwrap_or_default(),
             wall_start: std::time::Instant::now(),
-            telemetry_armed,
-            trace_base,
-            t0_ns,
+            arming,
             memo_key: None,
+        }
+    }
+
+    /// Turns tracing on when telemetry is attached and enabled, and notes
+    /// where the starting run's trace events and host time begin.
+    fn arm_telemetry(&mut self) -> Arming {
+        let armed = self
+            .telemetry
+            .as_ref()
+            .is_some_and(|et| et.tele.is_enabled());
+        let mut t0_ns = 0;
+        if armed {
+            self.trace.enable();
+            if let Some(et) = &self.telemetry {
+                t0_ns = et.tele.now_ns();
+            }
+        }
+        Arming {
+            armed,
+            trace_base: self.trace.events().len(),
+            t0_ns,
         }
     }
 
@@ -666,7 +676,7 @@ impl Engine {
     fn begin_memoised(&mut self, kernel: &'static str, call: memo::Call, a: &Alf) -> RunState {
         let memo_key = self
             .memo_applies()
-            .then(|| self.memo.key(call, self.rcu.current(), a));
+            .then(|| memo::Key::of(call, self.rcu.current(), a));
         let mut state = self.begin(kernel, Reduce::Sum);
         state.memo_key = memo_key;
         state
@@ -687,17 +697,14 @@ impl Engine {
     /// Looks `call` on `a` up in the memo. A traced call needs a timing
     /// recorded with its events. A hit whose cycles exceed the cycle
     /// budget, or a sweep over a zero diagonal entry, takes the full walk
-    /// instead, so that it fails exactly where that walk fails. On a hit,
-    /// armed telemetry turns tracing on as [`Engine::begin`] does.
+    /// instead, so that it fails exactly where that walk fails. Armed
+    /// telemetry turns tracing on as [`Engine::begin`] does.
     fn memo_hit(&mut self, call: memo::Call, a: &Alf) -> Option<Hit> {
         if !self.memo_applies() {
             return None;
         }
-        let telemetry_armed = self
-            .telemetry
-            .as_ref()
-            .is_some_and(|et| et.tele.is_enabled());
-        let traced = telemetry_armed || self.trace.is_enabled();
+        let arming = self.arm_telemetry();
+        let traced = self.trace.is_enabled();
         let slot = self.memo.find(call, self.rcu.current(), a, traced)?;
         let cycles = self.memo.get(slot).report.cycles;
         if self.budget.max_cycles.is_some_and(|max| cycles > max) {
@@ -707,19 +714,7 @@ impl Engine {
         if matches!(call, memo::Call::Sweep { .. }) && rows.contains(&0.0) {
             return None;
         }
-        let mut t0_ns = 0;
-        if telemetry_armed {
-            self.trace.enable();
-            if let Some(et) = &self.telemetry {
-                t0_ns = et.tele.now_ns();
-            }
-        }
-        Some(Hit {
-            slot,
-            telemetry_armed,
-            trace_base: self.trace.events().len(),
-            t0_ns,
-        })
+        Some(Hit { slot, arming })
     }
 
     /// Finishes a memo hit once its value walk is done: returns the
@@ -749,9 +744,7 @@ impl Engine {
             et.memo_hits.inc();
         }
         self.publish_metrics(&report);
-        if hit.telemetry_armed {
-            self.capture_device_timeline(hit.trace_base, hit.t0_ns, &report);
-        }
+        self.capture_device_timeline(hit.arming, &report);
         report
     }
 
@@ -867,7 +860,7 @@ impl Engine {
             let events = self
                 .trace
                 .is_enabled()
-                .then(|| self.trace.events()[state.trace_base..].to_vec());
+                .then(|| self.trace.events()[state.arming.trace_base..].to_vec());
             self.memo.insert(Timing {
                 key,
                 report: report.clone(),
@@ -879,9 +872,7 @@ impl Engine {
             }
         }
         self.publish_metrics(&report);
-        if state.telemetry_armed {
-            self.capture_device_timeline(state.trace_base, state.t0_ns, &report);
-        }
+        self.capture_device_timeline(state.arming, &report);
         report
     }
 
@@ -910,11 +901,19 @@ impl Engine {
         et.recovery_cycles.add(report.breakdown.recovery_cycles);
     }
 
-    /// Converts the trace events this run appended (from `trace_base` on)
-    /// into a device timeline pinned to host time `[t0_ns, now]`, records
-    /// it on the telemetry sink, and removes the consumed events.
-    fn capture_device_timeline(&mut self, trace_base: usize, t0_ns: u64, report: &ExecutionReport) {
-        let Some(et) = &self.telemetry else { return };
+    /// For a run with armed telemetry: converts the trace events it
+    /// appended (from `trace_base` on) into a device timeline pinned to
+    /// host time `[t0_ns, now]`, records it on the telemetry sink, and
+    /// removes the consumed events.
+    fn capture_device_timeline(&mut self, arming: Arming, report: &ExecutionReport) {
+        let Arming {
+            armed,
+            trace_base,
+            t0_ns,
+        } = arming;
+        let Some(et) = self.telemetry.as_ref().filter(|_| armed) else {
+            return;
+        };
         let events = crate::trace::to_device_events(&self.trace.events()[trace_base..]);
         et.tele.record_device(alrescha_obs::DeviceTimeline {
             kernel: report.kernel.to_owned(),

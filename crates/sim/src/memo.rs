@@ -16,18 +16,17 @@
 //! engine, whose configuration never changes, and holds only deterministic
 //! facts, so it survives [`crate::Engine::reset`].
 
-use std::sync::Arc;
-
 use alrescha_sparse::{alf::AlfLayout, Alf, BlockKind};
 
 use crate::rcu::DataPathKind;
 use crate::report::ExecutionReport;
 use crate::trace::TraceEvent;
 
-/// Timings the memo holds: room for a few programs' SpMV and both sweeps,
-/// each from the entry data paths a solver's call order leaves (a PCG
-/// iteration needs three, a multigrid V-cycle three or four per level).
-pub(crate) const ENTRIES: usize = 16;
+/// Timings the memo holds. A SymGS-preconditioned PCG solve keys four (its
+/// SpMV, and its forward sweep from two entry paths and its backward
+/// sweep from one); a call list of SpMV, SymGS and PageRank on two
+/// matrices keys seven.
+pub(crate) const ENTRIES: usize = 8;
 
 /// The memoisable calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +82,23 @@ impl Structure {
 }
 
 /// What a memoised timing is keyed by.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Key {
     call: Call,
     /// The RCU data path wired when the call started.
     entry_path: Option<DataPathKind>,
-    /// Shared between the entries of one matrix (its SpMV or its two
-    /// sweeps, from different entry paths).
-    structure: Arc<Structure>,
+    structure: Structure,
+}
+
+impl Key {
+    /// The key of `call` on `a` from `entry_path`.
+    pub fn of(call: Call, entry_path: Option<DataPathKind>, a: &Alf) -> Self {
+        Key {
+            call,
+            entry_path,
+            structure: Structure::of(a),
+        }
+    }
 }
 
 /// One call's device timing.
@@ -138,33 +146,11 @@ impl TimingMemo {
         &self.entries[slot]
     }
 
-    /// The key of `call` on `a` from `entry_path`, sharing the structure
-    /// copy of any entry of the same matrix.
-    pub fn key(&self, call: Call, entry_path: Option<DataPathKind>, a: &Alf) -> Key {
-        let structure = self
-            .entries
-            .iter()
-            .find(|t| t.key.structure.matches(a))
-            .map_or_else(
-                || Arc::new(Structure::of(a)),
-                |t| Arc::clone(&t.key.structure),
-            );
-        Key {
-            call,
-            entry_path,
-            structure,
-        }
-    }
-
     /// Remembers a timing: in place of the same key's (one recorded
-    /// without trace events), else in a free entry, else over the oldest.
+    /// without trace events, which a traced call cannot replay), else in a
+    /// free entry, else over the oldest.
     pub fn insert(&mut self, timing: Timing) {
-        let same = self.entries.iter().position(|t| {
-            t.key.call == timing.key.call
-                && t.key.entry_path == timing.key.entry_path
-                && Arc::ptr_eq(&t.key.structure, &timing.key.structure)
-        });
-        if let Some(k) = same {
+        if let Some(k) = self.entries.iter().position(|t| t.key == timing.key) {
             self.entries[k] = timing;
         } else if self.entries.len() < ENTRIES {
             self.entries.push(timing);
@@ -180,13 +166,13 @@ mod tests {
     use super::*;
     use alrescha_sparse::gen;
 
-    fn timing(memo: &TimingMemo, call: Call, a: &Alf, cycles: u64) -> Timing {
+    fn timing(call: Call, a: &Alf, cycles: u64) -> Timing {
         let s = Alf::from_coo(&gen::stencil27(2), 8, AlfLayout::Streaming).unwrap();
         let mut engine = crate::Engine::new(crate::SimConfig::paper());
         let (_, mut report) = engine.run_spmv(&s, &vec![1.0; s.cols()]).unwrap();
         report.cycles = cycles;
         Timing {
-            key: memo.key(call, None, a),
+            key: Key::of(call, None, a),
             report,
             exit_path: None,
             events: None,
@@ -206,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn oldest_entry_goes_first_and_structure_is_shared() {
+    fn oldest_entry_goes_first_and_a_traced_timing_replaces_its_key() {
         let mut memo = TimingMemo::default();
         let a = Alf::from_coo(&gen::stencil27(2), 8, AlfLayout::SymGs).unwrap();
         let sweep = |k: usize| Call::Sweep {
@@ -214,16 +200,9 @@ mod tests {
             relax_bits: (1.0 + k as f64 / 16.0).to_bits(),
         };
         for k in 0..ENTRIES {
-            let t = timing(&memo, sweep(k), &a, k as u64);
-            memo.insert(t);
+            memo.insert(timing(sweep(k), &a, k as u64));
         }
-        let first = &memo.entries[0].key.structure;
-        assert!(memo
-            .entries
-            .iter()
-            .all(|t| Arc::ptr_eq(&t.key.structure, first)));
-        let t = timing(&memo, sweep(ENTRIES), &a, 99);
-        memo.insert(t);
+        memo.insert(timing(sweep(ENTRIES), &a, 99));
         assert_eq!(memo.entries.len(), ENTRIES);
         assert!(memo.find(sweep(0), None, &a, false).is_none());
         assert!(memo.find(sweep(1), None, &a, false).is_some());
@@ -235,6 +214,15 @@ mod tests {
         assert!(
             memo.find(sweep(1), None, &a, true).is_none(),
             "a traced call needs the entry's events"
+        );
+        let mut traced = timing(sweep(1), &a, 1);
+        traced.events = Some(Vec::new());
+        memo.insert(traced);
+        assert_eq!(memo.entries.len(), ENTRIES);
+        assert!(memo.find(sweep(1), None, &a, true).is_some());
+        assert!(
+            memo.find(sweep(2), None, &a, false).is_some(),
+            "the replaced key evicts nothing"
         );
     }
 }
