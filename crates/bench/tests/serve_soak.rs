@@ -26,7 +26,7 @@ use alrescha::fleet::{Fleet, FleetConfig, JobKernel, JobSpec};
 use alrescha::util::splitmix64;
 use alrescha::SolverOptions;
 use alrescha_obs::flight::{self, FlightDump};
-use alrescha_serve::{Client, JobPayload, Journal, RetryPolicy};
+use alrescha_serve::{Client, JobPayload, Journal, JournalRecord, RetryPolicy};
 
 fn tempdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("alserve-soak-{name}-{}", std::process::id()));
@@ -189,10 +189,20 @@ fn kill_restart_soak_loses_no_accepted_jobs_and_stays_bit_identical() {
                 "cycle {cycle}: acked job {id} missing from the flight dump"
             );
         }
+        let settled: Vec<u64> = journal
+            .settled()
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Completed { job_id, .. } | JournalRecord::Failed { job_id, .. } => {
+                    Some(*job_id)
+                }
+                _ => None,
+            })
+            .collect();
         for rec in &dump.records {
             if rec.code == flight::EV_JOURNAL_TERMINAL {
                 assert!(
-                    journal.terminal_order().contains(&rec.b),
+                    settled.contains(&rec.b),
                     "cycle {cycle}: flight terminal for job {} has no journal record",
                     rec.b
                 );

@@ -1,4 +1,4 @@
-//! `alrescha-fleet`: a work-stealing, batched execution runtime.
+//! `alrescha-fleet`: a batched execution runtime.
 //!
 //! The paper's host/device split (§4) makes Algorithm-1 conversion the
 //! dominant one-time cost of a run: the host reformats the sparse operand
@@ -16,10 +16,10 @@
 //! * **per-worker accelerator reuse**: each worker owns one [`Alrescha`]
 //!   and recycles it between jobs via [`Alrescha::reset`] instead of
 //!   rebuilding the simulator;
-//! * **work stealing**: jobs are dealt round-robin onto per-worker FIFO
-//!   deques; an idle worker steals from the back of a sibling's deque, so
-//!   a skewed batch (one huge solve among many small SpMVs) still keeps
-//!   every worker busy;
+//! * **one shared job cursor**: every job of a batch is known when it
+//!   starts, so each worker claims the next unclaimed job from one atomic
+//!   index, and a skewed batch (one huge solve among many small SpMVs)
+//!   still keeps every worker busy;
 //! * **bounded admission**: a batch larger than the queue capacity rejects
 //!   the excess jobs in-band ([`CoreError::QueueFull`]).
 //!
@@ -63,13 +63,14 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use alrescha_sim::{ExecutionReport, FaultPlan, RecoveryPolicy, SimConfig};
 use alrescha_sparse::Coo;
-use crossbeam::deque::{Steal, Stealer, Worker};
 
 use crate::accelerator::{Alrescha, ProgrammedKernel};
 use crate::checkpoint::SolverCheckpoint;
@@ -98,7 +99,7 @@ pub type PreflightHook =
 pub type CheckpointHook = Arc<dyn Fn(u64, &SolverCheckpoint) + Send + Sync>;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked — the
-/// protected state (cache maps, job deques) is valid at every await point
+/// protected state (the cache maps) is valid at every await point
 /// of its critical sections.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -781,7 +782,7 @@ impl Fleet {
 
     /// Attaches an alobs telemetry sink: batch/job spans (one timeline
     /// track per worker thread), device timelines nested inside job spans,
-    /// and fleet metrics (steals, queue waits, cache attribution). Job
+    /// and fleet metrics (queue waits, cache attribution). Job
     /// results stay bit-identical — telemetry only observes.
     #[must_use]
     pub fn with_telemetry(mut self, tele: Arc<alrescha_obs::Telemetry>) -> Self {
@@ -799,7 +800,7 @@ impl Fleet {
         self.cache.len()
     }
 
-    /// Runs a batch across the worker pool and returns one record per job,
+    /// Runs a batch across the worker threads and returns one record per job,
     /// in submission order.
     ///
     /// Jobs beyond [`FleetConfig::queue_capacity`] are not run; their
@@ -809,21 +810,8 @@ impl Fleet {
         let offered = jobs.len();
         let capacity = self.config.queue_capacity;
         let workers = self.config.resolved_workers();
-        let Ok(pool) = rayon::ThreadPoolBuilder::new().num_threads(workers).build() else {
-            // Thread spawning failed: serve the batch on this thread.
-            let mut report = self.run_sequential(jobs);
-            report.stats.workers = 0;
-            return report;
-        };
         let (hits0, misses0) = self.cache.counters();
-        let _batch_span = alrescha_obs::span!(self.telemetry, format!("fleet:batch:{offered}"));
-        let steal_counter = self.telemetry.as_ref().map(|t| {
-            t.metrics().counter(
-                "alrescha_fleet_steals_total",
-                false,
-                "jobs stolen from a sibling worker's deque",
-            )
-        });
+        let batch_span = alrescha_obs::span!(self.telemetry, format!("fleet:batch:{offered}"));
         let submitted = Instant::now();
 
         // Admission: everything past the capacity is rejected in-band.
@@ -835,42 +823,18 @@ impl Fleet {
             .collect();
         let admitted = &jobs[..offered.min(capacity)];
 
-        // Deal admitted jobs round-robin onto per-worker FIFO deques.
-        let deques: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<usize>> = deques.iter().map(Worker::stealer).collect();
-        for (i, _) in admitted.iter().enumerate() {
-            deques[i % workers].push(i);
-        }
-        let slots: Vec<Mutex<Option<Worker<usize>>>> =
-            deques.into_iter().map(|d| Mutex::new(Some(d))).collect();
-
+        // Every job is known up front, so one shared cursor balances the
+        // batch: each worker claims the next unclaimed job until none is
+        // left.
+        let cursor = AtomicUsize::new(0);
         let rebuilds = AtomicU64::new(0);
         let reuses = AtomicU64::new(0);
-        let per_worker: Vec<Vec<JobRecord>> = pool.broadcast(|ctx| {
-            let me = ctx.index();
-            let Some(local) = lock(&slots[me]).take() else {
-                return Vec::new();
-            };
+        let drain = |me: usize| {
             let mut station = WorkerStation::new(me);
             let mut out = Vec::new();
             loop {
-                let next = local.pop().or_else(|| {
-                    // Steal from siblings, scanning from our right neighbor
-                    // so contention spreads instead of piling on worker 0.
-                    (1..workers).find_map(|d| loop {
-                        match stealers[(me + d) % workers].steal() {
-                            Steal::Success(i) => {
-                                if let Some(c) = &steal_counter {
-                                    c.inc();
-                                }
-                                break Some(i);
-                            }
-                            Steal::Empty => break None,
-                            Steal::Retry => {}
-                        }
-                    })
-                });
-                let Some(i) = next else { break };
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = admitted.get(i) else { break };
                 // Name the track when its first job starts, so a worker
                 // that never gets one leaves no track.
                 if out.is_empty() {
@@ -879,14 +843,38 @@ impl Fleet {
                     }
                 }
                 let queue_wait = submitted.elapsed();
-                out.push(self.execute(&mut station, i, &admitted[i], queue_wait));
+                out.push(self.execute(&mut station, i, spec, queue_wait));
             }
             rebuilds.fetch_add(station.rebuilds, Ordering::Relaxed);
             reuses.fetch_add(station.reuses, Ordering::Relaxed);
             out
+        };
+        // A worker that cannot be spawned leaves its share to the ones that
+        // were; a worker panic reaches the caller once every worker has
+        // joined.
+        let (spawned, mut records) = thread::scope(|s| {
+            let mut handles = Vec::with_capacity(workers);
+            for me in 0..workers {
+                let drain = &drain;
+                match thread::Builder::new().spawn_scoped(s, move || drain(me)) {
+                    Ok(h) => handles.push(h),
+                    Err(_) => break,
+                }
+            }
+            let spawned = handles.len();
+            let records: Vec<JobRecord> = handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+                .collect();
+            (spawned, records)
         });
-
-        let mut records: Vec<JobRecord> = per_worker.into_iter().flatten().collect();
+        if spawned == 0 {
+            // No thread could be spawned: serve the batch on this thread.
+            drop(batch_span);
+            let mut report = self.run_sequential(jobs);
+            report.stats.workers = 0;
+            return report;
+        }
         records.extend(rejects);
         records.sort_by_key(|r| r.job);
 
@@ -894,7 +882,7 @@ impl Fleet {
         let stats = finish_stats(
             &records,
             offered,
-            workers,
+            spawned,
             submitted.elapsed(),
             hits1 - hits0,
             misses1 - misses0,

@@ -1,7 +1,7 @@
 //! Typed metrics registry: counters, gauges, and fixed-bucket histograms.
 //!
 //! Handles are `Arc`'d atomic cells, so the hot path (a fleet worker
-//! bumping `alrescha_fleet_steals_total`, the engine observing a block's
+//! observing `alrescha_fleet_queue_wait_us`, the engine observing a block's
 //! cycle count) is a gated relaxed atomic op — no lock is taken after
 //! registration. The registry itself is a `Mutex<BTreeMap>` locked only
 //! when a metric is first registered and when a snapshot is taken, and the
@@ -11,8 +11,8 @@
 //! from simulated state (cycle counts, block counts, cache hits), and thus
 //! bit-identical across identical runs. [`Registry::deterministic_json`]
 //! exposes only those, which is what the golden snapshot and the
-//! determinism proptest pin. Wall-clock metrics (queue wait, job run time,
-//! steal counts) are registered as nondeterministic and appear only in the
+//! determinism proptest pin. Wall-clock metrics (queue wait, job run time)
+//! are registered as nondeterministic and appear only in the
 //! full [`Registry::snapshot_json`] / [`Registry::to_prometheus`] views.
 
 use std::collections::BTreeMap;

@@ -441,9 +441,6 @@ pub struct Journal {
     /// Terminal records, in id order — replayed so a restarted server can
     /// still answer `Status`/`Wait` for jobs settled in a previous run.
     settled: BTreeMap<u64, JournalRecord>,
-    /// Job ids of terminal records in append/replay order — the observable
-    /// *execution order*, used by priority-scheduling tests.
-    terminal_order: Vec<u64>,
     /// Highest job id ever seen (terminal or not).
     max_id: Option<u64>,
     /// Set when a failed append could not be rolled back: appending past a
@@ -472,7 +469,6 @@ struct Replay {
     known: Option<Known>,
     next_matrix: u64,
     settled: BTreeMap<u64, JournalRecord>,
-    terminal_order: Vec<u64>,
     max_id: Option<u64>,
     records: usize,
     valid_end: usize,
@@ -484,7 +480,6 @@ fn replay(bytes: &[u8]) -> Result<Replay, JournalError> {
         known: None,
         next_matrix: 1,
         settled: BTreeMap::new(),
-        terminal_order: Vec::new(),
         max_id: None,
         records: 0,
         valid_end: 0,
@@ -530,7 +525,6 @@ fn replay(bytes: &[u8]) -> Result<Replay, JournalError> {
                 out.max_id = Some(out.max_id.map_or(job_id, |m: u64| m.max(job_id)));
                 out.pending.remove(&job_id);
                 out.settled.insert(job_id, record);
-                out.terminal_order.push(job_id);
             }
         }
         out.records += 1;
@@ -640,7 +634,6 @@ impl Journal {
             known: pass.known,
             next_matrix: pass.next_matrix,
             settled: pass.settled,
-            terminal_order: pass.terminal_order,
             max_id: pass.max_id,
             wedged: false,
             stats,
@@ -737,7 +730,6 @@ impl Journal {
         self.max_id = Some(self.max_id.map_or(job_id, |m| m.max(job_id)));
         self.pending.remove(&job_id);
         self.settled.insert(job_id, record.clone());
-        self.terminal_order.push(job_id);
         Ok(())
     }
 
@@ -792,13 +784,6 @@ impl Journal {
                 (id, job.tenant.clone(), payload)
             })
             .collect()
-    }
-
-    /// Job ids of terminal records in the order they were appended
-    /// (replayed history first, then this run) — the journal's view of
-    /// execution order, which priority scheduling tests assert against.
-    pub fn terminal_order(&self) -> &[u64] {
-        &self.terminal_order
     }
 
     /// Atomically rewrites the journal with exactly the `Matrix` records

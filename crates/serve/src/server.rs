@@ -47,7 +47,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -547,7 +547,7 @@ struct Inner {
     next_id: AtomicU64,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<Vec<Conn>>,
     /// Per-tenant SLO state (burn windows + end-to-end counts).
     slo: Mutex<SloTable>,
     /// job_id → trace_id for in-flight jobs, so the checkpoint hook and
@@ -744,6 +744,27 @@ impl Stream {
             Stream::Unix(s) => s.set_read_timeout(t),
         }
     }
+
+    fn try_clone(&self) -> io::Result<Self> {
+        Ok(match self {
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+        })
+    }
+
+    fn shutdown(&self, how: Shutdown) {
+        let _ = match self {
+            Stream::Tcp(s) => s.shutdown(how),
+            Stream::Unix(s) => s.shutdown(how),
+        };
+    }
+}
+
+/// An open connection's thread, with a handle on its socket that lets
+/// [`ServerHandle::stop`] end the thread's blocking read.
+struct Conn {
+    stream: Stream,
+    thread: JoinHandle<()>,
 }
 
 impl Read for Stream {
@@ -1119,12 +1140,18 @@ impl ServerHandle {
                 let _ = h.join();
             }
         }
+        // No connection arrives once the accept loop is gone. Each open
+        // one blocks in `read`: shutting its read half ends that read,
+        // while a reply already being written still goes out.
+        let conns: Vec<Conn> = lock(&self.inner.conns).drain(..).collect();
+        for c in &conns {
+            c.stream.shutdown(Shutdown::Read);
+        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        let conns: Vec<JoinHandle<()>> = lock(&self.inner.conns).drain(..).collect();
-        for h in conns {
-            let _ = h.join();
+        for c in conns {
+            let _ = c.thread.join();
         }
         // Last: the workers' final terminal dumps are queued by now.
         self.inner.durability.stop();
@@ -1173,15 +1200,24 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener) {
             // The connection that wakes the loop at stop.
             Ok(_) if inner.shutdown.load(Ordering::SeqCst) => break,
             Ok(stream) => {
+                // Without a second handle `stop` could not end the
+                // connection's read, so a connection that cannot get one
+                // is closed at once.
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
                 let conn_inner = Arc::clone(inner);
-                let h = std::thread::spawn(move || connection_loop(&conn_inner, stream));
+                let thread = std::thread::spawn(move || connection_loop(&conn_inner, stream));
                 let mut conns = lock(&inner.conns);
                 // Join closed connections' threads here, so a long-lived
                 // daemon holds handles only for connections still open.
-                for done in conns.extract_if(.., |h| h.is_finished()) {
-                    let _ = done.join();
+                for done in conns.extract_if(.., |c| c.thread.is_finished()) {
+                    let _ = done.thread.join();
                 }
-                conns.push(h);
+                conns.push(Conn {
+                    stream: handle,
+                    thread,
+                });
             }
             // A failed accept (out of descriptors, say) backs off briefly
             // rather than spinning.
@@ -1190,24 +1226,18 @@ fn accept_loop(inner: &Arc<Inner>, listener: &Listener) {
     }
 }
 
-fn connection_loop(inner: &Arc<Inner>, stream: Stream) {
+/// Serves one connection's frames, blocking in `read` between them until
+/// the client closes, a frame ends it, or `stop` shuts its read half.
+fn connection_loop(inner: &Arc<Inner>, mut stream: Stream) {
     if let Some(tele) = inner.tele() {
         tele.name_thread("alserve-conn");
     }
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut stream = stream;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let frame = match Frame::read_from(&mut stream) {
             Ok(f) => f,
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
             Err(WireError::Io(_)) => break, // EOF or transport failure.
             Err(e) => {
                 // Undecodable frame. Integrity failures (bad magic, CRC
@@ -1242,6 +1272,9 @@ fn connection_loop(inner: &Arc<Inner>, stream: Stream) {
             break;
         }
     }
+    // The accept loop's handle keeps the socket open until it joins this
+    // thread; the client sees the close now.
+    stream.shutdown(Shutdown::Both);
 }
 
 /// Handles one request frame; returns `false` when the connection should
@@ -2131,6 +2164,55 @@ mod tests {
         }
     }
 
+    /// A connection blocks in `read` rather than polling: a frame whose
+    /// bytes pause mid-send is still read whole, and `stop` ends an idle
+    /// open connection's read at once, on a TCP and on a Unix bind.
+    #[test]
+    fn a_paused_frame_is_read_whole_and_stop_ends_an_idle_read() {
+        let mut ping = Vec::new();
+        Frame::Ping.write_to(&mut ping).unwrap();
+        for kind in ["tcp", "unix"] {
+            let dir = tempdir(&format!("paused-{kind}"));
+            let bind = match kind {
+                "tcp" => Bind::Tcp("127.0.0.1:0".to_owned()),
+                _ => Bind::Unix(dir.join("alserve.sock")),
+            };
+            let server = Server::new(ServerConfig {
+                data_dir: dir.clone(),
+                bind,
+                workers: 1,
+                ..ServerConfig::default()
+            })
+            .start()
+            .unwrap();
+            let mut stream = match kind {
+                "tcp" => Stream::Tcp(TcpStream::connect(server.addr()).unwrap()),
+                _ => Stream::Unix(UnixStream::connect(server.addr()).unwrap()),
+            };
+            stream.write_all(&ping[..3]).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            stream.write_all(&ping[3..]).unwrap();
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert!(matches!(reply, Frame::Pong), "{kind}: {reply:?}");
+            // The connection stays open and idle while the server stops.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || {
+                let started = Instant::now();
+                server.stop();
+                let _ = tx.send(started.elapsed());
+            });
+            let took = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{kind}: stop is stuck behind an idle connection"));
+            stopper.join().unwrap();
+            assert!(took < Duration::from_secs(2), "{kind}: stop took {took:?}");
+            // The server closed its end.
+            let mut rest = Vec::new();
+            assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "{kind}");
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
     #[test]
     fn closed_connections_do_not_pin_thread_handles() {
         let dir = std::env::temp_dir().join(format!("alserve-unit-conns-{}", std::process::id()));
@@ -2153,7 +2235,7 @@ mod tests {
         // accept must join them all, leaving at most its own handle.
         while !lock(&server.inner.conns)
             .iter()
-            .all(JoinHandle::is_finished)
+            .all(|c| c.thread.is_finished())
         {
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -18,8 +18,8 @@ use alrescha_obs::{
 };
 use alrescha_serve::chaos::{ChaosProxy, NetFaultPlan};
 use alrescha_serve::{
-    Bind, Client, Frame, JobPayload, Journal, RetryPolicy, ScrapeKind, Server, ServerConfig,
-    TraceContext,
+    Bind, Client, Frame, JobPayload, Journal, JournalRecord, RetryPolicy, ScrapeKind, Server,
+    ServerConfig, TraceContext,
 };
 
 fn tempdir(name: &str) -> PathBuf {
@@ -109,6 +109,101 @@ impl StorageIo for GatedStorage {
             state = self.cv.wait_while(state, |s| s.0).unwrap();
             state.1 -= 1;
         }
+        RealStorage.remove_file(path)
+    }
+
+    fn sync_parent_dir(&self, path: &Path) -> io::Result<()> {
+        RealStorage.sync_parent_dir(path)
+    }
+}
+
+/// The real filesystem, except that a job's terminal journal append
+/// waits (for at most [`CHECKPOINT_WAIT`]) until the durability writer
+/// has begun a checkpoint of that job. The terminal edge cancels every
+/// checkpoint the writer has not begun, so a small job that ends while
+/// the writer is busy with the flight dumps queued ahead would otherwise
+/// leave no checkpoint, which is a legal outcome. A checkpoint the writer
+/// has begun cannot be cancelled.
+#[derive(Debug, Default)]
+struct CheckpointBeforeTerminal {
+    gate: Arc<CheckpointGate>,
+}
+
+#[derive(Debug, Default)]
+struct CheckpointGate {
+    /// Jobs whose checkpoint file the writer has created.
+    begun: Mutex<Vec<u64>>,
+    cv: Condvar,
+}
+
+/// How long a terminal append waits for its job's first checkpoint.
+const CHECKPOINT_WAIT: Duration = Duration::from_secs(10);
+
+/// A journal file whose terminal appends pass [`CheckpointGate`].
+struct GatedJournal {
+    file: Box<dyn StorageFile>,
+    gate: Arc<CheckpointGate>,
+}
+
+impl StorageFile for GatedJournal {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if let Ok((
+            JournalRecord::Completed { job_id, .. } | JournalRecord::Failed { job_id, .. },
+            _,
+        )) = JournalRecord::decode(buf)
+        {
+            let begun = self.gate.begun.lock().unwrap();
+            drop(
+                self.gate
+                    .cv
+                    .wait_timeout_while(begun, CHECKPOINT_WAIT, |b| !b.contains(&job_id))
+                    .unwrap(),
+            );
+        }
+        self.file.write(buf)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.file.sync()
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)
+    }
+}
+
+impl StorageIo for CheckpointBeforeTerminal {
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        Ok(Box::new(GatedJournal {
+            file: RealStorage.open_append(path)?,
+            gate: Arc::clone(&self.gate),
+        }))
+    }
+
+    fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        let job = path.file_name().and_then(|n| {
+            let n = n.to_string_lossy();
+            n.strip_prefix("job-")?
+                .strip_suffix(".ckpt.tmp")?
+                .parse()
+                .ok()
+        });
+        if let Some(job_id) = job {
+            self.gate.begun.lock().unwrap().push(job_id);
+            self.gate.cv.notify_all();
+        }
+        RealStorage.create(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealStorage.read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealStorage.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
         RealStorage.remove_file(path)
     }
 
@@ -333,9 +428,19 @@ fn flight_dump_is_valid_and_agrees_with_journal_tail() {
     // Journal agreement: every terminal flight event corresponds to a
     // terminal journal record, so nothing is pending on recovery.
     let journal = Journal::open(dir.join("jobs.wal")).unwrap();
+    let settled: Vec<u64> = journal
+        .settled()
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::Completed { job_id, .. } | JournalRecord::Failed { job_id, .. } => {
+                Some(*job_id)
+            }
+            _ => None,
+        })
+        .collect();
     for id in &terminals {
         assert!(
-            journal.terminal_order().contains(id),
+            settled.contains(id),
             "flight terminal for job {id} has no journal terminal record"
         );
     }
@@ -477,13 +582,16 @@ fn every_ack_is_covered_by_the_flight_dump_on_disk() {
 
 /// Workers only solve: every checkpoint write and flight dump of a
 /// fault-free run happens inside a `durability:` span, and every such
-/// span sits on the durability writer's track, none on a worker's.
+/// span sits on the durability writer's track, none on a worker's. Each
+/// job's terminal append waits for the writer to begin one of its
+/// checkpoints, so every run traces some.
 #[test]
 fn workers_write_no_checkpoints_or_flight_dumps() {
     let dir = tempdir("writer-spans");
     let tele = Telemetry::new();
     let mut config = server_config(dir.clone(), Some(tele.clone()));
     config.checkpoint_every = 1;
+    config.storage = Arc::new(CheckpointBeforeTerminal::default());
     let handle = Server::new(config).start().unwrap();
     let mut client = Client::tcp(handle.addr().to_owned(), fast_policy(11));
     for seed in 0..3 {

@@ -338,7 +338,7 @@ fn startup_removes_orphaned_checkpoints_of_settled_jobs() {
 
 /// Priority scheduling is deterministic: strict priority order across
 /// levels, stable FIFO (journal id order) within a level — observable in
-/// the journal's terminal-record order. Forging the backlog as Accepted
+/// the order of the flight dump's journal-terminal events. Forging the backlog as Accepted
 /// records and recovering it on a single-worker server makes the whole
 /// queue visible to the scheduler at once, so the execution order is a
 /// pure function of (priority, id).
@@ -366,10 +366,18 @@ fn priority_order_is_strict_and_fifo_within_a_level() {
     handle.stop();
 
     // Highest priority first; equal priorities keep journal id order.
-    let journal = Journal::open(dir.join("jobs.wal")).unwrap();
+    let dump = alrescha_obs::flight::FlightDump::read(&dir.join("alserve.alfr"))
+        .expect("dump file exists")
+        .expect("dump is CRC-valid");
+    let order: Vec<u64> = dump
+        .records
+        .iter()
+        .filter(|r| r.code == alrescha_obs::flight::EV_JOURNAL_TERMINAL)
+        .map(|r| r.b)
+        .collect();
     assert_eq!(
-        journal.terminal_order(),
-        &[2, 4, 3, 1, 5],
+        order,
+        [2, 4, 3, 1, 5],
         "execution order must be (priority desc, id asc)"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -436,7 +444,7 @@ fn static_admission_gate_bounds_jobs_before_any_work() {
     handle.stop();
     // The rejected job must have left no durable trace.
     let journal = Journal::open(dir.join("jobs.wal")).unwrap();
-    assert_eq!(journal.terminal_order().len(), 1);
+    assert_eq!(journal.settled().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

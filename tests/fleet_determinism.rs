@@ -1,7 +1,8 @@
 //! Determinism contract of the batched execution runtime: for every job,
 //! [`Fleet::run`] is **bit-identical** to [`Fleet::run_sequential`] and to a
 //! second batch run at a different worker count — regardless of scheduling,
-//! work stealing, conversion-cache hits, or armed fault plans.
+//! which worker claims which job, conversion-cache hits, or armed fault
+//! plans.
 //!
 //! The comparison uses [`JobOutput::fingerprint`], which folds the exact
 //! result bits, the full execution report, and (for solves) every outcome
