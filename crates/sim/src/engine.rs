@@ -23,6 +23,8 @@
 //! a chunk miss consumes memory bandwidth but no exposed latency; cache
 //! access time is tracked separately for the Figure 18 analysis.
 
+use std::sync::Arc;
+
 use alrescha_sparse::{alf::AlfLayout, Alf, AlfBlock, BlockKind};
 
 use crate::cache::LocalCache;
@@ -32,7 +34,7 @@ use crate::error::{Result, SimError};
 use crate::fault::{
     self, FaultCounters, FaultInjector, FaultPlan, FaultSite, InjectorSnapshot, RecoveryPolicy,
 };
-use crate::fcu::{Fcu, Reduce};
+use crate::fcu::{Fcu, Reduce, ValueWalk};
 use crate::memo::{self, Timing, TimingMemo};
 use crate::memory::MemoryStream;
 use crate::rcu::{DataPathKind, Rcu};
@@ -116,10 +118,8 @@ struct Scratch {
     /// checked GEMV attempt's (possibly stuck-at corrupted) payload row,
     /// or a CSR chunk's values.
     row: Vec<f64>,
-    /// SymGS block-row index: the blocks of block row `r` are
-    /// `row_blocks[row_start[r]..row_start[r + 1]]`, in stream order.
-    row_start: Vec<usize>,
-    row_blocks: Vec<usize>,
+    /// The SymGS block-row index of the sweep in flight.
+    rows: BlockRows,
     /// The link stack of the block row in flight: ω GEMV dots per
     /// off-diagonal block, one frame per block in stream order, each dot
     /// at its lane's offset within its frame.
@@ -145,38 +145,15 @@ impl Scratch {
         ] {
             v.clear();
         }
-        self.row_start.clear();
-        self.row_blocks.clear();
-    }
-
-    /// Indexes `a`'s blocks by block row (a stable counting sort, so each
-    /// row keeps its stream order).
-    fn index_block_rows(&mut self, a: &Alf) {
-        let rows = a.block_rows();
-        self.row_start.clear();
-        self.row_start.resize(rows + 1, 0);
-        let headers = a.block_row_headers();
-        for &br in headers {
-            self.row_start[br + 1] += 1;
-        }
-        for r in 0..rows {
-            self.row_start[r + 1] += self.row_start[r];
-        }
-        // Fill using row_start[r] as row r's cursor, which leaves it at the
-        // start of row r + 1; shifting right restores the starts.
-        self.row_blocks.clear();
-        self.row_blocks.resize(headers.len(), 0);
-        for (k, &br) in headers.iter().enumerate() {
-            let cursor = &mut self.row_start[br];
-            self.row_blocks[*cursor] = k;
-            *cursor += 1;
-        }
-        self.row_start.copy_within(0..rows, 1);
-        self.row_start[0] = 0;
+        self.rows.start.clear();
+        self.rows.blocks.clear();
     }
 
     /// One GEMV block's values: its ω dot products with the chunk of `x`
-    /// it multiplies, left in `dots`.
+    /// it multiplies, left in `dots`. Inlined into every caller, so that
+    /// the AVX2-compiled value walks inline the FCU's AVX2 kernel.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn gemv(&mut self, fcu: &mut Fcu, block: AlfBlock<'_>, x: &[f64]) {
         let omega = fcu.omega();
         let operand = operand_chunk(&mut self.operand, x, block.block_col() * omega, omega);
@@ -196,6 +173,49 @@ impl Scratch {
                 *sum += dot;
             }
         }
+    }
+}
+
+/// SymGS block-row index: the blocks of block row `r` are
+/// `blocks[start[r]..start[r + 1]]`, in stream order. It depends only on
+/// the `block_row` headers, which the timing memo's key holds, so a
+/// memoised sweep keeps its index and a hit's value walk reads it.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct BlockRows {
+    start: Vec<usize>,
+    blocks: Vec<usize>,
+}
+
+impl BlockRows {
+    /// Indexes `a`'s blocks by block row (a stable counting sort, so each
+    /// row keeps its stream order).
+    fn index(&mut self, a: &Alf) {
+        let rows = a.block_rows();
+        self.start.clear();
+        self.start.resize(rows + 1, 0);
+        let headers = a.block_row_headers();
+        for &br in headers {
+            self.start[br + 1] += 1;
+        }
+        for r in 0..rows {
+            self.start[r + 1] += self.start[r];
+        }
+        // Fill using start[r] as row r's cursor, which leaves it at the
+        // start of row r + 1; shifting right restores the starts.
+        self.blocks.clear();
+        self.blocks.resize(headers.len(), 0);
+        for (k, &br) in headers.iter().enumerate() {
+            let cursor = &mut self.start[br];
+            self.blocks[*cursor] = k;
+            *cursor += 1;
+        }
+        self.start.copy_within(0..rows, 1);
+        self.start[0] = 0;
+    }
+
+    /// The stream positions of block row `br`'s blocks.
+    fn row(&self, br: usize) -> &[usize] {
+        &self.blocks[self.start[br]..self.start[br + 1]]
     }
 }
 
@@ -279,10 +299,12 @@ struct EngineTelemetry {
     checkpoint_bytes: alrescha_obs::Counter,
     memo_hits: alrescha_obs::Counter,
     memo_misses: alrescha_obs::Counter,
+    value_walk_lanes: alrescha_obs::Gauge,
+    walk: ValueWalk,
 }
 
 impl EngineTelemetry {
-    fn new(tele: &std::sync::Arc<alrescha_obs::Telemetry>) -> Self {
+    fn new(tele: &std::sync::Arc<alrescha_obs::Telemetry>, walk: ValueWalk) -> Self {
         let m = tele.metrics();
         EngineTelemetry {
             tele: std::sync::Arc::clone(tele),
@@ -366,6 +388,15 @@ impl EngineTelemetry {
                 false,
                 "fault-free SpMV calls and SOR sweeps timed in full and memoised",
             ),
+            // Nondeterministic: the walk depends on the host's CPU. It
+            // moves no result bit, only host time, so a slower host-time
+            // reading can be told apart from a host without AVX2.
+            value_walk_lanes: m.gauge(
+                "alrescha_engine_value_walk_lanes",
+                false,
+                "rows reduced per host instruction in the GEMV and D-PR block kernels: 4 on the AVX2 walk, 1 on the scalar walk",
+            ),
+            walk,
         }
     }
 }
@@ -537,7 +568,8 @@ impl Engine {
     /// events recorded outside runs (e.g. checkpoint writes). Detaching
     /// does not disable tracing that was enabled explicitly.
     pub fn set_telemetry(&mut self, tele: Option<std::sync::Arc<alrescha_obs::Telemetry>>) {
-        self.telemetry = tele.map(|t| EngineTelemetry::new(&t));
+        let walk = self.fcu.value_walk();
+        self.telemetry = tele.map(|t| EngineTelemetry::new(&t, walk));
     }
 
     /// The attached telemetry sink, if any.
@@ -861,11 +893,16 @@ impl Engine {
                 .trace
                 .is_enabled()
                 .then(|| self.trace.events()[state.arming.trace_base..].to_vec());
+            let block_rows = match key.call() {
+                memo::Call::Sweep { .. } => self.scratch.rows.clone(),
+                memo::Call::Spmv => BlockRows::default(),
+            };
             self.memo.insert(Timing {
                 key,
                 report: report.clone(),
                 exit_path: self.rcu.current(),
                 events,
+                block_rows: Arc::new(block_rows),
             });
             if let Some(et) = &self.telemetry {
                 et.memo_misses.inc();
@@ -879,6 +916,7 @@ impl Engine {
     /// Publishes one run's report deltas into the attached metrics registry.
     fn publish_metrics(&self, report: &ExecutionReport) {
         let Some(et) = &self.telemetry else { return };
+        et.value_walk_lanes.set(f64::from(et.walk.lanes()));
         et.runs.inc();
         et.cycles.add(report.cycles);
         let d = &report.datapaths;
@@ -1215,6 +1253,28 @@ impl Engine {
 
     /// SpMV's value walk: [`Engine::spmv_blocks`] without the timing.
     fn spmv_values(&mut self, sc: &mut Scratch, a: &Alf, x: &[f64], y: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.fcu.value_walk().is_avx2() {
+            // SAFETY: the FCU takes the AVX2 walk only on a host where
+            // `is_x86_feature_detected!` found AVX2.
+            unsafe { self.spmv_values_avx2(sc, a, x, y) };
+            return;
+        }
+        self.spmv_values_walk(sc, a, x, y);
+    }
+
+    /// [`Engine::spmv_values`] compiled for AVX2, so that the FCU's AVX2
+    /// block kernel inlines into its block loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn spmv_values_avx2(&mut self, sc: &mut Scratch, a: &Alf, x: &[f64], y: &mut [f64]) {
+        self.spmv_values_walk(sc, a, x, y);
+    }
+
+    /// [`Engine::spmv_values`]'s loop, inlined into both of its builds.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn spmv_values_walk(&mut self, sc: &mut Scratch, a: &Alf, x: &[f64], y: &mut [f64]) {
         for block in a.blocks() {
             sc.gemv(&mut self.fcu, block, x);
             add_dots(y, block.block_row() * self.config.omega, &sc.dots);
@@ -1317,7 +1377,8 @@ impl Engine {
             relax_bits: omega_relax.to_bits(),
         };
         if let Some(hit) = self.memo_hit(call, a) {
-            self.with_scratch(|eng, sc| eng.sor_values(sc, sweep, x))?;
+            let rows = Arc::clone(&self.memo.get(hit.slot).block_rows);
+            self.with_scratch(|eng, sc| eng.sor_values(sc, sweep, &rows, x))?;
             return Ok(self.replay(hit));
         }
         let kernel = if backward {
@@ -1346,7 +1407,7 @@ impl Engine {
         x: &mut [f64],
     ) -> Result<()> {
         // Index blocks by block row once; within a row keep stream order.
-        sc.index_block_rows(sweep.a);
+        sc.rows.index(sweep.a);
         for br in sweep.block_row_order() {
             self.check_budget(state)?;
             let diag_block = self.gemv_link_push(sc, state, sweep.a, x, br)?;
@@ -1359,17 +1420,56 @@ impl Engine {
     }
 
     /// The sweep's value walk: [`Engine::sor_block_rows`] without the
-    /// timing. Each block row's off-diagonal GEMVs push their dots onto
-    /// the link stack, the stack drains into the partial sums, and the
-    /// recurrence produces the row's `x` entries.
-    fn sor_values(&mut self, sc: &mut Scratch, sweep: Sweep<'_>, x: &mut [f64]) -> Result<()> {
+    /// timing, over the block-row index `rows` of `sweep.a`. Each block
+    /// row's off-diagonal GEMVs push their dots onto the link stack, the
+    /// stack drains into the partial sums, and the recurrence produces the
+    /// row's `x` entries.
+    fn sor_values(
+        &mut self,
+        sc: &mut Scratch,
+        sweep: Sweep<'_>,
+        rows: &BlockRows,
+        x: &mut [f64],
+    ) -> Result<()> {
+        #[cfg(target_arch = "x86_64")]
+        if self.fcu.value_walk().is_avx2() {
+            // SAFETY: the FCU takes the AVX2 walk only on a host where
+            // `is_x86_feature_detected!` found AVX2.
+            return unsafe { self.sor_values_avx2(sc, sweep, rows, x) };
+        }
+        self.sor_values_walk(sc, sweep, rows, x)
+    }
+
+    /// [`Engine::sor_values`] compiled for AVX2, so that the FCU's AVX2
+    /// block kernel inlines into its GEMV loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sor_values_avx2(
+        &mut self,
+        sc: &mut Scratch,
+        sweep: Sweep<'_>,
+        rows: &BlockRows,
+        x: &mut [f64],
+    ) -> Result<()> {
+        self.sor_values_walk(sc, sweep, rows, x)
+    }
+
+    /// [`Engine::sor_values`]'s loop, inlined into both of its builds.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn sor_values_walk(
+        &mut self,
+        sc: &mut Scratch,
+        sweep: Sweep<'_>,
+        rows: &BlockRows,
+        x: &mut [f64],
+    ) -> Result<()> {
         let omega = self.config.omega;
-        sc.index_block_rows(sweep.a);
         for br in sweep.block_row_order() {
             sc.link.clear();
             let mut diag_block = None;
-            for pos in sc.row_start[br]..sc.row_start[br + 1] {
-                let block = sweep.a.block(sc.row_blocks[pos]);
+            for &k in rows.row(br) {
+                let block = sweep.a.block(k);
                 if block.kind() == BlockKind::Diagonal {
                     diag_block = Some(block);
                     continue;
@@ -1398,8 +1498,8 @@ impl Engine {
     ) -> Result<Option<AlfBlock<'a>>> {
         sc.link.clear();
         let mut diag_block = None;
-        for pos in sc.row_start[br]..sc.row_start[br + 1] {
-            let block = a.block(sc.row_blocks[pos]);
+        for pos in sc.rows.start[br]..sc.rows.start[br + 1] {
+            let block = a.block(sc.rows.blocks[pos]);
             if block.kind() == BlockKind::Diagonal {
                 diag_block = Some(block);
                 continue;

@@ -9,6 +9,12 @@
 //! likewise takes a whole ω×ω block per call ([`Fcu::gemv_block`],
 //! [`Fcu::pagerank_block`], [`Fcu::min_plus_block`]); the row kernels
 //! serve the paths that must go one row at a time.
+//!
+//! On an x86-64 host whose CPU has AVX2, the GEMV and D-PR block kernels
+//! at ω ∈ {4, 8, 16, 32} walk four rows at a time, one per lane of a
+//! 256-bit accumulator; every other host and width takes the scalar walk.
+//! Each lane performs exactly its row's scalar chain of IEEE operations,
+//! so the walk never moves a bit of a result.
 
 use crate::config::SimConfig;
 use crate::energy::EnergyCounters;
@@ -33,6 +39,7 @@ pub struct Fcu {
     tree_depth: u32,
     counters: EnergyCounters,
     faults: Option<FaultInjector>,
+    walk: ValueWalk,
 }
 
 impl Fcu {
@@ -46,6 +53,7 @@ impl Fcu {
             tree_depth: config.tree_depth(),
             counters: EnergyCounters::new(),
             faults: None,
+            walk: ValueWalk::detect(config.omega),
         }
     }
 
@@ -67,6 +75,11 @@ impl Fcu {
     /// Number of parallel lanes (ω).
     pub fn omega(&self) -> usize {
         self.omega
+    }
+
+    /// The host walk the GEMV and D-PR block kernels take.
+    pub fn value_walk(&self) -> ValueWalk {
+        self.walk
     }
 
     /// Pipeline fill latency for a given reduction.
@@ -165,6 +178,8 @@ impl Fcu {
     ///
     /// Panics unless `payload` is ω² long and `operand` and `dots` are ω
     /// long.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     pub fn gemv_block(
         &mut self,
         payload: &[f64],
@@ -174,13 +189,20 @@ impl Fcu {
     ) {
         assert_eq!(dots.len(), self.omega, "a GEMV block has omega dots");
         self.begin_block(payload, operand, dots.len());
+        #[cfg(target_arch = "x86_64")]
+        if self.walk.avx2 {
+            // SAFETY: a `ValueWalk` has `avx2` set only where
+            // `is_x86_feature_detected!` found AVX2 on this host.
+            unsafe { avx2::block::<false>(payload, reversed, operand, dots) };
+            return;
+        }
         reduce_rows(
             payload,
             reversed,
             operand,
             dots.len(),
             -0.0,
-            |acc, a, b| acc + a * b,
+            mac,
             |i, dot| dots[i] = dot,
         );
     }
@@ -204,13 +226,20 @@ impl Fcu {
         next: &mut [f64],
     ) {
         self.begin_block(payload, operand, next.len());
+        #[cfg(target_arch = "x86_64")]
+        if self.walk.avx2 {
+            // SAFETY: a `ValueWalk` has `avx2` set only where
+            // `is_x86_feature_detected!` found AVX2 on this host.
+            unsafe { avx2::block::<true>(payload, reversed, operand, next) };
+            return;
+        }
         reduce_rows(
             payload,
             reversed,
             operand,
             next.len(),
             -0.0,
-            |acc, a, b| acc + if a == 0.0 { 0.0 } else { 1.0 } * b,
+            indicator_mac,
             |i, dot| next[i] += dot,
         );
     }
@@ -304,6 +333,59 @@ impl Lanes {
                 (w - 1 - c, c)
             }
         }
+    }
+}
+
+/// GEMV's lane step: the lane's product added to the row's sum.
+fn mac(acc: f64, a: f64, b: f64) -> f64 {
+    acc + a * b
+}
+
+/// D-PR's lane step: the edge indicator `[a ≠ 0]` times `b`, added to the
+/// row's sum.
+fn indicator_mac(acc: f64, a: f64, b: f64) -> f64 {
+    acc + if a == 0.0 { 0.0 } else { 1.0 } * b
+}
+
+/// The host walk of the GEMV and D-PR block kernels: the AVX2 walk, four
+/// rows per instruction, on an x86-64 host whose CPU has AVX2, at
+/// ω ∈ {4, 8, 16, 32}; the scalar walk everywhere else. Both give the
+/// same bits (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueWalk {
+    /// Set only by [`ValueWalk::detect`], and only where
+    /// `is_x86_feature_detected!` found AVX2: the AVX2 calls rely on it.
+    avx2: bool,
+}
+
+impl ValueWalk {
+    /// The walk of the block kernels at width `omega` on this host.
+    fn detect(omega: usize) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = avx2::WIDTHS.contains(&omega) && std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = {
+            let _ = omega;
+            false
+        };
+        ValueWalk { avx2 }
+    }
+
+    /// Rows the walk reduces per host instruction: 4 on the AVX2 walk, 1
+    /// on the scalar one.
+    pub fn lanes(self) -> u32 {
+        if self.avx2 {
+            4
+        } else {
+            1
+        }
+    }
+
+    /// Whether this is the AVX2 walk. It is only on a host where
+    /// `is_x86_feature_detected!` found AVX2, so code compiled for AVX2
+    /// may run whenever this holds.
+    pub(crate) fn is_avx2(self) -> bool {
+        self.avx2
     }
 }
 
@@ -438,6 +520,174 @@ fn fold<const R: usize>(
         }
     }
     acc
+}
+
+/// The GEMV and D-PR block kernels' AVX2 walk.
+///
+/// Four rows go side by side, one per lane of a 256-bit accumulator seeded
+/// with `-0.0`. Each 4×4 tile of their payload is transposed in registers,
+/// so that one vector holds the four rows' entries of one lane; then
+/// `acc = acc + col_j · x_j` runs for the lanes `j` in lane order, with a
+/// separate multiply and add. Each accumulator lane therefore performs
+/// exactly its row's scalar chain of IEEE operations ([`mac`] or
+/// [`indicator_mac`] from `-0.0`): no fused multiply-add, no
+/// reassociation. A reversed block walks each tile's transposed columns
+/// last first. D-PR's last valid rows past a multiple of four take the
+/// scalar [`fold`].
+///
+/// Every function here is compiled for AVX2 and safe to call from another
+/// one; only the entry, [`block`], needs its caller to have checked the
+/// host (see [`ValueWalk`]).
+///
+/// A loop over these kernels may itself be compiled for AVX2, as the
+/// engine's memo-hit value walks are: the kernels then inline into its
+/// block loop instead of being called once per block.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_castpd256_pd128, _mm256_cmp_pd,
+        _mm256_extractf128_pd, _mm256_mul_pd, _mm256_permute2f128_pd, _mm256_set1_pd,
+        _mm256_setr_pd, _mm256_setzero_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_cvtsd_f64,
+        _mm_unpackhi_pd, _CMP_NEQ_UQ,
+    };
+
+    /// The widths with a vector walk.
+    pub(super) const WIDTHS: [usize; 4] = [4, 8, 16, 32];
+
+    /// One GEMV (`PAGERANK = false`: `out[i] = dot`) or D-PR
+    /// (`PAGERANK = true`: `out[i] += dot` over the edge indicators) block
+    /// over the first `out.len()` rows of the ω×ω `payload`, ω =
+    /// `operand.len()` one of [`WIDTHS`]. The caller has checked the
+    /// widths (`Fcu::begin_block`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) fn block<const PAGERANK: bool>(
+        payload: &[f64],
+        reversed: bool,
+        operand: &[f64],
+        out: &mut [f64],
+    ) {
+        match (operand.len(), reversed) {
+            (4, false) => walk::<4, PAGERANK, false>(payload, operand, out),
+            (4, true) => walk::<4, PAGERANK, true>(payload, operand, out),
+            (8, false) => walk::<8, PAGERANK, false>(payload, operand, out),
+            (8, true) => walk::<8, PAGERANK, true>(payload, operand, out),
+            (16, false) => walk::<16, PAGERANK, false>(payload, operand, out),
+            (16, true) => walk::<16, PAGERANK, true>(payload, operand, out),
+            (32, false) => walk::<32, PAGERANK, false>(payload, operand, out),
+            (32, true) => walk::<32, PAGERANK, true>(payload, operand, out),
+            (w, _) => unreachable!("no AVX2 walk at omega {w}"),
+        }
+    }
+
+    /// [`block`] at the compile-time width `W`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn walk<const W: usize, const PAGERANK: bool, const REVERSED: bool>(
+        payload: &[f64],
+        operand: &[f64],
+        out: &mut [f64],
+    ) {
+        let (rows, _) = payload.as_chunks::<W>();
+        let (operand, _) = operand.as_chunks::<W>();
+        let x = &operand[0];
+        let (groups, _) = rows.as_chunks::<4>();
+        let done = out.len() - out.len() % 4;
+        let (quads, tail) = out.as_chunks_mut::<4>();
+        for (group, quad) in groups.iter().zip(quads) {
+            let acc = fold4::<W, PAGERANK, REVERSED>(group, x);
+            *quad = lanes(if PAGERANK {
+                _mm256_add_pd(load(quad), acc)
+            } else {
+                acc
+            });
+        }
+        let step = if PAGERANK {
+            super::indicator_mac
+        } else {
+            super::mac
+        };
+        for (row, slot) in rows[done..].iter().zip(tail) {
+            let [dot] = super::fold([&row[..]], REVERSED, x, -0.0, &step);
+            *slot = if PAGERANK { *slot + dot } else { dot };
+        }
+    }
+
+    /// The four `rows`' sums, one per lane, each over its lanes in lane
+    /// order from `-0.0`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn fold4<const W: usize, const PAGERANK: bool, const REVERSED: bool>(
+        rows: &[[f64; W]; 4],
+        x: &[f64; W],
+    ) -> __m256d {
+        let (zero, one) = (_mm256_setzero_pd(), _mm256_set1_pd(1.0));
+        let mut acc = _mm256_set1_pd(-0.0);
+        for t in 0..W / 4 {
+            // Lanes 4t..4t + 4, which a reversed row streams last first
+            // in its tile W/4 − 1 − t.
+            let tile = if REVERSED { W / 4 - 1 - t } else { t };
+            let cols = transpose(
+                quarter(&rows[0], tile),
+                quarter(&rows[1], tile),
+                quarter(&rows[2], tile),
+                quarter(&rows[3], tile),
+            );
+            for (k, &xj) in x[4 * t..4 * t + 4].iter().enumerate() {
+                let mut a = cols[if REVERSED { 3 - k } else { k }];
+                if PAGERANK {
+                    // All ones where a ≠ 0 or a is NaN, as `a == 0.0` is
+                    // false for NaN; ANDed with 1.0 that is the indicator.
+                    a = _mm256_and_pd(_mm256_cmp_pd::<_CMP_NEQ_UQ>(a, zero), one);
+                }
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(a, _mm256_set1_pd(xj)));
+            }
+        }
+        acc
+    }
+
+    /// Entries `4·tile..4·tile + 4` of `row`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn quarter<const W: usize>(row: &[f64; W], tile: usize) -> __m256d {
+        let (quarters, _) = row.as_chunks::<4>();
+        load(&quarters[tile])
+    }
+
+    /// `q` as a vector, `q[0]` in the lowest lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load(q: &[f64; 4]) -> __m256d {
+        _mm256_setr_pd(q[0], q[1], q[2], q[3])
+    }
+
+    /// The lanes of `v`, lowest first.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lanes(v: __m256d) -> [f64; 4] {
+        let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+        [
+            _mm_cvtsd_f64(lo),
+            _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)),
+            _mm_cvtsd_f64(hi),
+            _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
+        ]
+    }
+
+    /// The columns of the 4×4 tile whose rows are `r0..r3`: column `k`
+    /// holds entry `k` of each row, row 0 in the lowest lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn transpose(r0: __m256d, r1: __m256d, r2: __m256d, r3: __m256d) -> [__m256d; 4] {
+        let (even01, odd01) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+        let (even23, odd23) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+        [
+            _mm256_permute2f128_pd::<0x20>(even01, even23),
+            _mm256_permute2f128_pd::<0x20>(odd01, odd23),
+            _mm256_permute2f128_pd::<0x31>(even01, even23),
+            _mm256_permute2f128_pd::<0x31>(odd01, odd23),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -584,24 +834,32 @@ mod tests {
     /// The block widths the equivalence properties cover.
     const OMEGAS: [usize; 6] = [1, 3, 4, 8, 16, 32];
 
-    /// A payload or operand value: mostly special (±0.0, subnormals, ±inf,
-    /// NaN, huge, ±1), else uniform in ±1e3.
+    /// Special payload and operand values: ±0.0 (twice each, as zeros
+    /// decide D-PR's indicators), ±1, subnormals, ±inf, NaN, and very
+    /// large and very small normal magnitudes.
+    const SPECIAL: [f64; 16] = [
+        0.0,
+        -0.0,
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        5e-324,
+        -2.2e-310,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.7e308,
+        -1e300,
+        2.3e-308,
+        -1e-300,
+        3e-200,
+    ];
+
+    /// A payload or operand value: half the time one of [`SPECIAL`], else
+    /// uniform in ±1e3.
     fn value() -> impl Strategy<Value = f64> {
-        const SPECIAL: [f64; 12] = [
-            0.0,
-            -0.0,
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            5e-324,
-            -2.2e-310,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            1.7e308,
-        ];
-        (0usize..24, -1e3f64..1e3).prop_map(|(k, x)| SPECIAL.get(k).copied().unwrap_or(x))
+        (0..2 * SPECIAL.len(), -1e3f64..1e3).prop_map(|(k, x)| SPECIAL.get(k).copied().unwrap_or(x))
     }
 
     /// A block case: ω, the reversal flag, the valid-row count (1..=ω), the
@@ -702,6 +960,77 @@ mod tests {
                 .collect();
             prop_assert_eq!(bits(&cands), bits(&want));
             prop_assert_eq!(counts(&block), counts(&rows));
+        }
+    }
+
+    /// The widths the walk differential covers: the AVX2 walk's four and
+    /// three that take the scalar walk on every host.
+    const WALK_OMEGAS: [usize; 7] = [1, 3, 4, 5, 8, 16, 32];
+
+    /// The host's GEMV and D-PR walk against the scalar walk on one case:
+    /// ω = `w`, streamed right-to-left when `reversed`, with the payload,
+    /// operand and D-PR slots drawn from `seed` (half the time from
+    /// [`SPECIAL`], else uniform in ±1e3), and every D-PR row count from 0
+    /// to ω. Outputs must match bit for bit, a NaN matching any NaN (see
+    /// [`bits`]), and so must the energy counters. A failure names the
+    /// call that replays it.
+    fn check_walks(w: usize, reversed: bool, seed: u64) {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let replay = format!("replay with check_walks({w}, {reversed}, {seed})");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut draw = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| {
+                    let k = rng.gen_range(0..2 * SPECIAL.len());
+                    SPECIAL
+                        .get(k)
+                        .copied()
+                        .unwrap_or_else(|| rng.gen_range(-1e3..1e3))
+                })
+                .collect()
+        };
+        let (payload, operand, slots) = (draw(w * w), draw(w), draw(w));
+        let config = SimConfig::paper().with_omega(w);
+        let mut host = Fcu::new(&config);
+        let mut scalar = Fcu {
+            walk: ValueWalk { avx2: false },
+            ..Fcu::new(&config)
+        };
+        #[cfg(target_arch = "x86_64")]
+        let avx2_host = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2_host = false;
+        // Else the host walk could be the scalar one, checked against
+        // itself.
+        assert_eq!(
+            host.value_walk().lanes(),
+            if avx2_host && [4, 8, 16, 32].contains(&w) {
+                4
+            } else {
+                1
+            },
+            "the AVX2 walk runs wherever it can; {replay}"
+        );
+
+        let (mut got, mut want) = (vec![0.0; w], vec![0.0; w]);
+        host.gemv_block(&payload, reversed, &operand, &mut got);
+        scalar.gemv_block(&payload, reversed, &operand, &mut want);
+        assert_eq!(bits(&got), bits(&want), "gemv; {replay}");
+        for valid in 0..=w {
+            let (mut got, mut want) = (slots[..valid].to_vec(), slots[..valid].to_vec());
+            host.pagerank_block(&payload, reversed, &operand, &mut got);
+            scalar.pagerank_block(&payload, reversed, &operand, &mut want);
+            assert_eq!(bits(&got), bits(&want), "d-pr, {valid} rows; {replay}");
+        }
+        assert_eq!(counts(&host), counts(&scalar), "counters; {replay}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn host_walk_equals_scalar_walk(k in 0..WALK_OMEGAS.len(), rev in 0u8..2, seed in 0u64..u64::MAX) {
+            check_walks(WALK_OMEGAS[k], rev == 1, seed);
         }
     }
 

@@ -45,6 +45,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// The FCU's AVX2 walk is the crate's only `unsafe`: every call into it
+// states the host check it relies on.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod cache;
 pub mod config;

@@ -16,8 +16,11 @@
 //! engine, whose configuration never changes, and holds only deterministic
 //! facts, so it survives [`crate::Engine::reset`].
 
+use std::sync::Arc;
+
 use alrescha_sparse::{alf::AlfLayout, Alf, BlockKind};
 
+use crate::engine::BlockRows;
 use crate::rcu::DataPathKind;
 use crate::report::ExecutionReport;
 use crate::trace::TraceEvent;
@@ -99,6 +102,11 @@ impl Key {
             structure: Structure::of(a),
         }
     }
+
+    /// The call the timing is of.
+    pub fn call(&self) -> Call {
+        self.call
+    }
 }
 
 /// One call's device timing.
@@ -113,6 +121,10 @@ pub(crate) struct Timing {
     /// The call's trace events, `KernelBegin` to `KernelEnd`, when it ran
     /// with tracing on.
     pub events: Option<Vec<TraceEvent>>,
+    /// A sweep's block-row index, made by the full walk that recorded the
+    /// timing, so a hit's value walk need not sort the block headers
+    /// again; empty for an SpMV, whose walk reads none.
+    pub block_rows: Arc<BlockRows>,
 }
 
 /// The memo proper.
@@ -176,6 +188,7 @@ mod tests {
             report,
             exit_path: None,
             events: None,
+            block_rows: Arc::default(),
         }
     }
 
